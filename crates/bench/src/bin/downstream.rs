@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use bench::{fit_all, maybe_write_json, prepare_data, ExperimentOptions};
+use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
 use htcsim::{BrokerPolicy, GridSimulator, SimConfig, SimJob, SimReport};
 use serde::Serialize;
 
@@ -26,7 +26,7 @@ struct DownstreamArtifact {
 }
 
 fn main() {
-    let options = ExperimentOptions::from_args(std::env::args().skip(1));
+    let options = options_or_exit();
     let data = prepare_data(&options);
     let fits = fit_all(&data.train, options.budget, options.seed);
     if fits.report_failures() == fits.runs.len() {

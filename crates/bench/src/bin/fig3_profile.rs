@@ -5,7 +5,7 @@
 //! cargo run -p bench --release --bin fig3_profile -- --rows 60000
 //! ```
 
-use bench::{maybe_write_json, prepare_data, ExperimentOptions};
+use bench::{maybe_write_json, options_or_exit, prepare_data};
 use serde::Serialize;
 use tabular::stats::summarize;
 
@@ -16,7 +16,7 @@ struct Fig3Artifact {
 }
 
 fn main() {
-    let options = ExperimentOptions::from_args(std::env::args().skip(1));
+    let options = options_or_exit();
     let data = prepare_data(&options);
 
     println!("== Fig. 3(a): dataset profile ==");

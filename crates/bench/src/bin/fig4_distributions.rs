@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use bench::{fit_all, maybe_write_json, prepare_data, ExperimentOptions};
+use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
 use metrics::{column_jsd, wasserstein_1d_normalized};
 use serde::Serialize;
 use tabular::stats::{histogram_with_range, top_k_frequencies};
@@ -34,7 +34,7 @@ struct Fig4Artifact {
 }
 
 fn main() {
-    let options = ExperimentOptions::from_args(std::env::args().skip(1));
+    let options = options_or_exit();
     let data = prepare_data(&options);
     let fits = fit_all(&data.train, options.budget, options.seed);
     if fits.report_failures() == fits.runs.len() {

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use bench::{fit_all, maybe_write_json, prepare_data, ExperimentOptions};
+use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
 use metrics::{association_matrix, AssociationMatrix};
 use serde::Serialize;
 
@@ -39,7 +39,7 @@ fn truncate(s: &str, n: usize) -> String {
 }
 
 fn main() {
-    let options = ExperimentOptions::from_args(std::env::args().skip(1));
+    let options = options_or_exit();
     let data = prepare_data(&options);
 
     println!("== Fig. 5(a): ground-truth association matrix ==");

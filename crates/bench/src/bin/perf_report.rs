@@ -1809,10 +1809,11 @@ fn htcsim_benches(quick: bool) -> Vec<KernelBench> {
 }
 
 /// Micro-batched serving throughput: 64 independent 4-row sample requests
-/// answered by one coalesced `sample_batch` pass (what the serve loop's
-/// batch scheduler issues; 256 total rows — a power of two, so padding adds
-/// nothing) against the same 64 requests answered by sequential `sample`
-/// calls (the unbatched serve loop). The paper-default TVAE decoder
+/// answered by one coalesced `sample_batch` pass over their 256 stacked
+/// rows (what the serve loop's batch scheduler issues) against the same 64
+/// requests answered by sequential `sample` calls, each a batch of one (the
+/// unbatched serve loop). Both run the model's one sampling loop, so the
+/// entry measures coalescing alone. The paper-default TVAE decoder
 /// (latent 16 → 128 → 128 → table width) is wide enough that the coalesced
 /// pass crosses the packed-kernel shape split, while each 4-row unbatched
 /// call stays on the direct row kernels — the kernel-tier jump that

@@ -29,8 +29,8 @@
 //! stragglers), groups the drained `sample` requests by registry key, and
 //! answers each group with one coalesced generator forward pass through
 //! `Checkpoint::sample_batch` — per-request rows stacked into a single
-//! power-of-two-padded matrix walk through the packed kernels, then split
-//! back into per-request responses. Batching is a pure throughput
+//! matrix of exactly their total rows walk through the packed kernels, and
+//! each request's row range decodes in place into its response. Batching is a pure throughput
 //! optimisation: every response (rows, digest, per-request `sample_seed`
 //! determinism) is byte-identical to serving the same requests one at a
 //! time, and `--max-batch-rows` bounds how many rows one coalesced pass

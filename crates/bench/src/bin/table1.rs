@@ -5,11 +5,11 @@
 //! cargo run -p bench --release --bin table1 -- --rows 30000 --budget standard
 //! ```
 
-use bench::{fit_all, maybe_write_json, prepare_data, ExperimentOptions};
+use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
 use metrics::{evaluate_surrogate, EvaluationConfig, SurrogateReport};
 
 fn main() {
-    let options = ExperimentOptions::from_args(std::env::args().skip(1));
+    let options = options_or_exit();
     println!("== Table I: performance comparisons on surrogate models ==");
     println!(
         "simulated gross records: {}, window: {} days, budget: {:?}",

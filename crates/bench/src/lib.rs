@@ -9,13 +9,23 @@
 //! The orchestration itself lives in [`surrogate::experiment`] — the single
 //! fit→sample→evaluate runtime for the whole workspace (parallel model fits,
 //! per-model error isolation). This crate only re-exports it so the binaries
-//! keep their `bench::` imports, and adds [`report_failures`], the shared
-//! way binaries surface partially failed runs.
+//! keep their `bench::` imports, and adds [`options_or_exit`] and
+//! [`report_failures`], the shared ways binaries read their flags and
+//! surface partially failed runs.
 
 pub use surrogate::experiment::{
     fit_all, fit_all_with_mode, fit_models_with, maybe_write_json, prepare_data, sample_all_models,
     ExecutionMode, ExperimentError, ExperimentOptions, FitReport, ModelRun, PreparedData,
 };
+
+/// Parse the process arguments into [`ExperimentOptions`]; on a bad flag
+/// value, print the error and exit with status 2.
+pub fn options_or_exit() -> ExperimentOptions {
+    ExperimentOptions::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
 
 /// Print every failed model run to stderr and return how many failed.
 ///

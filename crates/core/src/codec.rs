@@ -6,6 +6,8 @@
 //! which every model operates; decoding inverts the quantile transform and
 //! takes the arg-max of each one-hot block.
 
+use std::ops::Range;
+
 use nn::Matrix;
 use serde::{Deserialize, Serialize};
 use tabular::{Column, FeatureKind, NumericTransform, OneHotEncoder, QuantileTransformer, Table};
@@ -150,29 +152,40 @@ impl TableCodec {
     /// Numerical blocks go through the inverse quantile transform; categorical
     /// blocks are decoded by arg-max.
     pub fn decode(&self, encoded: &Matrix) -> Result<Table, SurrogateError> {
-        if encoded.cols() != self.encoded_width {
+        self.decode_rows(encoded, 0..encoded.rows())
+    }
+
+    /// [`TableCodec::decode`] of the row range `rows` alone, read in place —
+    /// how a sampling loop splits one stacked batch back into per-request
+    /// tables without copying each block out first.
+    pub(crate) fn decode_rows(
+        &self,
+        encoded: &Matrix,
+        rows: Range<usize>,
+    ) -> Result<Table, SurrogateError> {
+        if encoded.cols() != self.encoded_width || rows.end > encoded.rows() {
             return Err(SurrogateError::InvalidTrainingData(format!(
-                "encoded width {} does not match codec width {}",
+                "cannot decode rows {rows:?} of a {}x{} matrix with a codec of width {}",
+                encoded.rows(),
                 encoded.cols(),
                 self.encoded_width
             )));
         }
-        let n = encoded.rows();
         let mut table = Table::new();
         let mut num_idx = 0usize;
         let mut cat_idx = 0usize;
         for span in &self.spans {
             match span.kind {
                 FeatureKind::Numerical => {
-                    let raw: Vec<f64> = (0..n).map(|r| encoded.get(r, span.start)).collect();
+                    let raw: Vec<f64> = rows.clone().map(|r| encoded.get(r, span.start)).collect();
                     let values = self.quantile[num_idx].inverse_transform(&raw)?;
                     table.push_column(&span.name, Column::Numerical(values))?;
                     num_idx += 1;
                 }
                 FeatureKind::Categorical => {
                     let vocab = &self.vocabs[cat_idx];
-                    let mut codes = Vec::with_capacity(n);
-                    for r in 0..n {
+                    let mut codes = Vec::with_capacity(rows.len());
+                    for r in rows.clone() {
                         let block = &encoded.row(r)[span.start..span.start + span.width];
                         let mut best = 0usize;
                         let mut best_v = f64::NEG_INFINITY;

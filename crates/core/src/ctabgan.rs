@@ -18,7 +18,7 @@
 //! discriminator update never consumes `dL/d(input)`.
 
 use nn::{
-    bce_with_logits, standard_normal_into, standard_normal_matrix, Adam, AdamConfig, CosineDecay,
+    bce_with_logits, standard_normal_fill, standard_normal_into, Adam, AdamConfig, CosineDecay,
     LrSchedule, Matrix, Mlp, MlpConfig,
 };
 use rand::rngs::StdRng;
@@ -28,8 +28,9 @@ use tabular::{FeatureKind, Table};
 
 use crate::codec::TableCodec;
 use crate::fault::FitControl;
-use crate::mixed::{mixed_activation, mixed_activation_backward, mixed_activation_into};
-use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
+use crate::forward::{Forward, Precision};
+use crate::mixed::{mixed_activation_assign, mixed_activation_backward, mixed_activation_into};
+use crate::traits::{single_table, SampleSpec, SurrogateError, TabularGenerator};
 
 /// CTABGAN+ hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -129,15 +130,8 @@ impl CtabGan {
     }
 
     /// Sample a batch of conditional one-hot vectors from the training
-    /// marginal.
-    fn sample_condition<R: Rng>(&self, codec: &TableCodec, rows: usize, rng: &mut R) -> Matrix {
-        let mut out = Matrix::default();
-        self.sample_condition_into(codec, rows, rng, &mut out);
-        out
-    }
-
-    /// [`CtabGan::sample_condition`] into a caller-owned buffer, so the
-    /// training loop draws conditions without allocating.
+    /// marginal into a caller-owned buffer, so the training and sampling
+    /// loops draw conditions without allocating.
     fn sample_condition_into<R: Rng>(
         &self,
         codec: &TableCodec,
@@ -164,15 +158,56 @@ impl CtabGan {
             out.set(r, chosen, 1.0);
         }
     }
+
+    /// The fitted codec and generator. A hand-edited checkpoint can hold
+    /// the codec without the generator, so a missing half is
+    /// [`SurrogateError::NotFitted`], not a panic.
+    fn fitted(&self) -> Result<(&TableCodec, &Mlp), SurrogateError> {
+        self.codec
+            .as_ref()
+            .zip(self.generator.as_ref())
+            .ok_or(SurrogateError::NotFitted("CTABGAN+"))
+    }
+
+    /// The one sampling loop. Per spec, noise then condition come from that
+    /// spec's own RNG — the draw order of a standalone `sample` — straight
+    /// into its rows of one `[z | cond]` generator input, so the whole batch
+    /// is a single packed forward pass (at `precision`). The mixed
+    /// activation (per-row block softmax) runs in place and each spec's row
+    /// range decodes in place; both are row-wise, so every spec keeps its
+    /// bytes.
+    fn sample_specs(
+        &self,
+        specs: &[SampleSpec],
+        precision: Precision,
+    ) -> Result<Vec<Table>, SurrogateError> {
+        let (codec, generator) = self.fitted()?;
+        let latent = self.config.latent_dim;
+        let mut g_in = Matrix::zeros(
+            SampleSpec::total_rows(specs),
+            latent + self.cond_width(codec),
+        );
+        let mut cond = Matrix::default();
+        for (spec, rows) in specs.iter().zip(SampleSpec::row_ranges(specs)) {
+            let mut rng = StdRng::seed_from_u64(spec.seed);
+            for r in rows.clone() {
+                standard_normal_fill(&mut rng, &mut g_in.row_mut(r)[..latent]);
+            }
+            self.sample_condition_into(codec, spec.rows, &mut rng, &mut cond);
+            g_in.paste(rows.start, latent, &cond);
+        }
+        let mut raw = Matrix::default();
+        Forward::new(generator, precision).infer_into(&g_in, &mut raw);
+        mixed_activation_assign(codec.spans(), &mut raw);
+        SampleSpec::row_ranges(specs)
+            .map(|rows| codec.decode_rows(&raw, rows))
+            .collect()
+    }
 }
 
 impl TabularGenerator for CtabGan {
     fn name(&self) -> &'static str {
         "CTABGAN+"
-    }
-
-    fn fit(&mut self, train: &Table) -> Result<(), SurrogateError> {
-        self.fit_with_control(train, &FitControl::unlimited())
     }
 
     fn fit_with_control(
@@ -351,94 +386,13 @@ impl TabularGenerator for CtabGan {
         Ok(())
     }
 
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("CTABGAN+"))?;
-        let generator = self
-            .generator
-            .as_ref()
-            .expect("generator set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let z = standard_normal_matrix(n, self.config.latent_dim, &mut rng);
-        let cond = self.sample_condition(codec, n, &mut rng);
-        let raw = generator.infer(&z.hconcat(&cond));
-        let activated = mixed_activation(codec.spans(), &raw);
-        codec.decode(&activated)
+    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
+        self.sample_specs(specs, Precision::F64)
     }
 
     fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("CTABGAN+"))?;
-        let generator = self
-            .generator
-            .as_ref()
-            .expect("generator set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Identical noise/condition draws to the f64 path (assembled in f64,
-        // rounded once); the generator forward pass runs in f32. The mixed
-        // activation and decode stay in f64 — they are cheap and reuse the
-        // span-aware softmax unchanged.
-        let z = standard_normal_matrix(n, self.config.latent_dim, &mut rng);
-        let cond = self.sample_condition(codec, n, &mut rng);
-        let g_in = nn::Matrix32::from_f64(&z.hconcat(&cond));
-        let raw = generator.to_f32().infer(&g_in);
-        let activated = mixed_activation(codec.spans(), &raw.to_f64());
-        codec.decode(&activated)
-    }
-
-    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("CTABGAN+"))?;
-        let generator = self
-            .generator
-            .as_ref()
-            .expect("generator set when codec is");
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Per spec, draw noise then condition from that spec's own RNG — the
-        // exact draw order of a standalone `sample` — and paste the
-        // `[z | cond]` block into one 2ᵏ-row-padded generator input, so the
-        // whole batch is a single packed forward pass. The mixed activation
-        // (per-row block softmax) and the decode are row-wise, so splitting
-        // after activation reproduces each spec's bytes.
-        let latent = self.config.latent_dim;
-        let mut g_in = Matrix::zeros(
-            SampleSpec::padded_rows(specs),
-            latent + self.cond_width(codec),
-        );
-        let mut offset = 0;
-        for spec in specs {
-            let mut rng = StdRng::seed_from_u64(spec.seed);
-            g_in.paste(
-                offset,
-                0,
-                &standard_normal_matrix(spec.rows, latent, &mut rng),
-            );
-            g_in.paste(
-                offset,
-                latent,
-                &self.sample_condition(codec, spec.rows, &mut rng),
-            );
-            offset += spec.rows;
-        }
-        let mut raw = Matrix::default();
-        let mut scratch = Matrix::default();
-        generator.infer_into(&g_in, &mut raw, &mut scratch);
-        let activated = mixed_activation(codec.spans(), &raw);
-        let mut tables = Vec::with_capacity(specs.len());
-        let mut offset = 0;
-        for spec in specs {
-            tables.push(codec.decode(&activated.slice_rows(offset, offset + spec.rows))?);
-            offset += spec.rows;
-        }
-        Ok(tables)
+        self.sample_specs(&[SampleSpec::new(n, seed)], Precision::F32)
+            .map(single_table)
     }
 }
 

@@ -57,45 +57,30 @@ impl Default for ExperimentOptions {
 
 impl ExperimentOptions {
     /// Parse options from `--key value` style command-line arguments.
-    /// Unknown keys are ignored so binaries can add their own flags.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Unknown keys are ignored so binaries can add their own flags; a known
+    /// flag with a missing or unparseable value is an error naming the flag
+    /// and the value.
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut options = Self::default();
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i].as_str();
-            let value = args.get(i + 1).cloned();
-            match (key, value) {
-                ("--rows", Some(v)) => {
-                    if let Ok(n) = v.parse() {
-                        options.gross_records = n;
-                    }
-                    i += 2;
-                }
-                ("--days", Some(v)) => {
-                    if let Ok(d) = v.parse() {
-                        options.days = d;
-                    }
-                    i += 2;
-                }
-                ("--budget", Some(v)) => {
-                    options.budget = TrainingBudget::parse(&v).unwrap_or(TrainingBudget::Standard);
-                    i += 2;
-                }
-                ("--seed", Some(v)) => {
-                    if let Ok(s) = v.parse() {
-                        options.seed = s;
-                    }
-                    i += 2;
-                }
-                ("--json", Some(v)) => {
-                    options.output_json = Some(v);
-                    i += 2;
-                }
-                _ => i += 1,
+        let mut args = args.into_iter();
+        while let Some(key) = args.next() {
+            if !["--rows", "--days", "--budget", "--seed", "--json"].contains(&key.as_str()) {
+                continue;
+            }
+            let value = args
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{key} requires a value"))?;
+            let bad = || format!("invalid value '{value}' for {key}");
+            match key.as_str() {
+                "--rows" => options.gross_records = value.parse().map_err(|_| bad())?,
+                "--days" => options.days = value.parse().map_err(|_| bad())?,
+                "--budget" => options.budget = TrainingBudget::parse(&value).ok_or_else(bad)?,
+                "--seed" => options.seed = value.parse().map_err(|_| bad())?,
+                _ => options.output_json = Some(value),
             }
         }
-        options
+        Ok(options)
     }
 }
 
@@ -328,34 +313,46 @@ mod tests {
 
     #[test]
     fn argument_parsing_handles_all_flags() {
-        let options = ExperimentOptions::from_args(
-            [
-                "--rows",
-                "5000",
-                "--days",
-                "30",
-                "--budget",
-                "smoke",
-                "--seed",
-                "7",
-                "--json",
-                "/tmp/x.json",
-                "--unknown",
-                "ignored",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        let parse =
+            |args: &[&str]| ExperimentOptions::from_args(args.iter().map(|s| s.to_string()));
+        let options = parse(&[
+            "--rows",
+            "5000",
+            "--days",
+            "30",
+            "--budget",
+            "smoke",
+            "--seed",
+            "7",
+            "--json",
+            "/tmp/x.json",
+            "--unknown",
+            "ignored",
+        ])
+        .unwrap();
         assert_eq!(options.gross_records, 5000);
         assert_eq!(options.days, 30.0);
         assert_eq!(options.budget, TrainingBudget::Smoke);
         assert_eq!(options.seed, 7);
         assert_eq!(options.output_json.as_deref(), Some("/tmp/x.json"));
+
+        // Bad values are errors that name the flag and the value, never a
+        // silent fall-back to the default.
+        for (args, message) in [
+            (&["--rows", "abc"][..], "invalid value 'abc' for --rows"),
+            (&["--days", "1e"], "invalid value '1e' for --days"),
+            (&["--budget", "typo"], "invalid value 'typo' for --budget"),
+            (&["--seed", "-1"], "invalid value '-1' for --seed"),
+            (&["--rows", "100", "--seed"], "--seed requires a value"),
+            (&["--json", "--rows", "100"], "--json requires a value"),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), message, "{args:?}");
+        }
     }
 
     #[test]
     fn argument_parsing_defaults() {
-        let options = ExperimentOptions::from_args(Vec::<String>::new());
+        let options = ExperimentOptions::from_args(Vec::<String>::new()).unwrap();
         assert_eq!(options.gross_records, 30_000);
         assert_eq!(options.budget, TrainingBudget::Standard);
     }

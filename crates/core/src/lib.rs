@@ -37,6 +37,7 @@ pub mod codec;
 pub mod ctabgan;
 pub mod experiment;
 pub mod fault;
+mod forward;
 pub mod mixed;
 pub mod pipeline;
 pub mod smote;
@@ -62,8 +63,8 @@ pub use fault::{
     FitControl, ServeFaultKind, ServeFaultPlan,
 };
 pub use pipeline::{
-    build_model, build_payload, fit_and_sample, fit_and_sample_batch, fit_and_sample_controlled,
-    ModelKind, TrainingBudget,
+    build_model, build_payload, fit_and_sample, fit_and_sample_controlled, ModelKind,
+    TrainingBudget,
 };
 pub use smote::{SmoteConfig, SmoteSampler};
 pub use sweep::{

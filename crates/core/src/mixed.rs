@@ -18,11 +18,16 @@ pub fn mixed_activation(spans: &[ColumnSpan], raw: &Matrix) -> Matrix {
 }
 
 /// [`mixed_activation`] into a caller-owned buffer: the raw output is copied
-/// once and every categorical block is softmaxed in place (via the shared
-/// [`softmax_slice`] kernel, on the row slice itself), so a training step
-/// that reuses the buffer performs no allocations here.
+/// once and activated in place, so a training step that reuses the buffer
+/// performs no allocations here.
 pub fn mixed_activation_into(spans: &[ColumnSpan], raw: &Matrix, out: &mut Matrix) {
     out.copy_from(raw);
+    mixed_activation_assign(spans, out);
+}
+
+/// [`mixed_activation`] in place: every categorical block is softmaxed on
+/// the row slice itself (via the shared [`softmax_slice`] kernel).
+pub(crate) fn mixed_activation_assign(spans: &[ColumnSpan], out: &mut Matrix) {
     for span in spans {
         if span.kind != FeatureKind::Categorical {
             continue;

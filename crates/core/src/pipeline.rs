@@ -8,7 +8,7 @@ use crate::ctabgan::{CtabGan, CtabGanConfig};
 use crate::fault::FitControl;
 use crate::smote::{SmoteConfig, SmoteSampler};
 use crate::tabddpm::{TabDdpm, TabDdpmConfig};
-use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
+use crate::traits::{SurrogateError, TabularGenerator};
 use crate::tvae::{Tvae, TvaeConfig};
 
 /// The four surrogate models evaluated in the paper.
@@ -198,27 +198,10 @@ pub fn fit_and_sample_controlled(
     model.sample(n_samples, seed.wrapping_add(1))
 }
 
-/// Fit a model of the requested kind on `train` and answer a batch of
-/// independent sampling requests in one coalesced pass — the core of the
-/// serving loop's micro-batching, exposed as a pipeline entry point so
-/// benches and tests can compare batched against per-call sampling without
-/// standing up the serve process. Each returned table is byte-identical to
-/// `model.sample(spec.rows, spec.seed)` on the same fitted model.
-pub fn fit_and_sample_batch(
-    kind: ModelKind,
-    train: &Table,
-    specs: &[SampleSpec],
-    budget: TrainingBudget,
-    seed: u64,
-) -> Result<Vec<Table>, SurrogateError> {
-    let mut model = build_model(kind, budget, seed);
-    model.fit(train)?;
-    model.sample_batch(specs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::SampleSpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tabular::Column;
@@ -279,12 +262,16 @@ mod tests {
         // level: for every model kind, a coalesced batch of requests
         // produces byte-identical tables to sampling each request alone on
         // the same fitted model — including a duplicate (rows, seed) pair,
-        // which must yield two identical tables.
+        // which must yield two identical tables, a 0-row spec inside a
+        // batch, an empty batch, and a batch whose total (9+17+9+0+40 = 75)
+        // is above 64 and not a power of two.
         let train = toy(120);
         let specs = [
             SampleSpec::new(9, 100),
             SampleSpec::new(17, 3),
             SampleSpec::new(9, 100),
+            SampleSpec::new(0, 8),
+            SampleSpec::new(40, 21),
         ];
         for kind in ModelKind::ALL {
             let mut model = build_model(kind, TrainingBudget::Smoke, 7);
@@ -294,6 +281,8 @@ mod tests {
             });
             assert_eq!(batched.len(), specs.len(), "{}", kind.name());
             for (spec, table) in specs.iter().zip(&batched) {
+                assert_eq!(table.n_rows(), spec.rows, "{}", kind.name());
+                assert_eq!(table.names(), train.names(), "{}", kind.name());
                 assert_eq!(
                     table,
                     &model.sample(spec.rows, spec.seed).unwrap(),
@@ -302,20 +291,12 @@ mod tests {
                 );
             }
             assert_eq!(batched[0], batched[2], "{}", kind.name());
+            assert!(
+                model.sample_batch(&[]).unwrap().is_empty(),
+                "{}",
+                kind.name()
+            );
         }
-    }
-
-    #[test]
-    fn fit_and_sample_batch_answers_every_spec() {
-        let train = toy(120);
-        let specs = [SampleSpec::new(5, 1), SampleSpec::new(8, 2)];
-        let tables =
-            fit_and_sample_batch(ModelKind::Smote, &train, &specs, TrainingBudget::Smoke, 7)
-                .unwrap();
-        assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].n_rows(), 5);
-        assert_eq!(tables[1].n_rows(), 8);
-        assert_eq!(tables[0].names(), train.names());
     }
 
     #[test]

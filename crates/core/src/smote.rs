@@ -20,7 +20,8 @@ use serde::{Deserialize, Serialize};
 use tabular::Table;
 
 use crate::codec::TableCodec;
-use crate::traits::{SurrogateError, TabularGenerator};
+use crate::fault::FitControl;
+use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
 
 /// SMOTE hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -71,6 +72,21 @@ impl SmoteSampler {
         self.config
     }
 
+    /// The fitted codec and anchors. A hand-edited checkpoint can hold the
+    /// codec without the anchors (or without one neighbour list per
+    /// anchor), so a missing part is [`SurrogateError::NotFitted`], not a
+    /// panic.
+    fn fitted(&self) -> Result<(&TableCodec, &Matrix), SurrogateError> {
+        let anchors = self
+            .anchors
+            .as_ref()
+            .filter(|a| a.rows() == self.neighbors.len());
+        self.codec
+            .as_ref()
+            .zip(anchors)
+            .ok_or(SurrogateError::NotFitted("SMOTE"))
+    }
+
     fn subsample_rows(n: usize, cap: usize) -> Vec<usize> {
         if n <= cap {
             (0..n).collect()
@@ -85,7 +101,13 @@ impl TabularGenerator for SmoteSampler {
         "SMOTE"
     }
 
-    fn fit(&mut self, train: &Table) -> Result<(), SurrogateError> {
+    /// The fit has no epochs to check a budget between, so `control` is a
+    /// documented no-op here.
+    fn fit_with_control(
+        &mut self,
+        train: &Table,
+        _control: &FitControl,
+    ) -> Result<(), SurrogateError> {
         if train.n_rows() < 2 {
             return Err(SurrogateError::InvalidTrainingData(
                 "SMOTE needs at least two training rows".to_string(),
@@ -118,27 +140,28 @@ impl TabularGenerator for SmoteSampler {
         Ok(())
     }
 
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("SMOTE"))?;
-        let anchors = self.anchors.as_ref().expect("anchors set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let width = codec.encoded_width();
-        let mut out = Matrix::zeros(n, width);
-        for r in 0..n {
-            let base = rng.gen_range(0..anchors.rows());
-            let neighbor_list = &self.neighbors[base];
-            let neighbor = neighbor_list[rng.gen_range(0..neighbor_list.len())];
-            let lambda: f64 = rng.gen_range(0.0..1.0);
-            let base_row = anchors.row(base);
-            let nb_row = anchors.row(neighbor);
-            for c in 0..width {
-                out.set(r, c, base_row[c] + lambda * (nb_row[c] - base_row[c]));
+    /// The one sampling loop: each spec's rows are interpolated from its own
+    /// RNG stream into its range of one stacked matrix, and each range
+    /// decodes in place.
+    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
+        let (codec, anchors) = self.fitted()?;
+        let mut out = Matrix::zeros(SampleSpec::total_rows(specs), codec.encoded_width());
+        for (spec, rows) in specs.iter().zip(SampleSpec::row_ranges(specs)) {
+            let mut rng = StdRng::seed_from_u64(spec.seed);
+            for r in rows {
+                let base = rng.gen_range(0..anchors.rows());
+                let neighbor_list = &self.neighbors[base];
+                let neighbor = neighbor_list[rng.gen_range(0..neighbor_list.len())];
+                let lambda: f64 = rng.gen_range(0.0..1.0);
+                let (base_row, nb_row) = (anchors.row(base), anchors.row(neighbor));
+                for ((o, &b), &nb) in out.row_mut(r).iter_mut().zip(base_row).zip(nb_row) {
+                    *o = b + lambda * (nb - b);
+                }
             }
         }
-        codec.decode(&out)
+        SampleSpec::row_ranges(specs)
+            .map(|rows| codec.decode_rows(&out, rows))
+            .collect()
     }
 }
 

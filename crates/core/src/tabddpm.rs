@@ -15,7 +15,7 @@
 //! non-trivial distance from training records).
 
 use nn::{
-    mse_loss, standard_normal_into, standard_normal_matrix, Adam, AdamConfig, CosineDecay,
+    mse_loss, standard_normal_fill, standard_normal_into, Adam, AdamConfig, CosineDecay,
     LrSchedule, Matrix, Mlp, MlpConfig,
 };
 use rand::rngs::StdRng;
@@ -27,7 +27,8 @@ use tabular::FeatureKind;
 
 use crate::codec::{ColumnSpan, TableCodec};
 use crate::fault::FitControl;
-use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
+use crate::forward::{Forward, Precision};
+use crate::traits::{single_table, SampleSpec, SurrogateError, TabularGenerator};
 
 /// TabDDPM hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -146,33 +147,110 @@ impl TabDdpm {
 
     /// Write the two timestep-embedding features (normalised t and a
     /// sinusoidal phase) into `dst`. The single definition shared by the
-    /// fused training loop and [`TabDdpm::denoiser_input`], so training and
-    /// sampling can never feed the denoiser different embeddings.
+    /// fused training loop and the sampling loop, so training and sampling
+    /// can never feed the denoiser different embeddings.
     #[inline]
     fn write_time_embedding(t_frac: f64, dst: &mut [f64]) {
         dst[0] = t_frac;
         dst[1] = (t_frac * std::f64::consts::PI).sin();
     }
 
-    /// Build the denoiser input: the noisy row concatenated with two timestep
-    /// embedding features.
-    fn denoiser_input(x_noisy: &Matrix, t_frac: &[f64]) -> Matrix {
-        let rows = x_noisy.rows();
-        let mut t_cols = Matrix::zeros(rows, 2);
-        for (r, &t) in t_frac.iter().enumerate().take(rows) {
-            Self::write_time_embedding(t, t_cols.row_mut(r));
+    /// The fitted codec and denoiser. A hand-edited checkpoint can hold the
+    /// codec without the denoiser, so a missing half is
+    /// [`SurrogateError::NotFitted`], not a panic.
+    fn fitted(&self) -> Result<(&TableCodec, &Mlp), SurrogateError> {
+        self.codec
+            .as_ref()
+            .zip(self.denoiser.as_ref())
+            .ok_or(SurrogateError::NotFitted("TabDDPM"))
+    }
+
+    /// The one sampling loop: the ancestral reverse process for every spec
+    /// at once. Each spec's RNG stream draws, in a standalone `sample`'s
+    /// order, its initial latents and then its noise block at every reverse
+    /// step, straight into its rows of one stacked state, so each of the
+    /// `T` denoiser forward passes is a single packed-kernel call (at
+    /// `precision`) for the whole batch over reused buffers. The
+    /// posterior-mean update is per element, so every spec's rows stay the
+    /// bytes of sampling it alone; the state stays `f64` between steps on
+    /// both tiers.
+    fn sample_specs(
+        &self,
+        specs: &[SampleSpec],
+        precision: Precision,
+    ) -> Result<Vec<Table>, SurrogateError> {
+        let (codec, denoiser) = self.fitted()?;
+        let width = codec.encoded_width();
+        let timesteps = self.config.timesteps;
+        let total = SampleSpec::total_rows(specs);
+
+        // Reconstruct the per-step α from ᾱ.
+        let mut alphas = Vec::with_capacity(timesteps);
+        for t in 0..timesteps {
+            let prev = if t == 0 { 1.0 } else { self.alpha_bar[t - 1] };
+            alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
         }
-        x_noisy.hconcat(&t_cols)
+
+        let mut rngs: Vec<StdRng> = specs
+            .iter()
+            .map(|s| StdRng::seed_from_u64(s.seed))
+            .collect();
+        // The state lives in the first `width` columns of the denoiser
+        // input, beside the two timestep-embedding columns, so no step
+        // copies it.
+        let mut input = Matrix::zeros(total, width + 2);
+        for (rng, rows) in rngs.iter_mut().zip(SampleSpec::row_ranges(specs)) {
+            for r in rows {
+                standard_normal_fill(rng, &mut input.row_mut(r)[..width]);
+            }
+        }
+        let mut eps_hat = Matrix::default();
+        let mut noise = vec![0.0; width];
+        let mut forward = Forward::new(denoiser, precision);
+        for t in (0..timesteps).rev() {
+            let mut emb = [0.0f64; 2];
+            Self::write_time_embedding((t + 1) as f64 / timesteps as f64, &mut emb);
+            for r in 0..total {
+                input.row_mut(r)[width..].copy_from_slice(&emb);
+            }
+            forward.infer_into(&input, &mut eps_hat);
+
+            // Posterior mean, then (before the last step) the spec's next
+            // noise row, drawn into a scratch row while the state row is hot.
+            let alpha = alphas[t];
+            let alpha_bar = self.alpha_bar[t];
+            let coef = (1.0 - alpha) / (1.0 - alpha_bar).sqrt();
+            let sqrt_alpha = alpha.sqrt();
+            let sigma = (t > 0).then(|| {
+                ((1.0 - alphas[t]) * (1.0 - self.alpha_bar[t - 1]) / (1.0 - alpha_bar))
+                    .max(0.0)
+                    .sqrt()
+            });
+            for (rng, rows) in rngs.iter_mut().zip(SampleSpec::row_ranges(specs)) {
+                for r in rows {
+                    let state = &mut input.row_mut(r)[..width];
+                    for (xv, &e) in state.iter_mut().zip(eps_hat.row(r)) {
+                        *xv = (*xv - coef * e) / sqrt_alpha;
+                    }
+                    if let Some(sigma) = sigma {
+                        standard_normal_fill(rng, &mut noise);
+                        for (xv, &z) in state.iter_mut().zip(&noise) {
+                            *xv += z * sigma;
+                        }
+                    }
+                }
+            }
+        }
+        let x = input.slice_cols(0, width);
+        SampleSpec::row_ranges(specs)
+            .map(|rows| codec.decode_rows(&x, rows))
+            .collect()
     }
 }
 
 impl TabularGenerator for TabDdpm {
     fn name(&self) -> &'static str {
         "TabDDPM"
-    }
-
-    fn fit(&mut self, train: &Table) -> Result<(), SurrogateError> {
-        self.fit_with_control(train, &FitControl::unlimited())
     }
 
     fn fit_with_control(
@@ -266,203 +344,13 @@ impl TabularGenerator for TabDdpm {
         Ok(())
     }
 
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TabDDPM"))?;
-        let denoiser = self.denoiser.as_ref().expect("denoiser set when codec is");
-        let width = codec.encoded_width();
-        let timesteps = self.config.timesteps;
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        // Reconstruct the per-step α from ᾱ.
-        let mut alphas = Vec::with_capacity(timesteps);
-        for t in 0..timesteps {
-            let prev = if t == 0 { 1.0 } else { self.alpha_bar[t - 1] };
-            alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
-        }
-
-        let mut x = standard_normal_matrix(n, width, &mut rng);
-        for t in (0..timesteps).rev() {
-            let t_frac = vec![(t + 1) as f64 / timesteps as f64; n];
-            let input = Self::denoiser_input(&x, &t_frac);
-            let eps_hat = denoiser.infer(&input);
-
-            let alpha = alphas[t];
-            let alpha_bar = self.alpha_bar[t];
-            let coef = (1.0 - alpha) / (1.0 - alpha_bar).sqrt();
-            // Posterior mean.
-            let mut mean = Matrix::zeros(n, width);
-            for r in 0..n {
-                for c in 0..width {
-                    mean.set(
-                        r,
-                        c,
-                        (x.get(r, c) - coef * eps_hat.get(r, c)) / alpha.sqrt(),
-                    );
-                }
-            }
-            if t > 0 {
-                let sigma = ((1.0 - alphas[t]) * (1.0 - self.alpha_bar[t - 1]) / (1.0 - alpha_bar))
-                    .max(0.0)
-                    .sqrt();
-                let z = standard_normal_matrix(n, width, &mut rng);
-                x = mean.add(&z.scale(sigma));
-            } else {
-                x = mean;
-            }
-        }
-        codec.decode(&x)
+    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
+        self.sample_specs(specs, Precision::F64)
     }
 
     fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TabDDPM"))?;
-        // Down-convert the fitted denoiser once; every reverse step then
-        // runs its forward pass on the f32 packed kernels (double lanes).
-        let denoiser = self
-            .denoiser
-            .as_ref()
-            .expect("denoiser set when codec is")
-            .to_f32();
-        let width = codec.encoded_width();
-        let timesteps = self.config.timesteps;
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        let mut alphas = Vec::with_capacity(timesteps);
-        for t in 0..timesteps {
-            let prev = if t == 0 { 1.0 } else { self.alpha_bar[t - 1] };
-            alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
-        }
-
-        // Same RNG stream as the f64 path — every draw happens in f64 and is
-        // rounded once — so the two tiers differ only by arithmetic
-        // precision, never by consuming different variates.
-        let mut x = nn::Matrix32::from_f64(&standard_normal_matrix(n, width, &mut rng));
-        let mut input = nn::Matrix32::zeros(n, width + 2);
-        let mut eps_hat = nn::Matrix32::zeros(0, 0);
-        let mut scratch = nn::Matrix32::zeros(0, 0);
-        for t in (0..timesteps).rev() {
-            let mut emb = [0.0f64; 2];
-            Self::write_time_embedding((t + 1) as f64 / timesteps as f64, &mut emb);
-            for r in 0..n {
-                let row = input.row_mut(r);
-                row[..width].copy_from_slice(x.row(r));
-                row[width] = emb[0] as f32;
-                row[width + 1] = emb[1] as f32;
-            }
-            denoiser.infer_into(&input, &mut eps_hat, &mut scratch);
-
-            let alpha = alphas[t];
-            let alpha_bar = self.alpha_bar[t];
-            // Scalar coefficients in f64 (exactly the f64 path's values),
-            // rounded once; the per-element update runs in f32.
-            let coef = ((1.0 - alpha) / (1.0 - alpha_bar).sqrt()) as f32;
-            let inv_sqrt_alpha = (1.0 / alpha.sqrt()) as f32;
-            for (xv, &e) in x.data_mut().iter_mut().zip(eps_hat.data()) {
-                *xv = (*xv - coef * e) * inv_sqrt_alpha;
-            }
-            if t > 0 {
-                let sigma = ((1.0 - alphas[t]) * (1.0 - self.alpha_bar[t - 1]) / (1.0 - alpha_bar))
-                    .max(0.0)
-                    .sqrt() as f32;
-                let z = standard_normal_matrix(n, width, &mut rng);
-                for (xv, &zv) in x.data_mut().iter_mut().zip(z.data()) {
-                    *xv += sigma * zv as f32;
-                }
-            }
-        }
-        codec.decode(&x.to_f64())
-    }
-
-    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TabDDPM"))?;
-        let denoiser = self.denoiser.as_ref().expect("denoiser set when codec is");
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let width = codec.encoded_width();
-        let timesteps = self.config.timesteps;
-
-        let mut alphas = Vec::with_capacity(timesteps);
-        for t in 0..timesteps {
-            let prev = if t == 0 { 1.0 } else { self.alpha_bar[t - 1] };
-            alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
-        }
-
-        // One RNG stream per spec, drawn in a standalone `sample`'s order:
-        // the initial latents up front, then that spec's ancestral noise
-        // block at every reverse step. All specs share one 2ᵏ-row-padded
-        // state matrix, so each of the `T` denoiser forward passes is a
-        // single packed-kernel call for the whole batch, ping-ponging one
-        // pair of reused buffers instead of allocating per step. The
-        // posterior-mean update is per-element with the same
-        // subtract/multiply/divide chain as the unbatched path, so every
-        // spec's rows stay bit-identical to sampling it alone; the padding
-        // rows (zero noise, never reseeded) are dead weight the final split
-        // discards.
-        let mut rngs: Vec<StdRng> = specs
-            .iter()
-            .map(|s| StdRng::seed_from_u64(s.seed))
-            .collect();
-        let mut x = Matrix::zeros(SampleSpec::padded_rows(specs), width);
-        let mut offset = 0;
-        for (spec, rng) in specs.iter().zip(&mut rngs) {
-            x.paste(offset, 0, &standard_normal_matrix(spec.rows, width, rng));
-            offset += spec.rows;
-        }
-
-        let padded = x.rows();
-        let mut input = Matrix::zeros(padded, width + 2);
-        let mut eps_hat = Matrix::default();
-        let mut scratch = Matrix::default();
-        for t in (0..timesteps).rev() {
-            let mut emb = [0.0f64; 2];
-            Self::write_time_embedding((t + 1) as f64 / timesteps as f64, &mut emb);
-            for r in 0..padded {
-                let row = input.row_mut(r);
-                row[..width].copy_from_slice(x.row(r));
-                row[width..].copy_from_slice(&emb);
-            }
-            denoiser.infer_into(&input, &mut eps_hat, &mut scratch);
-
-            let alpha = alphas[t];
-            let alpha_bar = self.alpha_bar[t];
-            let coef = (1.0 - alpha) / (1.0 - alpha_bar).sqrt();
-            let sqrt_alpha = alpha.sqrt();
-            for (xv, &e) in x.data_mut().iter_mut().zip(eps_hat.data()) {
-                *xv = (*xv - coef * e) / sqrt_alpha;
-            }
-            if t > 0 {
-                let sigma = ((1.0 - alphas[t]) * (1.0 - self.alpha_bar[t - 1]) / (1.0 - alpha_bar))
-                    .max(0.0)
-                    .sqrt();
-                let mut offset = 0;
-                for (spec, rng) in specs.iter().zip(&mut rngs) {
-                    let z = standard_normal_matrix(spec.rows, width, rng);
-                    for r in 0..spec.rows {
-                        for (xv, &zv) in x.row_mut(offset + r).iter_mut().zip(z.row(r)) {
-                            *xv += zv * sigma;
-                        }
-                    }
-                    offset += spec.rows;
-                }
-            }
-        }
-
-        let mut tables = Vec::with_capacity(specs.len());
-        let mut offset = 0;
-        for spec in specs {
-            tables.push(codec.decode(&x.slice_rows(offset, offset + spec.rows))?);
-            offset += spec.rows;
-        }
-        Ok(tables)
+        self.sample_specs(&[SampleSpec::new(n, seed)], Precision::F32)
+            .map(single_table)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The common interface of all surrogate models.
 
 use std::fmt;
+use std::ops::Range;
 
 use tabular::{Table, TabularError};
 
@@ -88,78 +89,83 @@ impl SampleSpec {
         specs.iter().map(|s| s.rows).sum()
     }
 
-    /// Rows of the `2ᵏ`-padded stacked batch the MLP-backed generators run
-    /// their coalesced forward passes over: the next power of two at or
-    /// above the total (and at least 1), so the packed kernels always see
-    /// power-of-two row blocks. Padding rows are zeros, computed and then
-    /// discarded — row-independent kernels make them invisible to every
-    /// real row.
-    pub fn padded_rows(specs: &[SampleSpec]) -> usize {
-        Self::total_rows(specs).next_power_of_two()
+    /// Each spec's row range in the batch's stacked matrix, in spec order.
+    pub(crate) fn row_ranges(specs: &[SampleSpec]) -> impl Iterator<Item = Range<usize>> + '_ {
+        specs.iter().scan(0, |end, spec| {
+            let start = *end;
+            *end += spec.rows;
+            Some(start..*end)
+        })
     }
+}
+
+/// The table of a one-spec batch. Every sampler answers a batch with one
+/// table per spec, so the batch of one holds exactly one.
+pub(crate) fn single_table(mut tables: Vec<Table>) -> Table {
+    tables.swap_remove(0)
 }
 
 /// A generative model over mixed-type tabular data.
 ///
 /// Implementations are deterministic given the seeds in their configuration,
-/// so experiments are reproducible end to end.
+/// so experiments are reproducible end to end. Each verb has one required
+/// method — [`TabularGenerator::fit_with_control`] and
+/// [`TabularGenerator::sample_batch`] — and the other methods wrap them.
 pub trait TabularGenerator {
     /// Human-readable model name as used in the paper's tables.
     fn name(&self) -> &'static str;
 
-    /// Fit the model to a training table.
-    fn fit(&mut self, train: &Table) -> Result<(), SurrogateError>;
-
-    /// Fit under a cooperative cancellation token.
+    /// Fit the model to a training table under a cooperative cancellation
+    /// token.
     ///
-    /// Models with epoch loops override this to call
-    /// [`FitControl::check_epoch`] once per epoch, so a
-    /// [`crate::fault::CellBudget`] can stop a runaway fit with a typed
-    /// [`SurrogateError::BudgetExceeded`]. The default ignores the token —
-    /// correct for near-instant fits like SMOTE, where a budget is a
-    /// documented no-op.
+    /// Models with epoch loops call [`FitControl::check_epoch`] once per
+    /// epoch, so a [`crate::fault::CellBudget`] can stop a runaway fit with
+    /// a typed [`SurrogateError::BudgetExceeded`]. Near-instant fits like
+    /// SMOTE ignore the token, where a budget is a documented no-op.
     fn fit_with_control(
         &mut self,
         train: &Table,
         control: &FitControl,
-    ) -> Result<(), SurrogateError> {
-        let _ = control;
-        self.fit(train)
-    }
+    ) -> Result<(), SurrogateError>;
 
-    /// Sample `n` synthetic rows with the same schema as the training table.
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError>;
-
-    /// Sample `n` rows on the reduced-precision `f32` inference tier.
-    ///
-    /// Models whose sampling path is dominated by MLP inference override
-    /// this to run the network forward passes in `f32` (double the SIMD
-    /// lanes of the packed kernels), drawing the *same* RNG stream as
-    /// [`TabularGenerator::sample`] so the two paths differ only by
-    /// precision. Results are still fully deterministic given the seed, but
-    /// are **not** bit-identical to the `f64` path — the end-to-end tests
-    /// bound the distributional deltas (Wasserstein/JSD) instead. The
-    /// default falls back to the `f64` path, so every generator supports
-    /// the call.
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        self.sample(n, seed)
+    /// Fit the model to a training table with no budget.
+    fn fit(&mut self, train: &Table) -> Result<(), SurrogateError> {
+        self.fit_with_control(train, &FitControl::unlimited())
     }
 
     /// Sample several independent requests in one call, one output table per
-    /// spec, in spec order.
+    /// spec, in spec order — the one sampling implementation of every model.
     ///
     /// The contract is **byte-identity**: `sample_batch(specs)[i]` equals
-    /// `sample(specs[i].rows, specs[i].seed)` exactly, for every spec and
-    /// every batch composition. MLP-backed generators override this to draw
-    /// each spec's noise from its own RNG stream, stack the per-spec blocks
-    /// into one `2ᵏ`-row-padded matrix, and run a *single* packed-kernel
-    /// forward pass per network step (reusing one packed buffer across the
-    /// batch) before splitting the rows back out — the serving loop's
+    /// `sample_batch(&[specs[i]])[0]` exactly, for every spec and every
+    /// batch composition. MLP-backed generators draw each spec's noise from
+    /// its own RNG stream into one stacked matrix of exactly the total rows,
+    /// run a *single* packed-kernel forward pass per network step over it,
+    /// and decode each spec's row range in place — the serving loop's
     /// micro-batching rides on this. Identity holds because every kernel on
     /// the path computes each output row from its input row alone, with a
-    /// row-count-independent reduction order. The default handles the specs
-    /// sequentially, which satisfies the contract trivially.
-    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
-        specs.iter().map(|s| self.sample(s.rows, s.seed)).collect()
+    /// row-count-independent reduction order.
+    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError>;
+
+    /// Sample `n` synthetic rows with the same schema as the training table:
+    /// a batch of one.
+    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
+        self.sample_batch(&[SampleSpec::new(n, seed)])
+            .map(single_table)
+    }
+
+    /// Sample `n` rows on the reduced-precision `f32` inference tier.
+    ///
+    /// MLP-backed models override this to run their one sampling loop with
+    /// the network forward passes in `f32` (double the SIMD lanes of the
+    /// packed kernels), drawing the *same* RNG stream as
+    /// [`TabularGenerator::sample`] and keeping every other step in `f64`,
+    /// so the two paths differ only by the precision of the forward passes.
+    /// Results are still fully deterministic given the seed, but are **not**
+    /// bit-identical to the `f64` path — the end-to-end tests bound the
+    /// distributional deltas (Wasserstein/JSD) instead. The default is the
+    /// `f64` path, so every generator supports the call.
+    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
+        self.sample(n, seed)
     }
 }

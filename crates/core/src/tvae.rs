@@ -7,7 +7,7 @@
 //! draws latents from the prior and decodes them.
 
 use nn::{
-    gaussian_kl, standard_normal_into, standard_normal_matrix, Adam, AdamConfig, CosineDecay,
+    gaussian_kl, standard_normal_fill, standard_normal_into, Adam, AdamConfig, CosineDecay,
     LrSchedule, Matrix, Mlp, MlpConfig,
 };
 use rand::rngs::StdRng;
@@ -18,8 +18,9 @@ use tabular::Table;
 
 use crate::codec::TableCodec;
 use crate::fault::FitControl;
+use crate::forward::{Forward, Precision};
 use crate::mixed::mixed_reconstruction_loss;
-use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
+use crate::traits::{single_table, SampleSpec, SurrogateError, TabularGenerator};
 
 /// TVAE hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -99,15 +100,45 @@ impl Tvae {
     pub fn config(&self) -> &TvaeConfig {
         &self.config
     }
+
+    /// The fitted codec and decoder. A hand-edited checkpoint can hold the
+    /// codec without the decoder, so a missing half is
+    /// [`SurrogateError::NotFitted`], not a panic.
+    fn fitted(&self) -> Result<(&TableCodec, &Mlp), SurrogateError> {
+        self.codec
+            .as_ref()
+            .zip(self.decoder.as_ref())
+            .ok_or(SurrogateError::NotFitted("TVAE"))
+    }
+
+    /// The one sampling loop. Each spec's latents come from its own RNG
+    /// stream, drawn straight into its rows of one stacked block, so the
+    /// decoder runs a single packed forward pass (at `precision`) for the
+    /// whole batch; each spec's row range then decodes in place.
+    /// Row-independent kernels make the stacking invisible to every spec.
+    fn sample_specs(
+        &self,
+        specs: &[SampleSpec],
+        precision: Precision,
+    ) -> Result<Vec<Table>, SurrogateError> {
+        let (codec, decoder) = self.fitted()?;
+        let latent = self.config.latent_dim;
+        let mut z = Matrix::zeros(SampleSpec::total_rows(specs), latent);
+        for (spec, rows) in specs.iter().zip(SampleSpec::row_ranges(specs)) {
+            let block = &mut z.data_mut()[rows.start * latent..rows.end * latent];
+            standard_normal_fill(&mut StdRng::seed_from_u64(spec.seed), block);
+        }
+        let mut raw = Matrix::default();
+        Forward::new(decoder, precision).infer_into(&z, &mut raw);
+        SampleSpec::row_ranges(specs)
+            .map(|rows| codec.decode_rows(&raw, rows))
+            .collect()
+    }
 }
 
 impl TabularGenerator for Tvae {
     fn name(&self) -> &'static str {
         "TVAE"
-    }
-
-    fn fit(&mut self, train: &Table) -> Result<(), SurrogateError> {
-        self.fit_with_control(train, &FitControl::unlimited())
     }
 
     fn fit_with_control(
@@ -208,68 +239,13 @@ impl TabularGenerator for Tvae {
         Ok(())
     }
 
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TVAE"))?;
-        let decoder = self.decoder.as_ref().expect("decoder set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let z = standard_normal_matrix(n, self.config.latent_dim, &mut rng);
-        let raw = decoder.infer(&z);
-        codec.decode(&raw)
+    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
+        self.sample_specs(specs, Precision::F64)
     }
 
     fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TVAE"))?;
-        let decoder = self.decoder.as_ref().expect("decoder set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Same latent draws as the f64 path, rounded once; the decoder
-        // forward pass — the whole cost of TVAE sampling — runs in f32.
-        let z =
-            nn::Matrix32::from_f64(&standard_normal_matrix(n, self.config.latent_dim, &mut rng));
-        let raw = decoder.to_f32().infer(&z);
-        codec.decode(&raw.to_f64())
-    }
-
-    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TVAE"))?;
-        let decoder = self.decoder.as_ref().expect("decoder set when codec is");
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Each spec's latents come from its own RNG stream — exactly the
-        // draws a standalone `sample(rows, seed)` makes — stacked into one
-        // 2ᵏ-row-padded block so the decoder runs a single packed forward
-        // pass for the whole batch. Row-independent kernels make the
-        // stacking (and the zero padding rows) invisible to every spec.
-        let mut z = Matrix::zeros(SampleSpec::padded_rows(specs), self.config.latent_dim);
-        let mut offset = 0;
-        for spec in specs {
-            let mut rng = StdRng::seed_from_u64(spec.seed);
-            z.paste(
-                offset,
-                0,
-                &standard_normal_matrix(spec.rows, self.config.latent_dim, &mut rng),
-            );
-            offset += spec.rows;
-        }
-        let mut raw = Matrix::default();
-        let mut scratch = Matrix::default();
-        decoder.infer_into(&z, &mut raw, &mut scratch);
-        let mut tables = Vec::with_capacity(specs.len());
-        let mut offset = 0;
-        for spec in specs {
-            tables.push(codec.decode(&raw.slice_rows(offset, offset + spec.rows))?);
-            offset += spec.rows;
-        }
-        Ok(tables)
+        self.sample_specs(&[SampleSpec::new(n, seed)], Precision::F32)
+            .map(single_table)
     }
 }
 
@@ -350,7 +326,7 @@ mod tests {
         let mut model = Tvae::new(TvaeConfig::fast());
         model.fit(&train).unwrap();
         // Mixed row counts and seeds, including a duplicate seed and a
-        // total (7+9+7 = 23) that forces padding up to 32 rows.
+        // total (7+9+7 = 23) that is not a power of two.
         let specs = [
             SampleSpec::new(7, 11),
             SampleSpec::new(9, 5),

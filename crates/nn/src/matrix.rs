@@ -182,6 +182,16 @@ impl Matrix {
         self.data.extend_from_slice(&src.data);
     }
 
+    /// Reshape to `rows × cols` holding `values` in row-major order,
+    /// reusing the allocation without zero-filling it first.
+    pub(crate) fn assign(&mut self, rows: usize, cols: usize, values: impl Iterator<Item = f64>) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.extend(values);
+        assert_eq!(self.data.len(), rows * cols, "assigned length mismatch");
+    }
+
     /// Select a subset of rows by index (indices may repeat).
     pub fn take_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
@@ -235,18 +245,6 @@ impl Matrix {
             let dst = (r0 + r) * self.cols + c0;
             self.data[dst..dst + src.cols].copy_from_slice(src.row(r));
         }
-    }
-
-    /// Slice a contiguous range of rows (`start..end`), the inverse of
-    /// [`Matrix::paste`]-stacking: a batched forward pass over stacked
-    /// per-request blocks splits its output back out with this.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.rows, "row slice out of range");
-        Matrix::from_vec(
-            end - start,
-            self.cols,
-            self.data[start * self.cols..end * self.cols].to_vec(),
-        )
     }
 
     /// Slice a contiguous range of columns.

@@ -57,20 +57,30 @@ impl Matrix32 {
 
     /// Down-convert an `f64` matrix (round-to-nearest per element).
     pub fn from_f64(m: &Matrix) -> Self {
-        Self {
-            rows: m.rows(),
-            cols: m.cols(),
-            data: m.data().iter().map(|&v| v as f32).collect(),
-        }
+        let mut out = Self::default();
+        out.copy_from_f64(m);
+        out
+    }
+
+    /// [`Matrix32::from_f64`] into this buffer, reusing its allocation.
+    pub fn copy_from_f64(&mut self, m: &Matrix) {
+        self.rows = m.rows();
+        self.cols = m.cols();
+        self.data.clear();
+        self.data.extend(m.data().iter().map(|&v| v as f32));
     }
 
     /// Up-convert to `f64` (exact: every `f32` is representable).
     pub fn to_f64(&self) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.data.iter().map(|&v| v as f64).collect(),
-        )
+        let mut out = Matrix::default();
+        self.to_f64_into(&mut out);
+        out
+    }
+
+    /// [`Matrix32::to_f64`] into a caller-owned buffer, reusing its
+    /// allocation.
+    pub fn to_f64_into(&self, out: &mut Matrix) {
+        out.assign(self.rows, self.cols, self.data.iter().map(|&v| v as f64));
     }
 
     /// Number of rows.

@@ -10,12 +10,19 @@ use crate::matrix32::Matrix32;
 /// Matrix of i.i.d. standard-normal samples (the latent noise for the VAE,
 /// GAN and diffusion models).
 pub fn standard_normal_matrix<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Matrix {
+    let mut out = Matrix::zeros(rows, cols);
+    standard_normal_fill(rng, out.data_mut());
+    out
+}
+
+/// Overwrite `out` with i.i.d. standard-normal samples in the stream order of
+/// [`standard_normal_matrix`], so a sampling loop can draw each request's
+/// block straight into its rows of a stacked matrix.
+pub fn standard_normal_fill<R: Rng>(rng: &mut R, out: &mut [f64]) {
     let normal = Normal::new(0.0, 1.0).expect("unit normal is valid");
-    Matrix::from_vec(
-        rows,
-        cols,
-        (0..rows * cols).map(|_| normal.sample(rng)).collect(),
-    )
+    for v in out {
+        *v = normal.sample(rng);
+    }
 }
 
 /// Fill a caller-owned buffer with i.i.d. standard-normal samples.

@@ -12,10 +12,13 @@
 use std::path::PathBuf;
 
 use panda_surrogate::surrogate::checkpoint::{
-    Checkpoint, CheckpointError, CheckpointRegistry, CHECKPOINT_VERSION,
+    Checkpoint, CheckpointError, CheckpointPayload, CheckpointRegistry, CHECKPOINT_VERSION,
 };
-use panda_surrogate::surrogate::{build_payload, ModelKind, TrainingBudget};
+use panda_surrogate::surrogate::{
+    build_payload, ModelKind, SampleSpec, SurrogateError, TrainingBudget,
+};
 use panda_surrogate::tabular::{Column, Table};
+use serde_json::Value;
 
 /// A deterministic mixed-type training table, small enough that all four
 /// models fit in test time.
@@ -99,6 +102,44 @@ fn save_load_sample_is_byte_identical_for_every_model_kind() {
         );
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&resaved).unwrap();
+    }
+}
+
+#[test]
+fn half_fitted_payload_answers_not_fitted_for_every_model_kind() {
+    // A hand-edited checkpoint can keep the fitted codec but lose the
+    // network (SMOTE: its anchors) — the FNV fingerprint can be recomputed
+    // after the edit. Every sampling entry point must then answer
+    // `NotFitted` instead of panicking.
+    for (kind, network) in [
+        (ModelKind::Tvae, "decoder"),
+        (ModelKind::CtabGan, "generator"),
+        (ModelKind::Smote, "anchors"),
+        (ModelKind::TabDdpm, "denoiser"),
+    ] {
+        let rendered = serde_json::to_string(&fitted(kind, 5).payload).unwrap();
+        let mut value: Value = serde_json::from_str(&rendered).unwrap();
+        let Value::Object(variant) = &mut value else {
+            panic!("{}: payload is not an object", kind.name());
+        };
+        let Value::Object(members) = &mut variant[0].1 else {
+            panic!("{}: model is not an object", kind.name());
+        };
+        for (key, member) in members.iter_mut() {
+            if key == "codec" {
+                assert_ne!(*member, Value::Null, "{}: codec must stay", kind.name());
+            } else if key == network {
+                *member = Value::Null;
+            }
+        }
+        let payload: CheckpointPayload = serde_json::from_value(&value).unwrap();
+        let model = payload.generator();
+        let not_fitted = |result: Result<(), SurrogateError>| {
+            assert_eq!(result, Err(SurrogateError::NotFitted(kind.name())));
+        };
+        not_fitted(model.sample(8, 1).map(drop));
+        not_fitted(model.sample_f32(8, 1).map(drop));
+        not_fitted(model.sample_batch(&[SampleSpec::new(8, 1)]).map(drop));
     }
 }
 
