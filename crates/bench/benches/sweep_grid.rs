@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use metrics::{DcrConfig, EvaluationConfig};
 use pandasim::GeneratorConfig;
 use surrogate::sweep::{
-    grid_fingerprint, run_sweep, run_sweep_resumable_with, NamedGeneratorConfig, SweepGrid,
-    SweepOptions, SweepReport,
+    grid_fingerprint, run_sweep, run_sweep_with, NamedGeneratorConfig, SweepGrid, SweepOptions,
+    SweepReport,
 };
 use surrogate::{ModelKind, TrainingBudget};
 
@@ -93,10 +93,9 @@ fn bench_artifact_round_trip(c: &mut Criterion) {
     });
     group.bench_function("resume_noop_512_cells", |b| {
         b.iter(|| {
-            run_sweep_resumable_with(
+            run_sweep_with(
                 &grid,
                 &options,
-                None,
                 Some(&report),
                 |_, train, _: &surrogate::FitContext| Ok(train.clone()),
             )
@@ -130,7 +129,7 @@ fn bench_tiny_sweep(c: &mut Criterion) {
         ..SweepOptions::default()
     };
     group.bench_function("two_cell_smoke_sweep", |b| {
-        b.iter(|| run_sweep(&grid, &options))
+        b.iter(|| run_sweep(&grid, &options, None).unwrap())
     });
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Scenario-sweep driver: expand a seeds × budgets × generator-variants ×
 //! models grid, batch every cell over the shared pool
-//! (`surrogate::sweep::run_sweep_resumable`), print per-cell metrics rows
+//! (`surrogate::sweep::run_sweep`), print per-cell metrics rows
 //! plus per-model means, and write the `SweepReport` JSON artifact (read
 //! back **typed** through the `serde_json` shim as a schema check — CI
 //! smoke-runs this).
@@ -26,9 +26,11 @@
 //! * `--retries N` re-runs a failed cell up to N times under deterministic
 //!   per-attempt reseeds (budget trips never retry);
 //! * `--journal PATH` appends every completed cell row to a crash-safe,
-//!   fsync'd journal; `--resume` accepts either a full artifact or such a
-//!   journal (sniffed by its `{"journal_version"` prefix), folding a torn
-//!   tail away, so a SIGKILL'd sweep resumes from its last completed cell;
+//!   fsync'd journal that starts with the resumed rows, so it stays
+//!   complete even when it is the file being resumed from; `--resume`
+//!   accepts either a full artifact or such a journal (sniffed by its
+//!   `{"journal_version"` prefix), folding a torn tail away, so a SIGKILL'd
+//!   sweep resumes from its last completed cell;
 //! * `--inject SPEC` deterministically injects faults at named cells
 //!   (`cell3:panic,cell7:delay:200ms,cell9:nan,cell2:budget`) so CI can
 //!   exercise all of the above without timing races;
@@ -63,9 +65,8 @@ use std::time::Duration;
 
 use metrics::{mean_report, EvaluationConfig, SurrogateReport};
 use surrogate::sweep::{
-    grid_fingerprint, run_sweep_resumable_durable, JournalHeader, JournalWriter,
-    NamedGeneratorConfig, ShardSpec, SweepCellRow, SweepGrid, SweepOptions, SweepReport,
-    JOURNAL_VERSION,
+    run_sweep, NamedGeneratorConfig, ShardSpec, SweepArtifactError, SweepCellRow, SweepGrid,
+    SweepOptions, SweepReport,
 };
 use surrogate::{CellBudget, ExecutionMode, FaultClock, FaultPlan, ModelKind, TrainingBudget};
 
@@ -548,9 +549,11 @@ fn run_main(args: &[String]) {
         } else {
             FaultClock::Real
         },
+        shard,
+        journal: value(args, "--journal").map(PathBuf::from),
+        checkpoint_dir: value(args, "--checkpoint-dir")
+            .map(|v| parse_checkpoint_dir(&v).unwrap_or_else(|e| usage_error(&e))),
     };
-    let checkpoint_dir = value(args, "--checkpoint-dir")
-        .map(|v| parse_checkpoint_dir(&v).unwrap_or_else(|e| usage_error(&e)));
     let out_path = value(args, "--out").unwrap_or_else(|| "SWEEP.json".to_string());
     let prior = value(args, "--resume").map(|path| read_prior(&path));
 
@@ -567,30 +570,14 @@ fn run_main(args: &[String]) {
         shard.map(|s| format!(", shard {s}")).unwrap_or_default()
     );
 
-    // The journal is created after the fingerprint is final (grid + options
-    // both settled) so a recovered journal can be matched to its grid.
-    let journal = value(args, "--journal").map(|path| {
-        let header = JournalHeader {
-            journal_version: JOURNAL_VERSION,
-            grid_fingerprint: grid_fingerprint(&grid, &options),
-            grid_cells: grid.len(),
-            shard,
-        };
-        JournalWriter::create(std::path::Path::new(&path), &header)
-            .unwrap_or_else(|e| runtime_error(&format!("cannot create journal {path}: {e}")))
+    // The prior was read into memory above, so the runner may recreate the
+    // journal even when it is the very file being resumed from.
+    let summary = run_sweep(&grid, &options, prior.as_ref()).unwrap_or_else(|e| match e {
+        SweepArtifactError::Journal { .. } => runtime_error(&e.to_string()),
+        _ => runtime_error(&format!("cannot resume: {e}")),
     });
-
-    let summary = run_sweep_resumable_durable(
-        &grid,
-        &options,
-        shard,
-        prior.as_ref(),
-        journal.as_ref(),
-        checkpoint_dir.as_deref(),
-    )
-    .unwrap_or_else(|e| runtime_error(&format!("cannot resume: {e}")));
     let report = &summary.report;
-    if let Some(dir) = &checkpoint_dir {
+    if let Some(dir) = &options.checkpoint_dir {
         let saved = std::fs::read_dir(dir)
             .map(|entries| {
                 entries

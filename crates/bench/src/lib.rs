@@ -14,8 +14,8 @@
 //! surface partially failed runs.
 
 pub use surrogate::experiment::{
-    fit_all, fit_all_with_mode, fit_models_with, maybe_write_json, prepare_data, sample_all_models,
-    ExecutionMode, ExperimentError, ExperimentOptions, FitReport, ModelRun, PreparedData,
+    fit_all, fit_models_with, maybe_write_json, prepare_data, ExecutionMode, ExperimentOptions,
+    FitReport, ModelRun, PreparedData,
 };
 
 /// Parse the process arguments into [`ExperimentOptions`]; on a bad flag

@@ -1,9 +1,10 @@
 //! Shared durability primitives for on-disk artifacts.
 //!
 //! Two artifact families need the same crash-safety discipline: the sweep
-//! journal (`sweep::JournalWriter` / `SweepReport::recover_journal`) and
-//! model checkpoints (`checkpoint`). This module factors the pieces they
-//! must agree on, so the two paths cannot drift:
+//! journal (written by `sweep::run_sweep`, read by
+//! `SweepReport::recover_journal`) and model checkpoints (`checkpoint`).
+//! This module factors the pieces they must agree on, so the two paths
+//! cannot drift:
 //!
 //! * [`Fnv1a`] — the 64-bit FNV-1a hasher behind every content fingerprint
 //!   in the workspace (`sweep::grid_fingerprint`, checkpoint payload

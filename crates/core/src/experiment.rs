@@ -13,9 +13,12 @@
 //!   this.
 //! * **Failure isolation** — a diverging model surfaces as a per-model
 //!   `Err` in its [`ModelRun`] instead of panicking, so one bad fit no
-//!   longer kills a whole Table-I run. [`FitReport::into_tables`] aggregates
-//!   any failures into an [`ExperimentError`] for callers that need
-//!   all-or-nothing semantics.
+//!   longer kills a whole Table-I run; callers keep going with
+//!   [`FitReport::successes`] and count [`FitReport::failures`].
+//!
+//! [`fit_all`] is the one runner; [`fit_models_with`] is the same
+//! orchestration with an injected fitter and an explicit
+//! [`ExecutionMode`], the seam tests use.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -157,25 +160,6 @@ pub struct ModelRun {
     pub outcome: Result<Table, SurrogateError>,
 }
 
-/// Per-model failures aggregated over one experiment run.
-#[derive(Debug)]
-pub struct ExperimentError {
-    /// `(model, error)` for every model that failed.
-    pub failures: Vec<(ModelKind, SurrogateError)>,
-}
-
-impl std::fmt::Display for ExperimentError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} surrogate model(s) failed:", self.failures.len())?;
-        for (kind, error) in &self.failures {
-            write!(f, " [{}: {error}]", kind.name())?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for ExperimentError {}
-
 /// Every model's run from one experiment, in the paper's Table-I order.
 #[derive(Debug)]
 pub struct FitReport {
@@ -215,24 +199,6 @@ impl FitReport {
         }
         failed
     }
-
-    /// All-or-nothing view: every synthetic table, or an
-    /// [`ExperimentError`] aggregating the failures.
-    pub fn into_tables(self) -> Result<Vec<(&'static str, Table)>, ExperimentError> {
-        let mut tables = Vec::new();
-        let mut failures = Vec::new();
-        for run in self.runs {
-            match run.outcome {
-                Ok(table) => tables.push((run.kind.name(), table)),
-                Err(error) => failures.push((run.kind, error)),
-            }
-        }
-        if failures.is_empty() {
-            Ok(tables)
-        } else {
-            Err(ExperimentError { failures })
-        }
-    }
 }
 
 /// Fit the requested models through an arbitrary fitter. This is the
@@ -263,36 +229,13 @@ where
 }
 
 /// Fit every surrogate model on `train` concurrently and sample as many
-/// rows as the training set holds. Per-model determinism is seed-derived,
-/// so the result is identical to a sequential run.
+/// rows as the training set holds, in the paper's Table-I order.
+/// Per-model determinism is seed-derived, so the result is identical to a
+/// sequential run.
 pub fn fit_all(train: &Table, budget: TrainingBudget, seed: u64) -> FitReport {
-    fit_all_with_mode(ExecutionMode::Parallel, train, budget, seed)
-}
-
-/// [`fit_all`] with an explicit [`ExecutionMode`].
-pub fn fit_all_with_mode(
-    mode: ExecutionMode,
-    train: &Table,
-    budget: TrainingBudget,
-    seed: u64,
-) -> FitReport {
-    fit_models_with(&ModelKind::ALL, mode, |kind| {
+    fit_models_with(&ModelKind::ALL, ExecutionMode::Parallel, |kind| {
         fit_and_sample(kind, train, train.n_rows(), budget, seed)
     })
-}
-
-/// Fit every surrogate model and return `(model name, synthetic table)` in
-/// the paper's Table-I order, or the aggregated failures.
-///
-/// This is the strict, all-or-nothing successor of the old panicking
-/// `bench::sample_all_models`; binaries that prefer to keep going with the
-/// surviving models use [`fit_all`] and [`FitReport::successes`] instead.
-pub fn sample_all_models(
-    train: &Table,
-    budget: TrainingBudget,
-    seed: u64,
-) -> Result<Vec<(&'static str, Table)>, ExperimentError> {
-    fit_all(train, budget, seed).into_tables()
 }
 
 /// Write a serde-serialisable artifact to the path given in the options, if
@@ -388,9 +331,6 @@ mod tests {
         assert_eq!(report.successes().count(), 3);
         let failures: Vec<ModelKind> = report.failures().map(|(kind, _)| kind).collect();
         assert_eq!(failures, vec![ModelKind::CtabGan]);
-        let error = report.into_tables().unwrap_err();
-        assert_eq!(error.failures.len(), 1);
-        assert!(error.to_string().contains("CTABGAN+"));
     }
 
     #[test]

@@ -29,7 +29,10 @@
 //! seeds × budgets × generator-variants × models grid expands into cells
 //! whose fit→sample→evaluate pipelines are batched over one flat parallel
 //! work queue, with per-cell determinism and failure isolation, aggregated
-//! into a serializable [`sweep::SweepReport`].
+//! into a serializable [`sweep::SweepReport`]. One runner,
+//! [`sweep::run_sweep`], covers every mode: sharding, resuming from a prior
+//! artifact, journaling and checkpointing are [`sweep::SweepOptions`]
+//! fields, not separate entry points.
 
 pub mod artifact_io;
 pub mod checkpoint;
@@ -54,25 +57,19 @@ pub use checkpoint::{
 pub use codec::{ColumnSpan, TableCodec};
 pub use ctabgan::{CtabGan, CtabGanConfig};
 pub use experiment::{
-    fit_all, fit_all_with_mode, fit_models_with, prepare_data, prepare_data_from_config,
-    sample_all_models, ExecutionMode, ExperimentError, ExperimentOptions, FitReport, ModelRun,
-    PreparedData,
+    fit_all, fit_models_with, prepare_data, prepare_data_from_config, ExecutionMode,
+    ExperimentOptions, FitReport, ModelRun, PreparedData,
 };
 pub use fault::{
     derive_attempt_seed, panic_message, CellBudget, Fault, FaultClock, FaultKind, FaultPlan,
     FitControl, ServeFaultKind, ServeFaultPlan,
 };
-pub use pipeline::{
-    build_model, build_payload, fit_and_sample, fit_and_sample_controlled, ModelKind,
-    TrainingBudget,
-};
+pub use pipeline::{build_model, build_payload, fit_and_sample, ModelKind, TrainingBudget};
 pub use smote::{SmoteConfig, SmoteSampler};
 pub use sweep::{
-    grid_fingerprint, run_cell, run_sweep, run_sweep_resumable, run_sweep_resumable_durable,
-    run_sweep_resumable_journaled, run_sweep_resumable_observed, run_sweep_resumable_with,
-    run_sweep_with, CellError, CellRun, CellSuccess, FitContext, JournalHeader, JournalWriter,
+    grid_fingerprint, run_sweep, run_sweep_with, CellError, CellRun, CellSuccess, FitContext,
     NamedGeneratorConfig, ShardSpec, SweepArtifactError, SweepCell, SweepCellRow, SweepGrid,
-    SweepOptions, SweepOutcome, SweepReport, SweepRunSummary, JOURNAL_VERSION,
+    SweepOptions, SweepReport, SweepRunSummary,
 };
 pub use tabddpm::{TabDdpm, TabDdpmConfig};
 pub use traits::{SampleSpec, SurrogateError, TabularGenerator};

@@ -5,7 +5,6 @@ use tabular::Table;
 
 use crate::checkpoint::CheckpointPayload;
 use crate::ctabgan::{CtabGan, CtabGanConfig};
-use crate::fault::FitControl;
 use crate::smote::{SmoteConfig, SmoteSampler};
 use crate::tabddpm::{TabDdpm, TabDdpmConfig};
 use crate::traits::{SurrogateError, TabularGenerator};
@@ -164,7 +163,7 @@ pub fn build_model(
 }
 
 /// Fit a model of the requested kind on `train` and sample `n_samples`
-/// synthetic rows.
+/// synthetic rows, drawing them with `seed + 1`.
 pub fn fit_and_sample(
     kind: ModelKind,
     train: &Table,
@@ -172,29 +171,8 @@ pub fn fit_and_sample(
     budget: TrainingBudget,
     seed: u64,
 ) -> Result<Table, SurrogateError> {
-    fit_and_sample_controlled(
-        kind,
-        train,
-        n_samples,
-        budget,
-        seed,
-        &FitControl::unlimited(),
-    )
-}
-
-/// [`fit_and_sample`] under a cooperative cancellation token, so callers
-/// like the sweep runtime can impose per-cell budgets. With an unlimited
-/// token this is byte-identical to [`fit_and_sample`].
-pub fn fit_and_sample_controlled(
-    kind: ModelKind,
-    train: &Table,
-    n_samples: usize,
-    budget: TrainingBudget,
-    seed: u64,
-    control: &FitControl,
-) -> Result<Table, SurrogateError> {
     let mut model = build_model(kind, budget, seed);
-    model.fit_with_control(train, control)?;
+    model.fit(train)?;
     model.sample(n_samples, seed.wrapping_add(1))
 }
 

@@ -6,7 +6,8 @@
 //! configurations. This module scales the experiment runtime in that
 //! direction: a declarative [`SweepGrid`] expands into [`SweepCell`]s (one
 //! per axis combination), and [`run_sweep`] executes every cell's
-//! fit→sample→evaluate pipeline batched over the existing rayon pool.
+//! fit→sample→evaluate pipeline batched over the existing rayon pool
+//! ([`run_sweep_with`] is the same runner with an injected cell fitter).
 //!
 //! Three properties are load-bearing, mirroring `experiment`:
 //!
@@ -16,9 +17,10 @@
 //!   scenario. Datasets shared by several cells (same seed + generator
 //!   variant) are prepared once, up front.
 //! * **Per-cell determinism** — every cell derives its RNGs from its own
-//!   seed axis value alone, so any cell run standalone ([`run_cell`]) is
-//!   byte-identical to the same cell inside a sweep, and parallel and
-//!   sequential sweeps agree byte-for-byte; `tests/sweep.rs` asserts both.
+//!   seed axis value alone, so any cell run alone (a one-cell grid of its
+//!   own axis values) is byte-identical to the same cell inside a sweep,
+//!   and parallel and sequential sweeps agree byte-for-byte;
+//!   `tests/sweep.rs` asserts both.
 //! * **Per-cell failure isolation** — a diverging fit surfaces as that
 //!   cell's `Err` (reusing the `FitReport` semantics of per-run `Result`s);
 //!   every other cell's output is untouched.
@@ -29,9 +31,8 @@
 //! JSON artifact and reads back **typed** through the `serde_json` shim's
 //! `Deserialize` path (`from_str::<SweepReport>`).
 //!
-//! On top of the single-shot runtime, sweeps are **durable**: grid campaigns
-//! only scale when partial results survive (Schmid et al., arXiv:2502.12741),
-//! so [`run_sweep_resumable`] can
+//! Sweeps are also **durable**: grid campaigns only scale when partial
+//! results survive (Schmid et al., arXiv:2502.12741), so [`run_sweep`] can
 //!
 //! * **resume** — cells already present in a prior artifact (matched by cell
 //!   id under an equal [`grid_fingerprint`]) are loaded instead of re-run,
@@ -49,17 +50,18 @@
 //! a [`CellBudget`] in the options cancels runaway fits cooperatively (once
 //! per epoch) into [`CellError::BudgetExceeded`] rows with honest partial
 //! wall-clock; failures retry up to [`SweepOptions::retries`] times with
-//! deterministic per-attempt reseeds; a [`JournalWriter`] appends each
-//! completed row fsync'd so a SIGKILL'd sweep resumes from its last
-//! completed *cell* via [`SweepReport::recover_journal`]; and a
-//! [`FaultPlan`] injects panics/NaN losses/delays/expired budgets at named
-//! cells so all of the above is CI-testable without timing races.
+//! deterministic per-attempt reseeds; the runner appends each completed row
+//! to an fsync'd journal ([`SweepOptions::journal`]) so a SIGKILL'd sweep
+//! resumes from its last completed *cell* via
+//! [`SweepReport::recover_journal`]; and a [`FaultPlan`] injects
+//! panics/NaN losses/delays/expired budgets at named cells so all of the
+//! above is CI-testable without timing races.
 
 use std::collections::HashMap;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -70,13 +72,13 @@ use metrics::{evaluate_surrogate, EvaluationConfig, MetricError, SurrogateReport
 use pandasim::GeneratorConfig;
 use tabular::Table;
 
-use crate::artifact_io::{parse_log_rows, Fnv1a, RowError, TailPolicy};
+use crate::artifact_io::{atomic_write, parse_log_rows, Fnv1a, RowError, TailPolicy};
 use crate::checkpoint::Checkpoint;
 use crate::experiment::{prepare_data_from_config, ExecutionMode, PreparedData};
 use crate::fault::{
     derive_attempt_seed, panic_message, CellBudget, FaultClock, FaultKind, FaultPlan, FitControl,
 };
-use crate::pipeline::{build_payload, fit_and_sample_controlled, ModelKind, TrainingBudget};
+use crate::pipeline::{build_payload, ModelKind, TrainingBudget};
 use crate::traits::SurrogateError;
 
 /// A named generator configuration — one value on the sweep's
@@ -282,8 +284,8 @@ impl std::fmt::Display for ShardSpec {
 pub fn grid_fingerprint(grid: &SweepGrid, options: &SweepOptions) -> String {
     // Length-prefixed token feed (Fnv1a::feed_token) so concatenations
     // cannot collide. Execution-only knobs (mode, keep_tables, clock,
-    // checkpoint directory) stay out: they cannot change results, so
-    // artifacts remain resumable across them.
+    // shard, journal, checkpoint directory) stay out: they cannot change
+    // results, so artifacts remain resumable and mergeable across them.
     let mut hash = Fnv1a::new();
     for seed in &grid.seeds {
         hash.feed_token(&format!("seed:{seed}"));
@@ -344,6 +346,15 @@ pub struct SweepOptions {
     /// matrices stop wasting real CI minutes. Execution-only (like `mode`):
     /// not part of the grid fingerprint.
     pub clock: FaultClock,
+    /// Run only this round-robin slice of the axis-major cell order (`None`
+    /// runs every cell). Execution-only, so the shards of a grid merge.
+    pub shard: Option<ShardSpec>,
+    /// Crash-safe journal the runner writes: the prior's rows for this
+    /// shard, then each fresh row, fsync'd as its cell completes.
+    pub journal: Option<PathBuf>,
+    /// Directory each fitted cell is saved into as a crash-safe
+    /// [`Checkpoint`] (`<cell-id>.ckpt`) before it is sampled.
+    pub checkpoint_dir: Option<PathBuf>,
 }
 
 impl Default for SweepOptions {
@@ -357,6 +368,9 @@ impl Default for SweepOptions {
             retries: 0,
             faults: FaultPlan::none(),
             clock: FaultClock::default(),
+            shard: None,
+            journal: None,
+            checkpoint_dir: None,
         }
     }
 }
@@ -477,54 +491,6 @@ pub struct CellRun {
     pub attempts: u32,
 }
 
-/// Every cell's run from one sweep, in grid-expansion order.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// One entry per cell, order preserved.
-    pub runs: Vec<CellRun>,
-    /// Wall-clock of the whole sweep (dataset preparation + all cells).
-    pub wall_ms: f64,
-    /// [`grid_fingerprint`] of the grid + options that ran.
-    pub grid_fingerprint: String,
-    /// Cell count of the full grid.
-    pub grid_cells: usize,
-}
-
-impl SweepOutcome {
-    /// The cells that failed, with their errors.
-    pub fn failures(&self) -> impl Iterator<Item = (&SweepCell, &CellError)> {
-        self.runs
-            .iter()
-            .filter_map(|run| run.outcome.as_ref().err().map(|e| (&run.cell, e)))
-    }
-
-    /// Print every failed cell to stderr and return how many failed.
-    pub fn report_failures(&self) -> usize {
-        let mut failed = 0;
-        for (cell, error) in self.failures() {
-            eprintln!("warning: cell {} failed: {error}", cell.id());
-            failed += 1;
-        }
-        failed
-    }
-
-    /// Lower the outcome into the serializable artifact.
-    pub fn report(&self) -> SweepReport {
-        let cells: Vec<SweepCellRow> = self.runs.iter().map(SweepCellRow::from_run).collect();
-        SweepReport {
-            schema_version: SCHEMA_VERSION,
-            generated_by: GENERATED_BY.to_string(),
-            grid_fingerprint: self.grid_fingerprint.clone(),
-            grid_cells: self.grid_cells,
-            shard: None,
-            total_cells: cells.len(),
-            failed_cells: cells.iter().filter(|c| !c.ok).count(),
-            wall_ms: self.wall_ms,
-            cells,
-        }
-    }
-}
-
 /// One serialized row of the sweep artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepCellRow {
@@ -624,7 +590,7 @@ pub const GENERATED_BY: &str = "surrogate::sweep";
 /// The serializable sweep artifact: header plus one row per cell. A full
 /// run carries every cell; a shard or interrupted run carries a subset
 /// (`total_cells < grid_cells`), recombined by [`SweepReport::merge`] or
-/// completed by [`run_sweep_resumable`].
+/// completed by resuming it with [`run_sweep`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
     /// Artifact schema version (this layout: [`SCHEMA_VERSION`]).
@@ -649,7 +615,9 @@ pub struct SweepReport {
     pub cells: Vec<SweepCellRow>,
 }
 
-/// Why a prior artifact cannot be resumed from or merged.
+/// Why a sweep could not start, or artifacts could not be merged: a prior
+/// artifact that does not fit the grid, an invalid shard, or a journal the
+/// runner could not create.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepArtifactError {
     /// Merge was given no artifacts.
@@ -700,6 +668,13 @@ pub enum SweepArtifactError {
         /// What [`ShardSpec::validate`] rejected.
         reason: String,
     },
+    /// The journal file could not be created or written.
+    Journal {
+        /// The journal path.
+        path: PathBuf,
+        /// The I/O error, rendered.
+        error: String,
+    },
 }
 
 impl std::fmt::Display for SweepArtifactError {
@@ -732,6 +707,9 @@ impl std::fmt::Display for SweepArtifactError {
             ),
             Self::OverlappingCell { id } => write!(f, "cell '{id}' appears more than once"),
             Self::InvalidShard { reason } => write!(f, "invalid shard spec: {reason}"),
+            Self::Journal { path, error } => {
+                write!(f, "cannot create journal {}: {error}", path.display())
+            }
         }
     }
 }
@@ -739,6 +717,28 @@ impl std::fmt::Display for SweepArtifactError {
 impl std::error::Error for SweepArtifactError {}
 
 impl SweepReport {
+    /// A current-schema report over `cells` (in grid order), with its row
+    /// counts derived from the rows.
+    fn from_rows(
+        grid_fingerprint: String,
+        grid_cells: usize,
+        shard: Option<ShardSpec>,
+        wall_ms: f64,
+        cells: Vec<SweepCellRow>,
+    ) -> Self {
+        Self {
+            schema_version: SCHEMA_VERSION,
+            generated_by: GENERATED_BY.to_string(),
+            grid_fingerprint,
+            grid_cells,
+            shard,
+            total_cells: cells.len(),
+            failed_cells: cells.iter().filter(|row| !row.ok).count(),
+            wall_ms,
+            cells,
+        }
+    }
+
     /// Whether this artifact carries every cell of its grid.
     pub fn is_complete(&self) -> bool {
         self.total_cells == self.grid_cells
@@ -765,23 +765,7 @@ impl SweepReport {
     pub fn merge(parts: &[SweepReport]) -> Result<SweepReport, SweepArtifactError> {
         let first = parts.first().ok_or(SweepArtifactError::NoParts)?;
         for part in parts {
-            if part.schema_version != SCHEMA_VERSION {
-                return Err(SweepArtifactError::SchemaVersion {
-                    found: part.schema_version,
-                });
-            }
-            if part.grid_fingerprint != first.grid_fingerprint {
-                return Err(SweepArtifactError::FingerprintMismatch {
-                    expected: first.grid_fingerprint.clone(),
-                    found: part.grid_fingerprint.clone(),
-                });
-            }
-            if part.grid_cells != first.grid_cells {
-                return Err(SweepArtifactError::GridSize {
-                    expected: first.grid_cells,
-                    found: part.grid_cells,
-                });
-            }
+            part.check_grid(&first.grid_fingerprint, first.grid_cells)?;
         }
         let mut cells: Vec<SweepCellRow> = parts
             .iter()
@@ -799,16 +783,39 @@ impl SweepReport {
             return Err(SweepArtifactError::UnknownCell { id: row.id.clone() });
         }
         Ok(SweepReport {
-            schema_version: SCHEMA_VERSION,
             generated_by: first.generated_by.clone(),
-            grid_fingerprint: first.grid_fingerprint.clone(),
-            grid_cells: first.grid_cells,
-            shard: None,
-            total_cells: cells.len(),
-            failed_cells: cells.iter().filter(|row| !row.ok).count(),
-            wall_ms: parts.iter().map(|part| part.wall_ms).sum(),
-            cells,
+            ..SweepReport::from_rows(
+                first.grid_fingerprint.clone(),
+                first.grid_cells,
+                None,
+                parts.iter().map(|part| part.wall_ms).sum(),
+                cells,
+            )
         })
+    }
+
+    /// Reject an artifact written under another schema, grid fingerprint
+    /// or grid size: the check both resume and merge make before trusting
+    /// any row.
+    fn check_grid(&self, fingerprint: &str, grid_cells: usize) -> Result<(), SweepArtifactError> {
+        if self.schema_version != SCHEMA_VERSION {
+            return Err(SweepArtifactError::SchemaVersion {
+                found: self.schema_version,
+            });
+        }
+        if self.grid_fingerprint != fingerprint {
+            return Err(SweepArtifactError::FingerprintMismatch {
+                expected: fingerprint.to_string(),
+                found: self.grid_fingerprint.clone(),
+            });
+        }
+        if self.grid_cells != grid_cells {
+            return Err(SweepArtifactError::GridSize {
+                expected: grid_cells,
+                found: self.grid_cells,
+            });
+        }
+        Ok(())
     }
 
     /// Structural invariants of an artifact, checked after the typed parse:
@@ -939,10 +946,12 @@ impl SweepReport {
     /// Fold a (possibly torn) journal back into a validated report that
     /// `--resume` accepts as a prior.
     ///
-    /// The journal is line-delimited: a [`JournalHeader`] line, then one
-    /// [`SweepCellRow`] per line in completion order. A process killed
-    /// mid-append leaves at most one torn trailing line — any strict prefix
-    /// of a JSON object line fails to parse — so recovery reads rows under
+    /// The journal is line-delimited: a header line (journal version, grid
+    /// fingerprint, grid cell count, shard), then one [`SweepCellRow`] per
+    /// line — a resume's prior rows first, then fresh rows in completion
+    /// order. A process killed mid-append leaves at most one torn trailing
+    /// line — any strict prefix of a JSON object line fails to parse — so
+    /// recovery reads rows under
     /// [`TailPolicy::DropTorn`] (shared with the checkpoint loader via
     /// [`crate::artifact_io::parse_log_rows`]): an unparseable *last* line
     /// is dropped silently. Corruption anywhere else (an interior line that
@@ -971,17 +980,13 @@ impl SweepReport {
         // Rows land in completion order (parallel cells finish when they
         // finish); the artifact invariant is grid order.
         rows.sort_by_key(|row| row.index);
-        let report = SweepReport {
-            schema_version: SCHEMA_VERSION,
-            generated_by: GENERATED_BY.to_string(),
-            grid_fingerprint: header.grid_fingerprint,
-            grid_cells: header.grid_cells,
-            shard: header.shard,
-            total_cells: rows.len(),
-            failed_cells: rows.iter().filter(|row| !row.ok).count(),
-            wall_ms: rows.iter().map(|row| row.wall_ms).sum(),
-            cells: rows,
-        };
+        let report = SweepReport::from_rows(
+            header.grid_fingerprint,
+            header.grid_cells,
+            header.shard,
+            rows.iter().map(|row| row.wall_ms).sum(),
+            rows,
+        );
         report.validate()?;
         Ok(report)
     }
@@ -1001,18 +1006,32 @@ pub struct FitContext {
     pub control: FitControl,
 }
 
-/// The default cell fitter: fit the cell's model on the training split and
-/// sample synthetic rows, with the RNG chain derived from the attempt seed
-/// exactly as [`crate::experiment::fit_all`] derives it from the
-/// experiment seed.
+/// The default cell fitter: fit the cell's model, save it when
+/// [`SweepOptions::checkpoint_dir`] is set, then sample. The RNG chain
+/// derives from the attempt seed exactly as [`crate::experiment::fit_all`]
+/// derives it from the experiment seed, and saving does not touch it. A
+/// failed save is reported on stderr but never fails the cell.
 fn default_fitter(
     cell: &SweepCell,
     train: &Table,
-    sample_rows: Option<usize>,
+    options: &SweepOptions,
     ctx: &FitContext,
 ) -> Result<Table, SurrogateError> {
-    let rows = sample_rows.unwrap_or_else(|| train.n_rows());
-    fit_and_sample_controlled(cell.model, train, rows, cell.budget, ctx.seed, &ctx.control)
+    let rows = options.sample_rows.unwrap_or_else(|| train.n_rows());
+    let mut payload = build_payload(cell.model, cell.budget, ctx.seed);
+    payload
+        .generator_mut()
+        .fit_with_control(train, &ctx.control)?;
+    // Checkpoint under the cell's identity (its id-forming seed), even
+    // when a retry fitted with a derived attempt seed — the payload itself
+    // records what it actually trained with.
+    let checkpoint = Checkpoint::new(&cell.generator.name, cell.seed, cell.budget, payload);
+    if let Some(dir) = &options.checkpoint_dir {
+        if let Err(e) = checkpoint.save_to_dir(dir) {
+            eprintln!("warning: checkpoint save failed for {}: {e}", cell.id());
+        }
+    }
+    checkpoint.sample(rows, ctx.seed.wrapping_add(1))
 }
 
 /// One attempt of a cell's fit→sample→evaluate pipeline, with injected
@@ -1140,52 +1159,16 @@ where
     }
 }
 
-/// Run one cell standalone: prepare its dataset and execute its pipeline.
-/// Byte-identical to the same cell inside [`run_sweep`] — both prepare the
-/// dataset as a pure function of the cell's generator config, and both
-/// derive the model RNGs from the cell seed alone.
-pub fn run_cell(cell: &SweepCell, options: &SweepOptions) -> CellRun {
-    let data = prepare_data_from_config(&cell.generator.config);
-    run_cell_prepared(&data, cell, options, &|cell, train, ctx: &FitContext| {
-        default_fitter(cell, train, options.sample_rows, ctx)
-    })
-}
-
-/// Execute every cell of the grid with the default fitter.
-pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> SweepOutcome {
-    run_sweep_with(grid, options, |cell, train, ctx: &FitContext| {
-        default_fitter(cell, train, options.sample_rows, ctx)
-    })
-}
-
-/// [`run_sweep`] with an injected cell fitter. This is the orchestration
-/// core; tests inject failing fitters to exercise per-cell failure
-/// isolation without waiting for a real model to diverge.
-pub fn run_sweep_with<F>(grid: &SweepGrid, options: &SweepOptions, fitter: F) -> SweepOutcome
-where
-    F: Fn(&SweepCell, &Table, &FitContext) -> Result<Table, SurrogateError> + Sync,
-{
-    let start = Instant::now();
-    let cells = grid.expand();
-    let grid_cells = cells.len();
-    let runs = execute_cells(cells, options, &fitter, &|_| {});
-    SweepOutcome {
-        runs,
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        grid_fingerprint: grid_fingerprint(grid, options),
-        grid_cells,
-    }
-}
-
 /// Execute a batch of cells (a full grid, one shard, or a resume
 /// remainder) over the shared pool, returning the runs in input order.
-/// `on_row` observes each cell's row the moment that cell completes —
-/// completion order, not grid order — which is what the journal hooks into.
+/// Each cell's row is appended to `journal` the moment that cell completes
+/// (completion order, not grid order). A failed append is reported on
+/// stderr but never aborts the sweep.
 fn execute_cells<F>(
     cells: Vec<SweepCell>,
     options: &SweepOptions,
     fitter: &F,
-    on_row: &(dyn Fn(&SweepCellRow) + Sync),
+    journal: Option<&JournalWriter>,
 ) -> Vec<CellRun>
 where
     F: Fn(&SweepCell, &Table, &FitContext) -> Result<Table, SurrogateError> + Sync,
@@ -1232,7 +1215,11 @@ where
     drop(datasets);
     let run_one = |cell: SweepCell, data: Arc<PreparedData>| {
         let run = run_cell_prepared(&data, &cell, options, fitter);
-        on_row(&SweepCellRow::from_run(&run));
+        if let Some(journal) = journal {
+            if let Err(e) = journal.append(&SweepCellRow::from_run(&run)) {
+                eprintln!("warning: journal append failed: {e}");
+            }
+        }
         run
     };
     match options.mode {
@@ -1249,7 +1236,7 @@ where
 
 /// Version of the journal line format. Bumped when the header or row
 /// framing changes incompatibly.
-pub const JOURNAL_VERSION: u32 = 1;
+const JOURNAL_VERSION: u32 = 1;
 
 /// First line of a sweep journal: identifies the grid the rows belong to.
 ///
@@ -1257,58 +1244,74 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// literal bytes `{"journal_version"` — the sniff the `sweep` binary uses
 /// to tell a journal from a full artifact when both feed `--resume`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JournalHeader {
+struct JournalHeader {
     /// Journal format version ([`JOURNAL_VERSION`]).
-    pub journal_version: u32,
+    journal_version: u32,
     /// Fingerprint of the grid + options the rows were produced under.
-    pub grid_fingerprint: String,
+    grid_fingerprint: String,
     /// Total cells in the full (unsharded) grid.
-    pub grid_cells: usize,
+    grid_cells: usize,
     /// The shard this journal's run covered, if sharded.
-    pub shard: Option<ShardSpec>,
+    shard: Option<ShardSpec>,
 }
 
 /// Crash-safe, append-only journal of completed sweep cells.
 ///
-/// Line-delimited: one compact-JSON [`JournalHeader`] line, then one
-/// compact-JSON [`SweepCellRow`] line per completed cell, each flushed with
-/// `sync_data` before `append` returns. Rows are written in *completion*
-/// order (parallel cells finish when they finish); recovery re-sorts by
-/// cell index. A process killed mid-write leaves at most one torn trailing
-/// line, which [`SweepReport::recover_journal`] drops.
+/// Line-delimited compact JSON: the [`JournalHeader`] line, then one
+/// [`SweepCellRow`] line per completed cell, each fsync'd before `append`
+/// returns, in *completion* order (recovery re-sorts by cell index). A
+/// process killed mid-write leaves at most one torn trailing line, which
+/// [`SweepReport::recover_journal`] drops.
 #[derive(Debug)]
-pub struct JournalWriter {
+struct JournalWriter {
     file: Mutex<File>,
 }
 
+/// One journal line: compact JSON plus the newline.
+fn journal_line<T: Serialize>(value: &T) -> String {
+    let mut line = serde_json::to_string(value).expect("journal line serializes");
+    line.push('\n');
+    line
+}
+
 impl JournalWriter {
-    /// Create (truncating) the journal at `path` and write its header line.
-    pub fn create(path: &Path, header: &JournalHeader) -> std::io::Result<Self> {
-        let mut file = File::create(path)?;
-        let mut line = serde_json::to_string(header).expect("journal header serializes");
-        line.push('\n');
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
-        Ok(Self {
-            file: Mutex::new(file),
-        })
+    /// Atomically replace the journal at `path` with its header line and
+    /// `rows` (a resume's prior rows), then open it for appends. A crash
+    /// meanwhile leaves the previous file whole, even when it is the
+    /// journal being resumed from.
+    fn create(
+        path: &Path,
+        header: &JournalHeader,
+        rows: &[&SweepCellRow],
+    ) -> Result<Self, SweepArtifactError> {
+        let mut text = journal_line(header);
+        for row in rows {
+            text.push_str(&journal_line(row));
+        }
+        atomic_write(path, text.as_bytes())
+            .and_then(|()| OpenOptions::new().append(true).open(path))
+            .map(|file| Self {
+                file: Mutex::new(file),
+            })
+            .map_err(|e| SweepArtifactError::Journal {
+                path: path.to_path_buf(),
+                error: e.to_string(),
+            })
     }
 
     /// Append one completed cell row, durably. The full line is written in
     /// a single `write_all` under the lock, so concurrent completions never
     /// interleave bytes.
-    pub fn append(&self, row: &SweepCellRow) -> std::io::Result<()> {
-        let mut line = serde_json::to_string(row).expect("journal row serializes");
-        line.push('\n');
+    fn append(&self, row: &SweepCellRow) -> std::io::Result<()> {
+        let line = journal_line(row);
         let mut file = self.file.lock().unwrap();
         file.write_all(line.as_bytes())?;
         file.sync_data()
     }
 }
 
-/// What a resumable/sharded sweep produced: the artifact plus the split
-/// between freshly executed cells and rows reloaded from the prior
-/// artifact.
+/// What a sweep produced: the artifact plus the split between freshly
+/// executed cells and rows reloaded from the prior artifact.
 #[derive(Debug)]
 pub struct SweepRunSummary {
     /// The artifact for this run's cells (one shard's worth when sharded).
@@ -1319,132 +1322,42 @@ pub struct SweepRunSummary {
     pub resumed: usize,
 }
 
-/// Run a sweep with durability: an optional [`ShardSpec`] restricts
-/// execution to one deterministic round-robin slice of the axis-major cell
-/// order, and an optional prior artifact resumes — cells whose rows are
-/// already present (matched by cell id under an equal grid fingerprint) are
-/// loaded, only the remainder runs, and the combined rows are byte-identical
-/// to a from-scratch run modulo wall-clock. A stale prior (edited grid,
-/// different evaluation options) is rejected, never silently mixed in.
-pub fn run_sweep_resumable(
+/// Run a sweep with the default fitter (see [`run_sweep_with`]).
+pub fn run_sweep(
     grid: &SweepGrid,
     options: &SweepOptions,
-    shard: Option<ShardSpec>,
     prior: Option<&SweepReport>,
 ) -> Result<SweepRunSummary, SweepArtifactError> {
-    run_sweep_resumable_journaled(grid, options, shard, prior, None)
+    run_sweep_with(grid, options, prior, |cell, train, ctx: &FitContext| {
+        default_fitter(cell, train, options, ctx)
+    })
 }
 
-/// [`run_sweep_resumable`] with an optional crash-safe journal: every
-/// completed cell row is appended (and fsync'd) the moment it finishes, so
-/// a run killed mid-sweep leaves a journal that
-/// [`SweepReport::recover_journal`] folds back into a resumable prior. A
-/// failed append is reported on stderr but never aborts the sweep — the
-/// journal is a durability aid, not a correctness dependency.
-pub fn run_sweep_resumable_journaled(
+/// The sweep runner, with an injected cell fitter (the test seam: tests
+/// inject failing, panicking or echoing fitters).
+///
+/// A `prior` artifact resumes: cells whose rows are already present
+/// (matched by cell id under an equal grid fingerprint) are loaded, only
+/// the rest of the grid (or of [`SweepOptions::shard`]) runs, and the
+/// combined rows are byte-identical to a from-scratch run modulo
+/// wall-clock. A stale prior is rejected, never silently mixed in.
+///
+/// [`SweepOptions::journal`] is created after the prior validates, so a
+/// rejected resume leaves it untouched, and before any dataset is
+/// prepared, so a bad path fails before compute starts. It begins with the
+/// resumed rows, so resuming onto the journal resumed from keeps it
+/// complete.
+pub fn run_sweep_with<F>(
     grid: &SweepGrid,
     options: &SweepOptions,
-    shard: Option<ShardSpec>,
-    prior: Option<&SweepReport>,
-    journal: Option<&JournalWriter>,
-) -> Result<SweepRunSummary, SweepArtifactError> {
-    run_sweep_resumable_observed(
-        grid,
-        options,
-        shard,
-        prior,
-        |cell, train, ctx: &FitContext| default_fitter(cell, train, options.sample_rows, ctx),
-        &|row| {
-            if let Some(journal) = journal {
-                if let Err(e) = journal.append(row) {
-                    eprintln!("warning: journal append failed: {e}");
-                }
-            }
-        },
-    )
-}
-
-/// [`run_sweep_resumable_journaled`] with an optional checkpoint
-/// directory: every cell whose fit succeeds is persisted as a
-/// crash-safe [`Checkpoint`] artifact (`<cell-id>.ckpt`, written
-/// atomically) before it is sampled, so a finished sweep leaves a
-/// directory the `serve` binary can load. The checkpointing fit is
-/// compute-identical to the default fitter — same model construction,
-/// same control token, same sampling seed — so checkpointed sweeps
-/// remain byte-identical to plain ones. A failed save is reported on
-/// stderr but never fails the cell: like the journal, checkpoints are a
-/// durability aid, not a correctness dependency.
-pub fn run_sweep_resumable_durable(
-    grid: &SweepGrid,
-    options: &SweepOptions,
-    shard: Option<ShardSpec>,
-    prior: Option<&SweepReport>,
-    journal: Option<&JournalWriter>,
-    checkpoint_dir: Option<&Path>,
-) -> Result<SweepRunSummary, SweepArtifactError> {
-    let Some(dir) = checkpoint_dir else {
-        return run_sweep_resumable_journaled(grid, options, shard, prior, journal);
-    };
-    run_sweep_resumable_observed(
-        grid,
-        options,
-        shard,
-        prior,
-        |cell: &SweepCell, train: &Table, ctx: &FitContext| {
-            let rows = options.sample_rows.unwrap_or_else(|| train.n_rows());
-            let mut payload = build_payload(cell.model, cell.budget, ctx.seed);
-            payload
-                .generator_mut()
-                .fit_with_control(train, &ctx.control)?;
-            // Checkpoint under the cell's identity (its id-forming seed),
-            // even when a retry fitted with a derived attempt seed — the
-            // payload itself records what it actually trained with.
-            let checkpoint = Checkpoint::new(&cell.generator.name, cell.seed, cell.budget, payload);
-            if let Err(e) = checkpoint.save_to_dir(dir) {
-                eprintln!("warning: checkpoint save failed for {}: {e}", cell.id());
-            }
-            checkpoint.sample(rows, ctx.seed.wrapping_add(1))
-        },
-        &|row| {
-            if let Some(journal) = journal {
-                if let Err(e) = journal.append(row) {
-                    eprintln!("warning: journal append failed: {e}");
-                }
-            }
-        },
-    )
-}
-
-/// [`run_sweep_resumable`] with an injected cell fitter (the test seam:
-/// resume tests inject a panicking fitter to prove completed cells are
-/// never re-run).
-pub fn run_sweep_resumable_with<F>(
-    grid: &SweepGrid,
-    options: &SweepOptions,
-    shard: Option<ShardSpec>,
     prior: Option<&SweepReport>,
     fitter: F,
-) -> Result<SweepRunSummary, SweepArtifactError>
-where
-    F: Fn(&SweepCell, &Table, &FitContext) -> Result<Table, SurrogateError> + Sync,
-{
-    run_sweep_resumable_observed(grid, options, shard, prior, fitter, &|_| {})
-}
-
-/// The fully general resumable runner: injected fitter plus a per-row
-/// completion observer (see [`execute_cells`]).
-pub fn run_sweep_resumable_observed<F>(
-    grid: &SweepGrid,
-    options: &SweepOptions,
-    shard: Option<ShardSpec>,
-    prior: Option<&SweepReport>,
-    fitter: F,
-    on_row: &(dyn Fn(&SweepCellRow) + Sync),
 ) -> Result<SweepRunSummary, SweepArtifactError>
 where
     F: Fn(&SweepCell, &Table, &FitContext) -> Result<Table, SurrogateError> + Sync,
 {
     let start = Instant::now();
+    let shard = options.shard;
     if let Some(shard) = &shard {
         shard
             .validate()
@@ -1460,23 +1373,7 @@ where
     // any of its rows.
     let mut prior_rows: HashMap<&str, &SweepCellRow> = HashMap::new();
     if let Some(prior) = prior {
-        if prior.schema_version != SCHEMA_VERSION {
-            return Err(SweepArtifactError::SchemaVersion {
-                found: prior.schema_version,
-            });
-        }
-        if prior.grid_fingerprint != fingerprint {
-            return Err(SweepArtifactError::FingerprintMismatch {
-                expected: fingerprint,
-                found: prior.grid_fingerprint.clone(),
-            });
-        }
-        if prior.grid_cells != all.len() {
-            return Err(SweepArtifactError::GridSize {
-                expected: all.len(),
-                found: prior.grid_cells,
-            });
-        }
+        prior.check_grid(&fingerprint, all.len())?;
         let index_of: HashMap<&str, usize> = ids
             .iter()
             .enumerate()
@@ -1503,18 +1400,33 @@ where
         }
     }
 
-    // This run's cells: the shard's slice of the axis-major order, minus
-    // whatever the prior artifact already covers. Only the cells that
-    // actually execute are cloned.
+    // This run's cells: the shard's slice of the axis-major order, each
+    // either resumed from the prior or still to run.
     let shard_members: Vec<usize> = (0..all.len())
         .filter(|&index| shard.is_none_or(|s| s.contains(index)))
         .collect();
+    let resumed_rows: Vec<&SweepCellRow> = shard_members
+        .iter()
+        .filter_map(|&index| prior_rows.get(ids[index].as_str()).copied())
+        .collect();
+    let header = JournalHeader {
+        journal_version: JOURNAL_VERSION,
+        grid_fingerprint: fingerprint.clone(),
+        grid_cells: all.len(),
+        shard,
+    };
+    let journal = options
+        .journal
+        .as_deref()
+        .map(|path| JournalWriter::create(path, &header, &resumed_rows))
+        .transpose()?;
+    // Only the cells that actually execute are cloned.
     let todo: Vec<SweepCell> = shard_members
         .iter()
         .filter(|&&index| !prior_rows.contains_key(ids[index].as_str()))
         .map(|&index| all[index].clone())
         .collect();
-    let runs = execute_cells(todo, options, &fitter, on_row);
+    let runs = execute_cells(todo, options, &fitter, journal.as_ref());
 
     // Stitch prior and fresh rows back into grid order. `runs` is a
     // subsequence of the shard's cells, so one forward pass pairs them up.
@@ -1526,21 +1438,16 @@ where
             None => fresh.next().expect("one fresh row per remaining cell"),
         })
         .collect();
-    let resumed = cells.len() - runs.len();
     Ok(SweepRunSummary {
-        report: SweepReport {
-            schema_version: SCHEMA_VERSION,
-            generated_by: GENERATED_BY.to_string(),
-            grid_fingerprint: fingerprint,
-            grid_cells: all.len(),
+        report: SweepReport::from_rows(
+            fingerprint,
+            all.len(),
             shard,
-            total_cells: cells.len(),
-            failed_cells: cells.iter().filter(|row| !row.ok).count(),
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            start.elapsed().as_secs_f64() * 1e3,
             cells,
-        },
+        ),
         runs,
-        resumed,
+        resumed: resumed_rows.len(),
     })
 }
 
@@ -1666,8 +1573,10 @@ mod tests {
         let outcome = run_sweep_with(
             &grid,
             &SweepOptions::default(),
+            None,
             |_, train, _: &FitContext| Ok(train.clone()),
-        );
+        )
+        .unwrap();
         let rows: Vec<usize> = outcome
             .runs
             .iter()
@@ -1695,6 +1604,7 @@ mod tests {
         let outcome = run_sweep_with(
             &grid,
             &SweepOptions::default(),
+            None,
             |cell, train, _: &FitContext| {
                 if cell.model == ModelKind::Smote {
                     Ok(Table::new())
@@ -1702,7 +1612,8 @@ mod tests {
                     Ok(train.clone())
                 }
             },
-        );
+        )
+        .unwrap();
         assert_eq!(outcome.runs.len(), 2);
         let error = outcome.runs[0].outcome.as_ref().unwrap_err();
         assert!(matches!(error, CellError::Metric(_)), "{error:?}");
@@ -1742,13 +1653,16 @@ mod tests {
             wall_ms: 1.0,
             attempts: 2,
         };
-        let outcome = SweepOutcome {
-            runs: vec![ok_run, err_run],
-            wall_ms: 6.0,
-            grid_fingerprint: "0123456789abcdef".to_string(),
-            grid_cells: 2,
-        };
-        let report = outcome.report();
+        let report = SweepReport::from_rows(
+            "0123456789abcdef".to_string(),
+            2,
+            None,
+            6.0,
+            [ok_run, err_run]
+                .iter()
+                .map(SweepCellRow::from_run)
+                .collect(),
+        );
         assert_eq!(report.total_cells, 2);
         assert_eq!(report.failed_cells, 1);
         assert!(report.cells[0].ok);
@@ -1932,13 +1846,13 @@ mod tests {
             ShardSpec { index: 0, count: 0 },
             ShardSpec { index: 2, count: 2 },
         ] {
-            let err = run_sweep_resumable_with(
-                &grid,
-                &options,
-                Some(spec),
-                None,
-                |_, train, _: &FitContext| Ok(train.clone()),
-            )
+            let sharded = SweepOptions {
+                shard: Some(spec),
+                ..options.clone()
+            };
+            let err = run_sweep_with(&grid, &sharded, None, |_, train, _: &FitContext| {
+                Ok(train.clone())
+            })
             .unwrap_err();
             assert!(
                 matches!(err, SweepArtifactError::InvalidShard { .. }),
@@ -2127,10 +2041,16 @@ mod tests {
         };
         // A cooperative fitter: polls the control like a real epoch loop,
         // then echoes the training split.
-        let outcome = run_sweep_with(&tiny_grid(), &options, |_, train, ctx: &FitContext| {
-            ctx.control.check_epoch(0)?;
-            Ok(train.clone())
-        });
+        let outcome = run_sweep_with(
+            &tiny_grid(),
+            &options,
+            None,
+            |_, train, ctx: &FitContext| {
+                ctx.control.check_epoch(0)?;
+                Ok(train.clone())
+            },
+        )
+        .unwrap();
         assert_eq!(outcome.runs.len(), 4);
         let panic_error = outcome.runs[0].outcome.as_ref().unwrap_err();
         assert!(
@@ -2155,7 +2075,7 @@ mod tests {
         );
         assert!(outcome.runs.iter().all(|run| run.attempts == 1));
 
-        let report = outcome.report();
+        let report = outcome.report;
         let kinds: Vec<Option<&str>> = report
             .cells
             .iter()
@@ -2182,10 +2102,11 @@ mod tests {
             ..SweepOptions::default()
         };
         let seeds_seen = Mutex::new(Vec::new());
-        let outcome = run_sweep_with(&grid, &options, |_, train, ctx: &FitContext| {
+        let outcome = run_sweep_with(&grid, &options, None, |_, train, ctx: &FitContext| {
             seeds_seen.lock().unwrap().push(ctx.seed);
             Ok(train.clone())
-        });
+        })
+        .unwrap();
         assert!(outcome.runs[0].outcome.is_ok());
         assert_eq!(outcome.runs[0].attempts, 2);
         // The fault panics before the fitter runs, so only the retry's
@@ -2193,14 +2114,13 @@ mod tests {
         assert_eq!(*seeds_seen.lock().unwrap(), vec![derive_attempt_seed(5, 1)]);
 
         // Same options, same grid: the artifact is canonically identical.
-        let again = run_sweep_with(
-            &grid,
-            &options,
-            |_, train, _: &FitContext| Ok(train.clone()),
-        );
+        let again = run_sweep_with(&grid, &options, None, |_, train, _: &FitContext| {
+            Ok(train.clone())
+        })
+        .unwrap();
         assert_eq!(
-            outcome.report().canonical(),
-            again.report().canonical(),
+            outcome.report.canonical(),
+            again.report.canonical(),
             "retried runs must stay deterministic"
         );
 
@@ -2210,7 +2130,10 @@ mod tests {
             faults: FaultPlan::parse("cell0:nan").unwrap(),
             ..SweepOptions::default()
         };
-        let outcome = run_sweep_with(&grid, &always, |_, train, _: &FitContext| Ok(train.clone()));
+        let outcome = run_sweep_with(&grid, &always, None, |_, train, _: &FitContext| {
+            Ok(train.clone())
+        })
+        .unwrap();
         assert_eq!(outcome.runs[0].attempts, 3);
         assert!(matches!(
             outcome.runs[0].outcome.as_ref().unwrap_err(),
@@ -2224,10 +2147,11 @@ mod tests {
             faults: FaultPlan::parse("cell0:budget").unwrap(),
             ..SweepOptions::default()
         };
-        let outcome = run_sweep_with(&grid, &budgeted, |_, train, ctx: &FitContext| {
+        let outcome = run_sweep_with(&grid, &budgeted, None, |_, train, ctx: &FitContext| {
             ctx.control.check_epoch(0)?;
             Ok(train.clone())
-        });
+        })
+        .unwrap();
         assert_eq!(outcome.runs[0].attempts, 1);
         assert!(matches!(
             outcome.runs[0].outcome.as_ref().unwrap_err(),
@@ -2326,7 +2250,7 @@ mod tests {
             grid_cells: report.grid_cells,
             shard: None,
         };
-        let writer = JournalWriter::create(&path, &header).unwrap();
+        let writer = JournalWriter::create(&path, &header, &[]).unwrap();
         for row in &report.cells {
             writer.append(row).unwrap();
         }

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use panda_surrogate::metrics::{DcrConfig, EvaluationConfig};
 use panda_surrogate::surrogate::sweep::{
-    run_cell, run_sweep, run_sweep_resumable_with, run_sweep_with, FitContext,
-    NamedGeneratorConfig, ShardSpec, SweepArtifactError, SweepGrid, SweepOptions, SweepReport,
+    run_sweep, run_sweep_with, FitContext, NamedGeneratorConfig, ShardSpec, SweepArtifactError,
+    SweepGrid, SweepOptions, SweepReport,
 };
 use panda_surrogate::surrogate::{ExecutionMode, ModelKind, SurrogateError, TrainingBudget};
 
@@ -50,14 +50,21 @@ fn every_model_kind_is_byte_identical_standalone_and_in_sweep() {
         models: ModelKind::ALL.to_vec(),
     };
     let options = test_options();
-    let sweep = run_sweep(&grid, &options);
+    let sweep = run_sweep(&grid, &options, None).expect("sweep runs");
     assert_eq!(sweep.runs.len(), 4);
     for run in &sweep.runs {
         let in_sweep = run.outcome.as_ref().unwrap_or_else(|e| {
             panic!("{} failed inside the sweep: {e}", run.cell.id());
         });
-        let standalone = run_cell(&run.cell, &options);
-        let standalone = standalone.outcome.as_ref().unwrap_or_else(|e| {
+        // Standalone: a one-cell grid built from this cell's own axis values.
+        let alone = SweepGrid {
+            seeds: vec![run.cell.seed],
+            budgets: vec![run.cell.budget],
+            generators: vec![run.cell.generator.clone()],
+            models: vec![run.cell.model],
+        };
+        let alone = run_sweep(&alone, &options, None).expect("one-cell sweep runs");
+        let standalone = alone.runs[0].outcome.as_ref().unwrap_or_else(|e| {
             panic!("{} failed standalone: {e}", run.cell.id());
         });
         // Byte-identical synthetic tables: the cell's RNG chain depends
@@ -84,14 +91,16 @@ fn parallel_and_sequential_sweeps_agree_on_a_2x2x2_grid() {
         ],
         models: vec![ModelKind::Smote, ModelKind::TabDdpm],
     };
-    let parallel = run_sweep(&grid, &test_options());
+    let parallel = run_sweep(&grid, &test_options(), None).expect("parallel sweep");
     let sequential = run_sweep(
         &grid,
         &SweepOptions {
             mode: ExecutionMode::Sequential,
             ..test_options()
         },
-    );
+        None,
+    )
+    .expect("sequential sweep");
     assert_eq!(parallel.runs.len(), 8);
     assert_eq!(sequential.runs.len(), 8);
     for (p, s) in parallel.runs.iter().zip(&sequential.runs) {
@@ -118,10 +127,10 @@ fn one_diverging_cell_leaves_every_other_cell_untouched() {
         models: vec![ModelKind::Smote, ModelKind::TabDdpm],
     };
     let options = test_options();
-    let clean = run_sweep(&grid, &options);
+    let clean = run_sweep(&grid, &options, None).expect("clean sweep");
     let poisoned_id = clean.runs[1].cell.id();
 
-    let poisoned = run_sweep_with(&grid, &options, |cell, train, _: &FitContext| {
+    let poisoned = run_sweep_with(&grid, &options, None, |cell, train, _: &FitContext| {
         if cell.id() == poisoned_id {
             // Stand-in for a diverging fit.
             Err(SurrogateError::InvalidTrainingData(
@@ -136,7 +145,8 @@ fn one_diverging_cell_leaves_every_other_cell_untouched() {
                 cell.seed,
             )
         }
-    });
+    })
+    .expect("poisoned sweep");
 
     assert_eq!(poisoned.runs.len(), clean.runs.len());
     let mut failed = 0;
@@ -155,8 +165,15 @@ fn one_diverging_cell_leaves_every_other_cell_untouched() {
         }
     }
     assert_eq!(failed, 1);
-    assert_eq!(poisoned.failures().count(), 1);
-    assert_eq!(poisoned.report().failed_cells, 1);
+    assert_eq!(
+        poisoned
+            .runs
+            .iter()
+            .filter(|run| run.outcome.is_err())
+            .count(),
+        1
+    );
+    assert_eq!(poisoned.report.failed_cells, 1);
 }
 
 #[test]
@@ -169,20 +186,26 @@ fn json_artifact_round_trips_through_the_shim_parser() {
     };
     // Inject one failure so both row shapes (passing and failing) are
     // exercised by the round-trip.
-    let outcome = run_sweep_with(&grid, &test_options(), |cell, train, _: &FitContext| {
-        if cell.seed == 72 {
-            Err(SurrogateError::NotFitted("injected"))
-        } else {
-            panda_surrogate::surrogate::fit_and_sample(
-                cell.model,
-                train,
-                train.n_rows(),
-                cell.budget,
-                cell.seed,
-            )
-        }
-    });
-    let report = outcome.report();
+    let outcome = run_sweep_with(
+        &grid,
+        &test_options(),
+        None,
+        |cell, train, _: &FitContext| {
+            if cell.seed == 72 {
+                Err(SurrogateError::NotFitted("injected"))
+            } else {
+                panda_surrogate::surrogate::fit_and_sample(
+                    cell.model,
+                    train,
+                    train.n_rows(),
+                    cell.budget,
+                    cell.seed,
+                )
+            }
+        },
+    )
+    .expect("sweep runs");
+    let report = outcome.report;
     assert_eq!(report.total_cells, 2);
     assert_eq!(report.failed_cells, 1);
 
@@ -243,8 +266,7 @@ fn sharded_runs_merge_into_the_unsharded_report() {
         keep_tables: false,
         ..test_options()
     };
-    let full =
-        run_sweep_resumable_with(&grid, &options, None, None, echo_fitter).expect("unsharded run");
+    let full = run_sweep_with(&grid, &options, None, echo_fitter).expect("unsharded run");
     assert_eq!(full.report.total_cells, 4);
     assert!(full.report.is_complete());
     assert_eq!(full.report.shard, None);
@@ -252,8 +274,11 @@ fn sharded_runs_merge_into_the_unsharded_report() {
     let mut parts = Vec::new();
     for index in 0..2 {
         let shard = ShardSpec { index, count: 2 };
-        let summary = run_sweep_resumable_with(&grid, &options, Some(shard), None, echo_fitter)
-            .expect("shard run");
+        let sharded = SweepOptions {
+            shard: Some(shard),
+            ..options.clone()
+        };
+        let summary = run_sweep_with(&grid, &sharded, None, echo_fitter).expect("shard run");
         assert_eq!(summary.report.total_cells, 2, "round-robin split of 4");
         assert_eq!(summary.report.shard, Some(shard));
         assert!(!summary.report.is_complete());
@@ -285,8 +310,7 @@ fn resume_runs_only_the_missing_cells_and_matches_from_scratch() {
         keep_tables: false,
         ..test_options()
     };
-    let full = run_sweep_resumable_with(&grid, &options, None, None, echo_fitter)
-        .expect("from-scratch run");
+    let full = run_sweep_with(&grid, &options, None, echo_fitter).expect("from-scratch run");
 
     // Truncate the artifact to drop the last two cells, as the CI resume
     // smoke does with `sweep --drop-last`.
@@ -297,10 +321,9 @@ fn resume_runs_only_the_missing_cells_and_matches_from_scratch() {
     partial.validate().expect("truncated artifact stays valid");
 
     let executed = AtomicUsize::new(0);
-    let resumed = run_sweep_resumable_with(
+    let resumed = run_sweep_with(
         &grid,
         &options,
-        None,
         Some(&partial),
         |cell, train, ctx: &FitContext| {
             executed.fetch_add(1, Ordering::SeqCst);
@@ -329,12 +352,10 @@ fn resume_with_zero_remaining_cells_is_a_noop() {
         keep_tables: false,
         ..test_options()
     };
-    let full = run_sweep_resumable_with(&grid, &options, None, None, echo_fitter)
-        .expect("from-scratch run");
-    let summary = run_sweep_resumable_with(
+    let full = run_sweep_with(&grid, &options, None, echo_fitter).expect("from-scratch run");
+    let summary = run_sweep_with(
         &grid,
         &options,
-        None,
         Some(&full.report),
         |cell, _train, _: &FitContext| -> Result<panda_surrogate::tabular::Table, SurrogateError> {
             panic!("cell {} must not be re-executed", cell.id());
@@ -357,13 +378,11 @@ fn resume_rejects_stale_or_corrupt_artifacts() {
         keep_tables: false,
         ..test_options()
     };
-    let full = run_sweep_resumable_with(&grid, &options, None, None, echo_fitter)
-        .expect("from-scratch run");
+    let full = run_sweep_with(&grid, &options, None, echo_fitter).expect("from-scratch run");
     let reject = |prior: &SweepReport| {
-        run_sweep_resumable_with(
+        run_sweep_with(
             &grid,
             &options,
-            None,
             Some(prior),
             |cell,
              _train,
@@ -382,22 +401,37 @@ fn resume_rejects_stale_or_corrupt_artifacts() {
         reject(&stale),
         SweepArtifactError::FingerprintMismatch { .. }
     ));
-    // An artifact of a genuinely different grid: one more seed.
+    // An artifact of a genuinely different grid: one more seed. The
+    // rejected resume leaves an existing journal byte-unchanged.
+    let journal = std::env::temp_dir().join(format!(
+        "panda_surrogate_rejected_resume_{}.jsonl",
+        std::process::id()
+    ));
+    let journaled = SweepOptions {
+        journal: Some(journal.clone()),
+        ..options.clone()
+    };
+    run_sweep_with(&grid, &journaled, None, echo_fitter).expect("journaled run");
+    let journal_before = std::fs::read(&journal).expect("journal written");
     let mut bigger = grid.clone();
     bigger.seeds.push(83);
     assert!(matches!(
-        run_sweep_resumable_with(&bigger, &options, None, Some(&full.report), echo_fitter)
-            .unwrap_err(),
+        run_sweep_with(&bigger, &journaled, Some(&full.report), echo_fitter).unwrap_err(),
         SweepArtifactError::FingerprintMismatch { .. }
     ));
+    let journal_after = std::fs::read(&journal).expect("journal still readable");
+    std::fs::remove_file(&journal).ok();
+    assert_eq!(
+        journal_after, journal_before,
+        "a rejected resume must not touch the journal"
+    );
     // Changed evaluation options alone also invalidate the artifact.
     let no_dcr_cap = SweepOptions {
         evaluation: EvaluationConfig::fast(),
         ..test_options()
     };
     assert!(matches!(
-        run_sweep_resumable_with(&grid, &no_dcr_cap, None, Some(&full.report), echo_fitter)
-            .unwrap_err(),
+        run_sweep_with(&grid, &no_dcr_cap, Some(&full.report), echo_fitter).unwrap_err(),
         SweepArtifactError::FingerprintMismatch { .. }
     ));
     // A pre-durability schema version.
@@ -426,34 +460,22 @@ fn resume_rejects_stale_or_corrupt_artifacts() {
 /// Kill-mid-run simulation: a journaled sweep is truncated mid-row (as a
 /// SIGKILL during an append would leave it), recovered, and resumed — and
 /// the resumed artifact is canonically byte-identical to the uninterrupted
-/// run.
+/// run. The resume journals onto the torn file it resumed from, and that
+/// rewritten journal keeps every completed row.
 #[test]
 fn torn_journal_recovers_and_resumes_into_the_uninterrupted_artifact() {
-    use panda_surrogate::surrogate::sweep::{
-        grid_fingerprint, run_sweep_resumable, run_sweep_resumable_journaled, JournalHeader,
-        JournalWriter, JOURNAL_VERSION,
-    };
-
     let grid = durability_grid();
-    let options = SweepOptions {
-        keep_tables: false,
-        ..test_options()
-    };
     let path = std::env::temp_dir().join(format!(
         "panda_surrogate_torn_journal_{}.jsonl",
         std::process::id()
     ));
-    let header = JournalHeader {
-        journal_version: JOURNAL_VERSION,
-        grid_fingerprint: grid_fingerprint(&grid, &options),
-        grid_cells: grid.len(),
-        shard: None,
+    let options = SweepOptions {
+        keep_tables: false,
+        journal: Some(path.clone()),
+        ..test_options()
     };
-    let writer = JournalWriter::create(&path, &header).expect("create journal");
-    let full = run_sweep_resumable_journaled(&grid, &options, None, None, Some(&writer))
-        .expect("journaled run");
+    let full = run_sweep(&grid, &options, None).expect("journaled run");
     let text = std::fs::read_to_string(&path).expect("read journal");
-    std::fs::remove_file(&path).ok();
 
     // The intact journal already recovers into the full artifact.
     let recovered = SweepReport::recover_journal(&text).expect("recover intact journal");
@@ -477,9 +499,10 @@ fn torn_journal_recovers_and_resumes_into_the_uninterrupted_artifact() {
     let prior = SweepReport::recover_journal(torn).expect("recover torn journal");
     assert_eq!(prior.total_cells, 2, "the torn row is dropped");
 
-    // Resuming from the recovered prior reproduces the uninterrupted run.
-    let resumed =
-        run_sweep_resumable(&grid, &options, None, Some(&prior)).expect("resume from journal");
+    // Resuming from the recovered prior reproduces the uninterrupted run,
+    // journaling onto the same (torn) path.
+    std::fs::write(&path, torn).expect("write torn journal");
+    let resumed = run_sweep(&grid, &options, Some(&prior)).expect("resume from journal");
     assert_eq!(resumed.resumed, 2);
     assert_eq!(resumed.runs.len(), 2);
     assert_eq!(
@@ -487,6 +510,24 @@ fn torn_journal_recovers_and_resumes_into_the_uninterrupted_artifact() {
         serde_json::to_string_pretty(&full.report.canonical()).unwrap(),
         "journal-recovered resume must equal the uninterrupted artifact"
     );
+
+    // The rewritten journal holds the resumed rows and the fresh ones: it
+    // recovers into the full artifact, and resuming from it runs nothing.
+    let rewritten = std::fs::read_to_string(&path).expect("read rewritten journal");
+    std::fs::remove_file(&path).ok();
+    let recovered = SweepReport::recover_journal(&rewritten).expect("recover rewritten journal");
+    assert_eq!(
+        serde_json::to_string_pretty(&recovered.canonical()).unwrap(),
+        serde_json::to_string_pretty(&full.report.canonical()).unwrap(),
+        "the journal of a resume must keep every completed row"
+    );
+    let unjournaled = SweepOptions {
+        journal: None,
+        ..options
+    };
+    let again = run_sweep(&grid, &unjournaled, Some(&recovered)).expect("resume again");
+    assert_eq!(again.runs.len(), 0, "every cell was already journaled");
+    assert_eq!(again.resumed, 4);
 }
 
 /// Failed rows produced by injected faults (typed error_kind, attempts)
@@ -510,8 +551,7 @@ fn fault_rows_survive_shard_merge_and_resume_round_trips() {
         Ok(train.clone())
     };
 
-    let full =
-        run_sweep_resumable_with(&grid, &options, None, None, cooperative).expect("unsharded run");
+    let full = run_sweep_with(&grid, &options, None, cooperative).expect("unsharded run");
     assert_eq!(full.report.failed_cells, 2);
     let kinds: Vec<Option<&str>> = full
         .report
@@ -528,9 +568,11 @@ fn fault_rows_survive_shard_merge_and_resume_round_trips() {
     // Shard → merge reproduces the unsharded artifact, failed rows intact.
     let mut parts = Vec::new();
     for index in 0..2 {
-        let shard = ShardSpec { index, count: 2 };
-        let summary = run_sweep_resumable_with(&grid, &options, Some(shard), None, cooperative)
-            .expect("shard run");
+        let sharded = SweepOptions {
+            shard: Some(ShardSpec { index, count: 2 }),
+            ..options.clone()
+        };
+        let summary = run_sweep_with(&grid, &sharded, None, cooperative).expect("shard run");
         parts.push(summary.report);
     }
     let merged = SweepReport::merge(&parts).expect("shards merge");
@@ -545,7 +587,7 @@ fn fault_rows_survive_shard_merge_and_resume_round_trips() {
     partial.cells.retain(|row| row.ok);
     partial.total_cells = partial.cells.len();
     partial.failed_cells = 0;
-    let resumed = run_sweep_resumable_with(&grid, &options, None, Some(&partial), cooperative)
+    let resumed = run_sweep_with(&grid, &options, Some(&partial), cooperative)
         .expect("resume over failed cells");
     assert_eq!(resumed.resumed, 2);
     assert_eq!(
@@ -573,15 +615,15 @@ fn retried_cells_are_deterministic_through_the_real_pipeline() {
         faults: panda_surrogate::surrogate::FaultPlan::parse("cell0:nan:1").expect("valid plan"),
         ..test_options()
     };
-    let first = run_sweep(&grid, &options);
-    let second = run_sweep(&grid, &options);
-    let report = first.report();
+    let first = run_sweep(&grid, &options, None).expect("first run");
+    let second = run_sweep(&grid, &options, None).expect("second run");
+    let report = first.report;
     assert_eq!(report.failed_cells, 0, "the retry must recover the cell");
     assert_eq!(report.cells[0].attempts, 2);
     assert_eq!(report.cells[1].attempts, 1);
     assert_eq!(
         serde_json::to_string_pretty(&report.canonical()).unwrap(),
-        serde_json::to_string_pretty(&second.report().canonical()).unwrap(),
+        serde_json::to_string_pretty(&second.report.canonical()).unwrap(),
         "same grid, options and fault plan must reproduce the same artifact"
     );
 }
@@ -594,7 +636,6 @@ fn retried_cells_are_deterministic_through_the_real_pipeline() {
 #[test]
 fn durable_sweep_checkpoints_every_cell_and_stays_byte_identical() {
     use panda_surrogate::surrogate::checkpoint::CheckpointRegistry;
-    use panda_surrogate::surrogate::sweep::run_sweep_resumable_durable;
 
     let grid = SweepGrid {
         seeds: vec![61, 62],
@@ -610,9 +651,12 @@ fn durable_sweep_checkpoints_every_cell_and_stays_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let durable = run_sweep_resumable_durable(&grid, &options, None, None, None, Some(&dir))
-        .expect("durable sweep");
-    let plain = run_sweep(&grid, &options);
+    let checkpointed = SweepOptions {
+        checkpoint_dir: Some(dir.clone()),
+        ..options.clone()
+    };
+    let durable = run_sweep(&grid, &checkpointed, None).expect("durable sweep");
+    let plain = run_sweep(&grid, &options, None).expect("plain sweep");
     assert_eq!(durable.runs.len(), 4);
 
     let registry = CheckpointRegistry::load_dir(&dir).expect("checkpoint dir loads");
@@ -676,14 +720,14 @@ fn virtual_clock_charges_injected_delays_without_sleeping() {
         ..test_options()
     };
     let start = std::time::Instant::now();
-    let outcome = run_sweep(&grid, &options);
+    let outcome = run_sweep(&grid, &options, None).expect("sweep runs");
     let real_elapsed = start.elapsed();
     assert!(
         real_elapsed < std::time::Duration::from_secs(60),
         "virtual clock must not sleep through the 90s injected delay \
          (took {real_elapsed:?})"
     );
-    let report = outcome.report();
+    let report = outcome.report;
     assert_eq!(report.failed_cells, 0);
     assert!(
         report.cells[0].wall_ms >= 90_000.0,
