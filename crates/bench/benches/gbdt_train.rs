@@ -29,6 +29,9 @@ fn bench_mlef_probe(c: &mut Criterion) {
             },
         );
     }
+    // The probe Table I runs: the paper's 200 trees at depth 10.
+    let paper = MlefConfig::default();
+    group.bench_function("paper_mlef", |b| b.iter(|| mlef_mse(&train, &test, &paper)));
     group.finish();
 }
 

@@ -6,7 +6,7 @@
 //! ```
 
 use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
-use metrics::{evaluate_surrogate, EvaluationConfig, SurrogateReport};
+use metrics::{evaluate_against, EvaluationConfig, MlefBaseline, SurrogateReport};
 
 fn main() {
     let options = options_or_exit();
@@ -36,10 +36,20 @@ fn main() {
         std::process::exit(1);
     }
 
+    // MLEF(train → test) is fitted once, by the first evaluation, and
+    // shared by all four models.
+    let baseline = MlefBaseline::default();
     println!("\n{}", SurrogateReport::table_header());
     for (name, synthetic) in fits.successes() {
-        let report = evaluate_surrogate(name, &data.train, &data.test, synthetic, &evaluation)
-            .expect("synthetic table is evaluable");
+        let report = evaluate_against(
+            name,
+            &data.train,
+            &data.test,
+            synthetic,
+            &evaluation,
+            &baseline,
+        )
+        .expect("synthetic table is evaluable");
         println!("{}", report.table_row());
         reports.push(report);
     }

@@ -15,7 +15,8 @@
 //!   one parallel queue rather than nesting parallel loops, so the pool
 //!   load-balances across the whole grid instead of fork-joining per
 //!   scenario. Datasets shared by several cells (same seed + generator
-//!   variant) are prepared once, up front.
+//!   variant) are prepared once, up front, and their cells share one
+//!   MLEF(train → test) baseline.
 //! * **Per-cell determinism** — every cell derives its RNGs from its own
 //!   seed axis value alone, so any cell run alone (a one-cell grid of its
 //!   own axis values) is byte-identical to the same cell inside a sweep,
@@ -68,7 +69,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use metrics::{evaluate_surrogate, EvaluationConfig, MetricError, SurrogateReport};
+use metrics::{evaluate_against, EvaluationConfig, MetricError, MlefBaseline, SurrogateReport};
 use pandasim::GeneratorConfig;
 use tabular::Table;
 
@@ -1035,13 +1036,16 @@ fn default_fitter(
 }
 
 /// One attempt of a cell's fit→sample→evaluate pipeline, with injected
-/// faults applied and panics captured. The `start` instant anchors the
+/// faults applied and panics captured. `baseline` is the dataset's shared
+/// MLEF(train → test), computed by the first attempt that reaches MLEF,
+/// inside that attempt's unwind boundary. The `start` instant anchors the
 /// budget deadline to the *cell*, not the attempt: retries never extend a
 /// wall-clock budget. The second element of the return value is the
 /// virtual milliseconds this attempt charged (injected delays under
 /// [`FaultClock::Virtual`]); the caller folds them into `wall_ms`.
 fn run_cell_attempt<F>(
     data: &PreparedData,
+    baseline: &MlefBaseline,
     cell: &SweepCell,
     options: &SweepOptions,
     fitter: &F,
@@ -1095,12 +1099,13 @@ where
                 // A degenerate synthetic table (empty, wrong columns) is
                 // this cell's typed Metric failure, never a sweep-wide
                 // abort.
-                evaluate_surrogate(
+                evaluate_against(
                     cell.model.name(),
                     &data.train,
                     &data.test,
                     &synthetic,
                     &options.evaluation,
+                    baseline,
                 )
                 .map_err(CellError::Metric)
                 .map(|report| CellSuccess {
@@ -1125,6 +1130,7 @@ where
 /// just trip again); `wall_ms` spans every attempt.
 fn run_cell_prepared<F>(
     data: &PreparedData,
+    baseline: &MlefBaseline,
     cell: &SweepCell,
     options: &SweepOptions,
     fitter: &F,
@@ -1137,7 +1143,7 @@ where
     let mut virtual_ms = 0.0;
     let outcome = loop {
         let (result, attempt_virtual_ms) =
-            run_cell_attempt(data, cell, options, fitter, attempt, start);
+            run_cell_attempt(data, baseline, cell, options, fitter, attempt, start);
         virtual_ms += attempt_virtual_ms;
         match &result {
             Err(error)
@@ -1159,6 +1165,10 @@ where
     }
 }
 
+/// A prepared dataset and its MLEF(train → test) baseline, shared by every
+/// cell that runs on the dataset.
+type Dataset = (PreparedData, MlefBaseline);
+
 /// Execute a batch of cells (a full grid, one shard, or a resume
 /// remainder) over the shared pool, returning the runs in input order.
 /// Each cell's row is appended to `journal` the moment that cell completes
@@ -1177,6 +1187,9 @@ where
     // parallel. Cells hold an index into this list. The full config is part
     // of the identity: two variants that share a name but differ in config
     // get separate datasets, preserving standalone/in-sweep byte-identity.
+    // Each dataset carries its MLEF(train → test) baseline, left for the
+    // first cell that reaches MLEF to compute: every cell shares
+    // `options.evaluation`, so the value is the same whichever cell does.
     let mut keys: Vec<((u64, String), GeneratorConfig)> = Vec::new();
     let dataset_of: Vec<usize> = cells
         .iter()
@@ -1191,20 +1204,15 @@ where
         })
         .collect();
     let configs: Vec<GeneratorConfig> = keys.into_iter().map(|(_, config)| config).collect();
-    let datasets: Vec<Arc<PreparedData>> = match options.mode {
-        ExecutionMode::Parallel => configs
-            .par_iter()
-            .map(|config| Arc::new(prepare_data_from_config(config)))
-            .collect(),
-        ExecutionMode::Sequential => configs
-            .iter()
-            .map(|config| Arc::new(prepare_data_from_config(config)))
-            .collect(),
+    let prepare = |config| Arc::new((prepare_data_from_config(config), MlefBaseline::default()));
+    let datasets: Vec<Arc<Dataset>> = match options.mode {
+        ExecutionMode::Parallel => configs.par_iter().map(prepare).collect(),
+        ExecutionMode::Sequential => configs.iter().map(prepare).collect(),
     };
 
     // One flat (scenario × model) work queue over the shared pool: no
     // nested parallel loops, so the pool balances across the whole grid.
-    let work: Vec<(SweepCell, Arc<PreparedData>)> = cells
+    let work: Vec<(SweepCell, Arc<Dataset>)> = cells
         .into_iter()
         .zip(&dataset_of)
         .map(|(cell, &dataset)| (cell, Arc::clone(&datasets[dataset])))
@@ -1213,8 +1221,9 @@ where
     // lets each dataset be freed as soon as its last cell completes,
     // bounding peak memory to in-flight cells instead of the whole grid.
     drop(datasets);
-    let run_one = |cell: SweepCell, data: Arc<PreparedData>| {
-        let run = run_cell_prepared(&data, &cell, options, fitter);
+    let run_one = |cell: SweepCell, dataset: Arc<Dataset>| {
+        let (data, baseline) = &*dataset;
+        let run = run_cell_prepared(data, baseline, &cell, options, fitter);
         if let Some(journal) = journal {
             if let Err(e) = journal.append(&SweepCellRow::from_run(&run)) {
                 eprintln!("warning: journal append failed: {e}");
@@ -1620,6 +1629,43 @@ mod tests {
         assert_eq!(error.kind(), "metric");
         assert!(error.to_string().contains("no numerical columns"));
         assert!(outcome.runs[1].outcome.is_ok());
+    }
+
+    #[test]
+    fn a_panicking_mlef_baseline_fails_each_cell_on_its_dataset() {
+        // The dataset's shared MLEF(train → test) baseline is computed
+        // inside the first cell that reaches MLEF. A panic there is that
+        // cell's own failure and leaves the baseline unset, so the next
+        // cell on the dataset fails the same way instead of the sweep
+        // aborting.
+        let mut small = NamedGeneratorConfig::preset("small").unwrap();
+        small.config.gross_records = 800;
+        let grid = SweepGrid {
+            seeds: vec![5],
+            budgets: vec![TrainingBudget::Smoke],
+            generators: vec![small],
+            models: vec![ModelKind::Smote, ModelKind::TabDdpm],
+        };
+        let mut evaluation = EvaluationConfig::fast();
+        if let Some(mlef) = evaluation.mlef.as_mut() {
+            mlef.target = "no_such_column".to_string();
+        }
+        let options = SweepOptions {
+            evaluation,
+            ..SweepOptions::default()
+        };
+        let outcome = run_sweep_with(&grid, &options, None, |_, train, _: &FitContext| {
+            Ok(train.clone())
+        })
+        .unwrap();
+        assert_eq!(outcome.runs.len(), 2);
+        for run in &outcome.runs {
+            let error = run.outcome.as_ref().unwrap_err();
+            assert!(
+                matches!(error, CellError::Panicked { message } if message.contains("target column")),
+                "{error:?}"
+            );
+        }
     }
 
     #[test]

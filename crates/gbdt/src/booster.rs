@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{BinMapper, FeatureMatrix};
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{BinnedRows, RegressionTree, TreeConfig};
 
 /// Hyper-parameters of the boosted ensemble.
 ///
@@ -78,6 +78,7 @@ impl Gbdt {
         assert_eq!(data.n_rows(), targets.len(), "data/target length mismatch");
         assert!(data.n_rows() > 0, "cannot fit on an empty dataset");
         let mapper = BinMapper::fit(data, config.max_bins);
+        let binned = BinnedRows::new(data, &mapper);
         let base_prediction = targets.iter().sum::<f64>() / targets.len() as f64;
         let mut predictions = vec![base_prediction; targets.len()];
         let mut trees = Vec::with_capacity(config.n_iterations);
@@ -108,7 +109,14 @@ impl Gbdt {
                 all_indices.clone()
             };
 
-            let tree = RegressionTree::fit(data, &residuals, &indices, &tree_config, &mapper);
+            let tree = RegressionTree::fit_binned(
+                data,
+                &binned,
+                &residuals,
+                indices,
+                &tree_config,
+                &mapper,
+            );
             for (r, pred) in predictions.iter_mut().enumerate() {
                 *pred += config.learning_rate * tree.predict_row(data.row(r));
             }
@@ -266,6 +274,89 @@ mod tests {
             },
         );
         assert_eq!(model.n_trees(), 7);
+    }
+
+    /// Rows that hold every value class the binning and the split
+    /// predicate treat specially: NaN (bin 0 in the histograms, right branch
+    /// at a split), ±inf, exact ties, a constant column and a two-valued
+    /// column. Columns 5 and 6 split the rows at the same place, so their
+    /// gains tie in exact arithmetic and the rounding of the histogram sums
+    /// decides which one a node splits on.
+    fn awkward_matrix(n: usize) -> (FeatureMatrix, Vec<f64>) {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let hash = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                let x = match i % 23 {
+                    0 => f64::NAN,
+                    7 => f64::INFINITY,
+                    13 => f64::NEG_INFINITY,
+                    _ => hash as f64 / (1u64 << 24) as f64,
+                };
+                let ties = (i % 7) as f64 * 0.5;
+                let two_valued = if i % 3 == 0 { 1.0 } else { -1.0 };
+                let sparse = if i % 31 == 0 {
+                    f64::NAN
+                } else {
+                    (i / 50) as f64
+                };
+                let marked = i % 4 == 0;
+                let coarse = if marked { 2.0 } else { (i % 2) as f64 };
+                let fine = if marked { 10.0 } else { 0.0 } + (i % 5) as f64 * 0.1;
+                vec![x, ties, 3.0, two_valued, sparse, coarse, fine]
+            })
+            .collect();
+        let targets: Vec<f64> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let x = if r[0].is_finite() { r[0] } else { 0.5 };
+                let marked = if r[5] == 2.0 { 2.0 } else { 0.0 };
+                (6.0 * x).sin() + r[1] * r[3] + 0.1 * ((i * 17) % 13) as f64 + marked
+            })
+            .collect();
+        (FeatureMatrix::from_rows(&rows), targets)
+    }
+
+    /// FNV-1a over the predictions' bit patterns.
+    fn fingerprint(predictions: &[f64]) -> u64 {
+        predictions
+            .iter()
+            .flat_map(|p| p.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn predictions_are_pinned_bit_for_bit() {
+        // Any change to split finding, to the partition order or to the
+        // order of the histogram sums moves these constants.
+        let (data, targets) = awkward_matrix(700);
+        // Column 5 flipped where column 6 stays: predictions on these rows
+        // show which of the two tied columns each split chose.
+        let flipped: Vec<Vec<f64>> = (0..data.n_rows())
+            .map(|r| {
+                let mut row = data.row(r).to_vec();
+                row[5] = 2.0 - row[5];
+                row
+            })
+            .collect();
+        let flipped = FeatureMatrix::from_rows(&flipped);
+        let pins = |config: GbdtConfig| {
+            let model = Gbdt::fit(&data, &targets, config);
+            [
+                fingerprint(&model.predict(&data)),
+                fingerprint(&model.predict(&flipped)),
+            ]
+        };
+        assert_eq!(
+            pins(GbdtConfig::paper_mlef()),
+            [0xb980_46b6_83c5_2218, 0xa02a_b80e_159d_f9e2]
+        );
+        assert_eq!(
+            pins(GbdtConfig::fast()),
+            [0x5368_c3c0_a186_20bc, 0xf5ac_d4c6_bf5a_0f85]
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// Why a metric could not be computed from the given inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetricError {
     /// A sample slice was empty.
     EmptySample,
@@ -23,6 +23,22 @@ pub enum MetricError {
     NoCategoricalColumns,
     /// The synthetic table shares no categorical columns with the reference.
     NoSharedCategoricalColumns,
+    /// The synthetic table lacks a column of the training table.
+    MissingColumn {
+        /// Name of the training column.
+        name: String,
+    },
+    /// A synthetic column is numerical where the training column is
+    /// categorical, or the other way round.
+    ColumnKindMismatch {
+        /// Name of the column.
+        name: String,
+    },
+    /// The synthetic table has fewer than the two rows a correlation needs.
+    TooFewRows {
+        /// Rows the synthetic table has.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for MetricError {
@@ -41,6 +57,21 @@ impl fmt::Display for MetricError {
             }
             MetricError::NoSharedCategoricalColumns => {
                 write!(f, "synthetic table shares no categorical columns")
+            }
+            MetricError::MissingColumn { name } => {
+                write!(f, "synthetic table lacks training column '{name}'")
+            }
+            MetricError::ColumnKindMismatch { name } => {
+                write!(
+                    f,
+                    "synthetic column '{name}' differs in kind from the training column"
+                )
+            }
+            MetricError::TooFewRows { rows } => {
+                write!(
+                    f,
+                    "synthetic table has {rows} row(s), at least 2 are needed"
+                )
             }
         }
     }

@@ -59,9 +59,10 @@ pub fn column_jsd(real: &Table, synthetic: &Table, name: &str) -> f64 {
 }
 
 /// Mean JSD across all categorical columns shared by the two tables — the
-/// "JSD" column of the paper's Table I. Degenerate table pairs (no
-/// categorical columns, or none shared) come back as a typed
-/// [`MetricError`] instead of a panic.
+/// "JSD" column of the paper's Table I. A synthetic column of the same name
+/// that is numerical is not shared. Degenerate table pairs (no categorical
+/// columns, or none shared) come back as a typed [`MetricError`] instead of
+/// a panic.
 pub fn mean_jsd(real: &Table, synthetic: &Table) -> Result<f64, MetricError> {
     let schema = real.schema();
     let cats = schema.categorical_names();
@@ -71,7 +72,7 @@ pub fn mean_jsd(real: &Table, synthetic: &Table) -> Result<f64, MetricError> {
     let mut total = 0.0;
     let mut count = 0usize;
     for name in cats {
-        if synthetic.column(name).is_ok() {
+        if synthetic.codes(name).is_ok() {
             total += column_jsd(real, synthetic, name);
             count += 1;
         }

@@ -15,7 +15,9 @@
 //!   gradient-boosted regressor trained on synthetic data minus the test MSE
 //!   of the same regressor trained on real data.
 //!
-//! [`report::evaluate_surrogate`] computes all five at once and
+//! [`report::evaluate_surrogate`] computes all five at once,
+//! [`report::evaluate_against`] does the same against an MLEF baseline
+//! shared by every table scored on one split, and
 //! [`report::SurrogateReport`] renders a Table-I-style row.
 
 pub mod correlation;
@@ -33,6 +35,8 @@ pub use dcr::{distance_to_closest_record, DcrConfig};
 pub use error::MetricError;
 pub use jsd::column_jsd;
 pub use jsd::{jensen_shannon_divergence, mean_jsd};
-pub use mlef::{diff_mlef, mlef_mse, MlefConfig};
-pub use report::{evaluate_surrogate, mean_report, EvaluationConfig, SurrogateReport};
+pub use mlef::{diff_mlef, mlef_mse, MlefBaseline, MlefConfig};
+pub use report::{
+    evaluate_against, evaluate_surrogate, mean_report, EvaluationConfig, SurrogateReport,
+};
 pub use wasserstein::{mean_wasserstein, wasserstein_1d, wasserstein_1d_normalized};

@@ -7,7 +7,7 @@ use crate::correlation::diff_corr;
 use crate::dcr::{distance_to_closest_record, DcrConfig};
 use crate::error::MetricError;
 use crate::jsd::mean_jsd;
-use crate::mlef::{mlef_mse, MlefConfig};
+use crate::mlef::{mlef_mse, MlefBaseline, MlefConfig};
 use crate::wasserstein::mean_wasserstein;
 
 /// Configuration of the full surrogate evaluation.
@@ -126,10 +126,10 @@ pub fn mean_report(model: &str, reports: &[SurrogateReport]) -> Option<Surrogate
 }
 
 /// Evaluate a synthetic table against the real train/test split, producing
-/// one Table-I row. A degenerate synthetic table (empty, or sharing no
-/// columns with the reference) comes back as a typed [`MetricError`] instead
-/// of a panic, so callers like the sweep runtime can confine the failure to
-/// the cell that produced it.
+/// one Table-I row: [`evaluate_against`] with a baseline of its own. Callers
+/// that score several tables against one split should hold one
+/// [`MlefBaseline`] and call [`evaluate_against`], so MLEF(train → test)
+/// runs once.
 pub fn evaluate_surrogate(
     model_name: &str,
     train: &Table,
@@ -137,12 +137,37 @@ pub fn evaluate_surrogate(
     synthetic: &Table,
     config: &EvaluationConfig,
 ) -> Result<SurrogateReport, MetricError> {
+    evaluate_against(
+        model_name,
+        train,
+        test,
+        synthetic,
+        config,
+        &MlefBaseline::default(),
+    )
+}
+
+/// Evaluate a synthetic table against the real train/test split, taking
+/// MLEF(train → test) from `baseline`, which must only ever be used with
+/// this `train`, `test` and `config.mlef`. A degenerate synthetic table
+/// (empty, too short, or lacking a training column or its kind) comes back
+/// as a typed [`MetricError`] instead of a panic, so callers like the sweep
+/// runtime can confine the failure to the cell that produced it.
+pub fn evaluate_against(
+    model_name: &str,
+    train: &Table,
+    test: &Table,
+    synthetic: &Table,
+    config: &EvaluationConfig,
+    baseline: &MlefBaseline,
+) -> Result<SurrogateReport, MetricError> {
     let wd = mean_wasserstein(train, synthetic)?;
     let jsd = mean_jsd(train, synthetic)?;
+    check_scorable(train, synthetic)?;
     let corr = diff_corr(train, synthetic);
     let dcr = distance_to_closest_record(train, synthetic, config.dcr);
     let diff_mlef = config.mlef.as_ref().map(|mlef_config| {
-        let base = mlef_mse(train, test, mlef_config);
+        let base = baseline.mse(train, test, mlef_config);
         let synth = mlef_mse(synthetic, test, mlef_config);
         synth - base
     });
@@ -154,6 +179,28 @@ pub fn evaluate_surrogate(
         dcr,
         diff_mlef,
     })
+}
+
+/// What diff-CORR, DCR and MLEF assume of a synthetic table: every training
+/// column, with the training column's kind, and the two rows a Pearson
+/// correlation needs.
+fn check_scorable(train: &Table, synthetic: &Table) -> Result<(), MetricError> {
+    for feature in train.schema().features() {
+        let name = || feature.name.clone();
+        match synthetic.column(&feature.name) {
+            Err(_) => return Err(MetricError::MissingColumn { name: name() }),
+            Ok(column) if column.kind() != feature.kind => {
+                return Err(MetricError::ColumnKindMismatch { name: name() })
+            }
+            Ok(_) => {}
+        }
+    }
+    if synthetic.n_rows() < 2 {
+        return Err(MetricError::TooFewRows {
+            rows: synthetic.n_rows(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -285,6 +332,78 @@ mod tests {
         )
         .unwrap();
         assert!(report.diff_mlef.is_none());
+    }
+
+    #[test]
+    fn shared_baseline_matches_one_shot_evaluation() {
+        let train = toy(300, 10);
+        let test = toy(100, 11);
+        let cfg = EvaluationConfig::fast();
+        let baseline = MlefBaseline::default();
+        for seed in [12, 13] {
+            let synthetic = toy(300, seed);
+            let shared = evaluate_against("m", &train, &test, &synthetic, &cfg, &baseline).unwrap();
+            let one_shot = evaluate_surrogate("m", &train, &test, &synthetic, &cfg).unwrap();
+            assert_eq!(shared, one_shot);
+        }
+    }
+
+    #[test]
+    fn one_row_synthetic_table_yields_typed_error() {
+        let train = toy(100, 14);
+        let test = toy(40, 15);
+        let one_row = toy(1, 16);
+        let error = evaluate_surrogate("one", &train, &test, &one_row, &EvaluationConfig::fast())
+            .unwrap_err();
+        assert_eq!(error, MetricError::TooFewRows { rows: 1 });
+    }
+
+    #[test]
+    fn missing_training_column_yields_typed_error() {
+        let train = toy(100, 17);
+        let test = toy(40, 18);
+        let partial = toy(100, 19).select(&["computingsite", "workload"]).unwrap();
+        let error = evaluate_surrogate(
+            "partial",
+            &train,
+            &test,
+            &partial,
+            &EvaluationConfig::fast(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            error,
+            MetricError::MissingColumn {
+                name: "ninputdatafiles".to_string()
+            }
+        );
+        assert!(error.to_string().contains("'ninputdatafiles'"));
+    }
+
+    #[test]
+    fn column_of_the_wrong_kind_yields_typed_error() {
+        let train = toy(100, 20);
+        let test = toy(40, 21);
+        let cfg = EvaluationConfig::fast();
+        // A numerical training column arrives categorical: WD and JSD skip
+        // it, and the check names it before DCR or MLEF read it.
+        let mut relabelled = toy(100, 22);
+        *relabelled.column_mut("ninputdatafiles").unwrap() =
+            Column::from_labels(&vec!["many"; 100]);
+        assert_eq!(
+            evaluate_surrogate("relabelled", &train, &test, &relabelled, &cfg),
+            Err(MetricError::ColumnKindMismatch {
+                name: "ninputdatafiles".to_string()
+            })
+        );
+        // A categorical training column arrives numerical: it is not shared,
+        // so JSD (whose only column it was) rejects the table first.
+        let mut numbered = toy(100, 23);
+        *numbered.column_mut("computingsite").unwrap() = Column::Numerical(vec![1.0; 100]);
+        assert_eq!(
+            evaluate_surrogate("numbered", &train, &test, &numbered, &cfg),
+            Err(MetricError::NoSharedCategoricalColumns)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cargo run --release --example model_comparison
 //! ```
 
-use panda_surrogate::metrics::{evaluate_surrogate, EvaluationConfig, SurrogateReport};
+use panda_surrogate::metrics::{evaluate_against, EvaluationConfig, MlefBaseline, SurrogateReport};
 use panda_surrogate::surrogate::{fit_all, prepare_data, ExperimentOptions, TrainingBudget};
 
 fn main() {
@@ -28,14 +28,17 @@ fn main() {
     // warning instead of killing the comparison.
     let fits = fit_all(&data.train, options.budget, options.seed);
     fits.report_failures();
+    // Every model is scored against one MLEF(train → test) baseline.
+    let baseline = MlefBaseline::default();
     let mut reports = Vec::new();
     for (name, synthetic) in fits.successes() {
-        let report = evaluate_surrogate(
+        let report = evaluate_against(
             name,
             &data.train,
             &data.test,
             synthetic,
             &EvaluationConfig::fast(),
+            &baseline,
         )
         .expect("synthetic table is evaluable");
         println!("{}", report.table_row());
