@@ -1,53 +1,13 @@
-//! Criterion bench: the event-queue tentpole in isolation — calendar queue
-//! vs the seed binary heap on synthetic event streams, plus full arena
-//! simulation runs under both schedulers (the pair the `htcsim_throughput`
-//! entries of `BENCH_nn.json` gate in CI).
+//! Criterion bench: the calendar event queue vs the binary heap it is
+//! pinned against, on the hold model ([`bench::hold_model`], which
+//! `perf_report` drives for its gated `htcsim_throughput_queue_<N>` entry),
+//! plus full arena simulation runs under both schedulers. The full-run
+//! comparison is timed only here: its margin is too thin for a gate.
 
+use bench::hold_model;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use htcsim::{
-    CalendarQueue, EventKind, EventScheduler, GridSimulator, HeapQueue, JobArena, SimConfig,
-};
+use htcsim::{CalendarQueue, GridSimulator, HeapQueue, JobArena, SimConfig};
 use pandasim::SiteCatalog;
-
-/// Classic "hold" benchmark for DES priority queues: prime the queue with
-/// `n` events, then run pop→push transitions where each push lands at the
-/// popped time plus a service increment — a discrete-event steady state, in
-/// which (like the simulator) nothing is ever scheduled behind the clock.
-/// Increments mix WAN-latency transfer completions, job runtimes and
-/// far-future stragglers.
-fn hold<Q: EventScheduler>(n: usize, transitions: usize) -> f64 {
-    let mut queue = Q::default();
-    let mut state = 0x9e3779b97f4a7c15u64;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 11) as f64 / (1u64 << 53) as f64, state)
-    };
-    for i in 0..n {
-        let (unit, _) = next();
-        queue.push(unit * 168.0, EventKind::JobArrival { job: i as u32 });
-    }
-    let mut last = 0.0;
-    for i in 0..transitions {
-        let event = queue.pop().expect("primed queue never drains");
-        last = event.time;
-        let (unit, s) = next();
-        let delta = match s % 8 {
-            0 => unit * 0.1,      // transfer completions
-            1..=5 => unit * 12.0, // job runtimes
-            _ => unit * 400.0,    // stragglers / future arrivals
-        };
-        queue.push(
-            event.time + delta,
-            EventKind::JobFinish {
-                job: i as u32,
-                site: 0,
-            },
-        );
-    }
-    last
-}
 
 fn bench_queues(c: &mut Criterion) {
     let (n, transitions) = (50_000, 500_000);
@@ -56,12 +16,12 @@ fn bench_queues(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("calendar", transitions),
         &transitions,
-        |b, &t| b.iter(|| hold::<CalendarQueue>(n, t)),
+        |b, &t| b.iter(|| hold_model::<CalendarQueue>(n, t)),
     );
     group.bench_with_input(
         BenchmarkId::new("heap", transitions),
         &transitions,
-        |b, &t| b.iter(|| hold::<HeapQueue>(n, t)),
+        |b, &t| b.iter(|| hold_model::<HeapQueue>(n, t)),
     );
     group.finish();
 }

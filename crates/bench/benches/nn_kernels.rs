@@ -1,8 +1,9 @@
 //! Criterion benches for the `nn` training hot path: matmul kernel shapes,
 //! the transpose-free backward products, single-layer forward/backward, and
-//! per-model epoch times. The `perf_report` binary measures the same
-//! kernels against the frozen pre-PR baselines and emits `BENCH_nn.json`;
-//! this bench exists for quick interactive `cargo bench` comparisons.
+//! per-model epoch times. The `perf_report` binary times the same kernels
+//! against the `nn::matrix::reference` oracles, and the same epochs on
+//! their own, and emits `BENCH_nn.json`; this bench exists for quick
+//! interactive `cargo bench` comparisons.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::matrix::reference;

@@ -1,34 +1,22 @@
-//! Track the `nn` training hot path against frozen baselines and emit
-//! `BENCH_nn.json` so the performance trajectory is recorded across PRs.
+//! Time the live `nn` kernels, training epochs, simulator event queue and
+//! micro-batched serving, and emit `BENCH_nn.json` so the performance
+//! trajectory is recorded across changes.
 //!
-//! Three kinds of measurements:
+//! Every entry of `kernels` is a ratio of live code over a baseline that is
+//! itself either a live alternative path of the program or a test oracle:
 //!
 //! * **Kernel benches** — the SIMD-dispatched kernels (`matmul`,
-//!   `matmul_at_b`, `matmul_a_bt`, `matmul_bias`, blocked `transpose`, layer
-//!   forward/backward) against [`nn::matrix::reference`], the seed-state
-//!   scalar kernels preserved verbatim for exactly this purpose
-//!   (`baseline_kind: "seed_reference"`).
+//!   `matmul_at_b`, `matmul_a_bt`, `matmul_bias`, blocked `transpose`)
+//!   against [`nn::matrix::reference`], the scalar kernels every SIMD tier
+//!   is tested against (`baseline_kind: "seed_reference"`).
 //! * **Large-shape kernel benches** — the packed, cache-blocked driver on
 //!   shapes whose `B` operand overflows L1 (512³ and a tall-skinny
-//!   4096×64×256) against [`reference::tiled_matmul`], the PR 2
-//!   register-tiled kernel frozen verbatim, so the packing/SIMD win of this
-//!   round is measured against its immediate predecessor
-//!   (`baseline_kind: "pr2_tiled"`).
-//! * **Epoch benches** — one training epoch of each of the paper's three
-//!   neural models through the current `fit` hot paths:
-//!   * TabDDPM vs a faithful re-implementation of the pre-PR 2 epoch loop
-//!     (reference kernels, transpose-materializing backward, per-step
-//!     allocations, `to_vec` gradient copies);
-//!   * TVAE vs the same seed-style loop (reference kernels, allocating
-//!     reparameterisation step);
-//!   * CTABGAN+ vs the **unfused discriminator double-step** — two
-//!     half-batch forward/backward passes and two Adam updates per
-//!     discriminator step, on today's kernels — so its `speedup` isolates
-//!     the fused-concatenated-batch change.
-//!
-//! * **Throughput-ladder benches** (schema v3) — the multi-threaded and
-//!   `f32` rungs of the packed driver, each gated against its *own* tier so
-//!   `--check` always compares like-for-like:
+//!   4096×64×256) against [`reference::tiled_matmul`], the register-tiled
+//!   kernel the packed driver is tested against (`baseline_kind:
+//!   "pr2_tiled"`).
+//! * **Throughput-ladder benches** — the multi-threaded and `f32` rungs of
+//!   the packed driver, each gated against its *own* tier so `--check`
+//!   always compares like-for-like:
 //!   * `matmul_packed_<shape>_t<N>` — the packed driver fanned over the
 //!     rayon pool vs the same packed path run sequentially in the same
 //!     process (`baseline_kind: "seq_own_dtype"`). Emitted only when the
@@ -41,32 +29,29 @@
 //!     sequential (`baseline_kind: "seq_own_dtype"`).
 //!   * `mlp_infer_<shape>_f32` — `Mlp32` inference vs the `f64` `Mlp`
 //!     (`baseline_kind: "mlp_infer_f64"`).
-//! * **Simulator throughput benches** — `htcsim_throughput_queue_<N>`: the
-//!   bucketed calendar event queue vs the seed `BinaryHeap` scheduler
-//!   (`baseline_kind: "binary_heap"`) under the classic hold model; and
-//!   `htcsim_throughput_sim_<N>`: a full N-job simulation through today's
-//!   arena/calendar path vs a faithful re-implementation of the seed main
-//!   loop — `String`-keyed `HashMap` replica catalogue, per-dispatch
-//!   allocations, `BinaryHeap` — frozen verbatim like the seed epoch loops
-//!   (`baseline_kind: "seed_sim_loop"`), with the two `SimReport`s asserted
-//!   equal inside the harness. Gated at 1.0x like every other unsuffixed
-//!   entry.
+//! * **Simulator queue bench** — `htcsim_throughput_queue_<N>`: the
+//!   calendar event queue vs the `HeapQueue` it is pinned against
+//!   (`baseline_kind: "binary_heap"`), driven by [`bench::hold_model`].
 //! * **Serving bench** — `serve_batching_64x4`: sixty-four 4-row sample
 //!   requests answered by one coalesced `sample_batch` pass (the serve
 //!   loop's micro-batch scheduler) vs sixty-four sequential `sample` calls
-//!   on the same fitted TVAE (`baseline_kind: "unbatched_sample_calls"`),
-//!   gated at 1.0x by `--check` like every unsuffixed entry.
+//!   on the same fitted TVAE (`baseline_kind: "unbatched_sample_calls"`).
 //!
 //! Every kernel entry carries `threads` and `dtype` fields, and entry
 //! *names* encode both (`_t4`, `_f32` suffixes), so a regenerated report
 //! never gates a new tier against an old baseline kind — the name↔kind
 //! conventions are validated on read-back.
 //!
+//! The three **epoch entries** (`tabddpm_epoch`, `ctabgan_epoch`,
+//! `tvae_epoch`) time one fast-config training epoch of each neural model's
+//! `fit` through one harness. They have no baseline (schema v4): the
+//! recorded milliseconds per epoch are compared across regenerated reports.
+//!
 //! After writing the report the binary reads it back through
 //! `serde_json::from_str` and validates the schema, so CI's smoke invocation
 //! proves both halves (writer and parser) work. With `--check`, any kernel
-//! whose measured speedup over its frozen baseline drops below 1.0 fails
-//! the run (the CI regression guard).
+//! entry whose measured speedup over its baseline drops below 1.0 fails the
+//! run (the CI regression guard).
 //!
 //! Usage: `perf_report [--quick] [--check] [--out PATH] [--threads N]
 //! [--dtype f32|f64]` (default `BENCH_nn.json`). `--threads N` sets
@@ -76,24 +61,18 @@
 //! them). Malformed flag values exit with status 2 and a message, never a
 //! panic.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
+use bench::hold_model;
 use nn::matrix::reference;
-use nn::{
-    bce_with_logits, gaussian_kl, standard_normal_matrix, Activation, Adam, AdamConfig,
-    CosineDecay, Layer, LinearLayer, LrSchedule, Matrix, Matrix32, Mlp, MlpConfig,
-};
+use nn::{Matrix, Matrix32, Mlp, MlpConfig};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use surrogate::mixed::{mixed_activation, mixed_activation_backward, mixed_reconstruction_loss};
 use surrogate::{
-    CtabGan, CtabGanConfig, SampleSpec, TabDdpm, TabDdpmConfig, TableCodec, TabularGenerator, Tvae,
-    TvaeConfig,
+    CtabGan, CtabGanConfig, SampleSpec, TabDdpm, TabDdpmConfig, TabularGenerator, Tvae, TvaeConfig,
 };
-use tabular::{Column, FeatureKind, Table};
+use tabular::{Column, Table};
 
 #[derive(Debug, Serialize, Deserialize)]
 struct KernelBench {
@@ -111,14 +90,12 @@ struct KernelBench {
     speedup: f64,
 }
 
+/// Milliseconds per training epoch of today's `fit`; no baseline.
 #[derive(Debug, Serialize, Deserialize)]
 struct EpochBench {
-    baseline_kind: String,
     rows: usize,
     epochs_timed: usize,
     new_epoch_ms: f64,
-    baseline_epoch_ms: f64,
-    speedup: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -363,27 +340,6 @@ fn kernel_benches(quick: bool) -> Vec<KernelBench> {
         base_ns,
     ));
 
-    let mut layer = LinearLayer::new(128, 64, Activation::Relu, &mut rng);
-    let mut baseline_layer = BaselineLayer::from_layer(&layer);
-    let x = Matrix::randn(256, 128, 1.0, &mut rng);
-    let out = layer.forward(&x);
-    let new_ns = time_ns(reps, inner, || {
-        let y = layer.forward(&x);
-        std::hint::black_box(layer.backward(&out));
-        std::hint::black_box(y);
-    });
-    let base_ns = time_ns(reps, inner, || {
-        let y = baseline_layer.forward(&x);
-        std::hint::black_box(baseline_layer.backward(&out));
-        std::hint::black_box(y);
-    });
-    entries.push(kernel_entry(
-        "layer_fwd_bwd_256x128x64",
-        "seed_reference",
-        new_ns,
-        base_ns,
-    ));
-
     entries
 }
 
@@ -476,169 +432,6 @@ fn ladder_benches(quick: bool, dtype: DtypeFilter) -> Vec<KernelBench> {
     entries
 }
 
-// ---------------------------------------------------------------------------
-// Faithful re-implementation of the pre-PR 2 hot path: reference kernels,
-// transpose-materializing backward, per-step clones, the seed-state Adam
-// update loop and the two-allocation MSE. These are frozen so future
-// optimisation of the live `nn` crate cannot silently drag the baseline
-// along with it.
-// ---------------------------------------------------------------------------
-
-/// The seed-state Adam (indexed inner loop, gradient slices copied by the
-/// caller exactly as the pre-PR `Mlp::apply_gradients` did).
-struct BaselineAdam {
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    state: HashMap<usize, (Vec<f64>, Vec<f64>, u64)>,
-}
-
-impl BaselineAdam {
-    fn new() -> Self {
-        Self {
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            state: HashMap::new(),
-        }
-    }
-
-    fn update(&mut self, key: usize, params: &mut [f64], grads: &[f64], lr: f64) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        let (m, v, t) = self
-            .state
-            .entry(key)
-            .or_insert_with(|| (vec![0.0; params.len()], vec![0.0; params.len()], 0));
-        *t += 1;
-        let tf = *t as f64;
-        let bias1 = 1.0 - self.beta1.powf(tf);
-        let bias2 = 1.0 - self.beta2.powf(tf);
-        for i in 0..params.len() {
-            let g = grads[i];
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = m[i] / bias1;
-            let v_hat = v[i] / bias2;
-            params[i] -= lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-    }
-}
-
-/// The seed-state MSE: separate difference, reduction and gradient passes
-/// with two allocations.
-fn baseline_mse(prediction: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    let n = prediction.len() as f64;
-    let diff = prediction.sub(target);
-    let loss = diff.data().iter().map(|d| d * d).sum::<f64>() / n;
-    let grad = diff.scale(2.0 / n);
-    (loss, grad)
-}
-
-struct BaselineLayer {
-    weights: Matrix,
-    bias: Vec<f64>,
-    activation: Activation,
-    grad_weights: Matrix,
-    grad_bias: Vec<f64>,
-    cache_input: Option<Matrix>,
-    cache_pre: Option<Matrix>,
-}
-
-impl BaselineLayer {
-    /// Clone a (new-style) layer's parameters so both paths do identical math.
-    fn from_layer(layer: &LinearLayer) -> Self {
-        Self {
-            weights: layer.weights.clone(),
-            bias: layer.bias.clone(),
-            activation: layer.activation,
-            grad_weights: Matrix::zeros(layer.in_dim(), layer.out_dim()),
-            grad_bias: vec![0.0; layer.out_dim()],
-            cache_input: None,
-            cache_pre: None,
-        }
-    }
-
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let act = self.activation;
-        let pre = reference::matmul(input, &self.weights).add_row_vector(&self.bias);
-        let out = pre.map(|v| act.forward(v));
-        self.cache_input = Some(input.clone());
-        self.cache_pre = Some(pre);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let input = self.cache_input.as_ref().expect("forward first");
-        let pre = self.cache_pre.as_ref().expect("forward first");
-        let act = self.activation;
-        let grad_pre = grad_output.zip(pre, |g, p| g * act.derivative(p));
-        self.grad_weights = reference::matmul(&reference::transpose(input), &grad_pre);
-        self.grad_bias = grad_pre.sum_rows();
-        reference::matmul(&grad_pre, &reference::transpose(&self.weights))
-    }
-}
-
-struct BaselineMlp {
-    layers: Vec<BaselineLayer>,
-}
-
-impl BaselineMlp {
-    fn from_mlp(mlp: &Mlp) -> Self {
-        Self {
-            layers: mlp.layers().iter().map(BaselineLayer::from_layer).collect(),
-        }
-    }
-
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut grad = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        grad
-    }
-
-    fn grad_norm(&self) -> f64 {
-        let mut sq = 0.0;
-        for layer in &self.layers {
-            sq += layer.grad_weights.data().iter().map(|g| g * g).sum::<f64>();
-            sq += layer.grad_bias.iter().map(|g| g * g).sum::<f64>();
-        }
-        sq.sqrt()
-    }
-
-    fn clip_gradients(&mut self, max_norm: f64) {
-        let norm = self.grad_norm();
-        if norm > max_norm && norm > 0.0 {
-            let scale = max_norm / norm;
-            for layer in &mut self.layers {
-                layer.grad_weights = layer.grad_weights.scale(scale);
-                for g in &mut layer.grad_bias {
-                    *g *= scale;
-                }
-            }
-        }
-    }
-
-    fn apply_gradients(&mut self, optimizer: &mut BaselineAdam, param_group: usize, lr: f64) {
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let wkey = param_group * 1000 + i * 2;
-            let bkey = wkey + 1;
-            let grads = layer.grad_weights.data().to_vec();
-            optimizer.update(wkey, layer.weights.data_mut(), &grads, lr);
-            let bias_grads = layer.grad_bias.clone();
-            optimizer.update(bkey, &mut layer.bias, &bias_grads, lr);
-        }
-    }
-}
-
 /// The training table the epoch benches fit: a PanDA-like mix of numerical
 /// and categorical columns.
 fn epoch_table(n: usize, seed: u64) -> Table {
@@ -697,540 +490,33 @@ fn differenced_epoch_ms(
     timed_fit(e2, reps) * 1e3 / e2 as f64
 }
 
-// ---------------------------------------------------------------------------
-// TabDDPM epoch bench (vs the seed-kernel baseline loop).
-// ---------------------------------------------------------------------------
-
-/// One pre-PR-style TabDDPM training epoch: the exact inner loop the seed
-/// shipped (fresh batch/noise/noisy allocations every step, clone-heavy
-/// MLP), driven by the same schedule, batch size and RNG pattern as
-/// `TabDdpm::fit`.
-#[allow(clippy::too_many_arguments)]
-fn baseline_tabddpm_epoch(
-    denoiser: &mut BaselineMlp,
-    adam: &mut BaselineAdam,
-    data: &Matrix,
-    alpha_bar: &[f64],
-    timesteps: usize,
-    batch: usize,
-    schedule: &CosineDecay,
-    step: &mut usize,
-    rng: &mut StdRng,
-) -> f64 {
-    let n = data.rows();
-    let width = data.cols();
-    let steps_per_epoch = n.div_ceil(batch);
-    let mut epoch_loss = 0.0;
-    for _ in 0..steps_per_epoch {
-        let lr = schedule.lr_at(*step);
-        *step += 1;
-
-        let idx: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..n)).collect();
-        let x0 = data.take_rows(&idx);
-
-        let ts: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..timesteps)).collect();
-        let t_frac: Vec<f64> = ts
-            .iter()
-            .map(|&t| (t + 1) as f64 / timesteps as f64)
-            .collect();
-        let noise = standard_normal_matrix(batch, width, rng);
-
-        let mut x_noisy = Matrix::zeros(batch, width);
-        for (r, &t) in ts.iter().enumerate() {
-            let ab = alpha_bar[t];
-            let (sa, sb) = (ab.sqrt(), (1.0 - ab).sqrt());
-            for c in 0..width {
-                x_noisy.set(r, c, sa * x0.get(r, c) + sb * noise.get(r, c));
-            }
-        }
-
-        let mut t_cols = Matrix::zeros(batch, 2);
-        for (r, &t) in t_frac.iter().enumerate() {
-            t_cols.set(r, 0, t);
-            t_cols.set(r, 1, (t * std::f64::consts::PI).sin());
-        }
-        let input = x_noisy.hconcat(&t_cols);
-
-        let predicted = denoiser.forward(&input);
-        let (loss, grad) = baseline_mse(&predicted, &noise);
-        epoch_loss += loss;
-        denoiser.backward(&grad);
-        denoiser.clip_gradients(5.0);
-        denoiser.apply_gradients(adam, 0, lr);
-    }
-    epoch_loss / steps_per_epoch as f64
-}
-
-/// Cosine ᾱ schedule matching `TabDdpm` (re-derived here because the model
-/// keeps it private; validated against `TabDdpm::alpha_bar()` below).
-fn cosine_alpha_bar(timesteps: usize) -> Vec<f64> {
-    let s = 0.008;
-    let f = |t: f64| {
-        ((t / timesteps as f64 + s) / (1.0 + s) * std::f64::consts::FRAC_PI_2)
-            .cos()
-            .powi(2)
-    };
-    let f0 = f(0.0);
-    (1..=timesteps)
-        .map(|t| (f(t as f64) / f0).clamp(1e-5, 0.9999))
-        .collect()
-}
-
-fn tabddpm_epoch_bench(quick: bool) -> EpochBench {
+/// One fast-config training epoch of a neural model: `model(epochs)`
+/// builds the unfitted model, and [`differenced_epoch_ms`] times its `fit`
+/// on the 512-row (quick) or 2048-row epoch table.
+fn epoch_bench<M: TabularGenerator>(
+    label: &str,
+    quick: bool,
+    model: impl Fn(usize) -> M,
+) -> EpochBench {
     let rows = if quick { 512 } else { 2048 };
     let (e1, e2, reps) = if quick { (1, 3, 1) } else { (2, 10, 2) };
-    let epochs = e2 - e1;
-    let cfg = TabDdpmConfig {
-        epochs: e2,
-        ..TabDdpmConfig::fast()
-    };
     let train = epoch_table(rows, 99);
-
-    let new_epoch_ms = differenced_epoch_ms("tabddpm", reps, e1, e2, |epochs, reps| {
+    let new_epoch_ms = differenced_epoch_ms(label, reps, e1, e2, |epochs, reps| {
         let mut best = f64::INFINITY;
         for _ in 0..reps.max(1) {
-            let mut model = TabDdpm::new(TabDdpmConfig {
-                epochs,
-                ..cfg.clone()
-            });
+            let mut fitted = model(epochs);
             let start = Instant::now();
-            model.fit(&train).expect("TabDDPM fit");
+            fitted
+                .fit(&train)
+                .unwrap_or_else(|e| panic!("{label} fit: {e}"));
             best = best.min(start.elapsed().as_secs_f64());
         }
         best
     });
-    // Unfitted model: `alpha_bar` is derived in the constructor.
-    let model = TabDdpm::new(cfg.clone());
-
-    // --- Pre-PR hot path: same math, seed-state kernels and allocations. ---
-    let codec = TableCodec::fit(&train).expect("codec fit");
-    let data = codec.encode(&train).expect("codec encode");
-    let width = codec.encoded_width();
-    let alpha_bar = cosine_alpha_bar(cfg.timesteps);
-    assert_eq!(
-        alpha_bar.as_slice(),
-        model.alpha_bar(),
-        "baseline schedule drifted from the model's"
-    );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let template = Mlp::new(
-        &MlpConfig::relu(width + 2, cfg.hidden.clone(), width),
-        &mut rng,
-    );
-    let mut denoiser = BaselineMlp::from_mlp(&template);
-    let mut adam = BaselineAdam::new();
-    let n = data.rows();
-    let batch = cfg.batch_size.min(n).max(1);
-    let steps_per_epoch = n.div_ceil(batch);
-    let schedule = CosineDecay {
-        base_lr: cfg.learning_rate,
-        min_lr: cfg.learning_rate * 0.01,
-        total_steps: cfg.epochs * steps_per_epoch,
-        warmup_steps: 0,
-    };
-    let mut step = 0usize;
-    let start = Instant::now();
-    let mut last_loss = f64::NAN;
-    for _ in 0..epochs {
-        last_loss = baseline_tabddpm_epoch(
-            &mut denoiser,
-            &mut adam,
-            &data,
-            &alpha_bar,
-            cfg.timesteps,
-            batch,
-            &schedule,
-            &mut step,
-            &mut rng,
-        );
-    }
-    let baseline_epoch_ms = start.elapsed().as_secs_f64() * 1e3 / epochs as f64;
-    assert!(
-        last_loss.is_finite(),
-        "baseline training diverged; comparison would be meaningless"
-    );
-
     EpochBench {
-        baseline_kind: "seed_epoch_loop".to_string(),
         rows,
-        epochs_timed: epochs,
+        epochs_timed: e2 - e1,
         new_epoch_ms,
-        baseline_epoch_ms,
-        speedup: baseline_epoch_ms / new_epoch_ms.max(1e-9),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CTABGAN+ epoch bench (vs the unfused discriminator double-step).
-// ---------------------------------------------------------------------------
-
-/// The conditioning column `CtabGan::fit` picks (largest-cardinality
-/// categorical span) and its training marginal, replicated here for the
-/// baseline loop.
-fn choose_condition(codec: &TableCodec, data: &Matrix) -> Option<(usize, Vec<f64>)> {
-    codec
-        .spans()
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.kind == FeatureKind::Categorical)
-        .max_by_key(|(_, s)| s.width)
-        .map(|(idx, span)| {
-            let mut marginal = vec![0.0; span.width];
-            for r in 0..data.rows() {
-                let block = &data.row(r)[span.start..span.start + span.width];
-                if let Some(code) = block.iter().position(|&v| v > 0.5) {
-                    marginal[code] += 1.0;
-                }
-            }
-            let total: f64 = marginal.iter().sum::<f64>().max(1.0);
-            for m in &mut marginal {
-                *m /= total;
-            }
-            (idx, marginal)
-        })
-}
-
-/// Conditional one-hot batch from the training marginal (the baseline's
-/// allocating variant, matching the pre-fusion loop).
-fn sample_condition(
-    condition: &Option<(usize, Vec<f64>)>,
-    codec: &TableCodec,
-    rows: usize,
-    rng: &mut StdRng,
-) -> Matrix {
-    let Some((span_idx, marginal)) = condition else {
-        return Matrix::zeros(rows, 0);
-    };
-    let width = codec.spans()[*span_idx].width;
-    let mut out = Matrix::zeros(rows, width);
-    for r in 0..rows {
-        let mut u: f64 = rng.gen_range(0.0..1.0);
-        let mut chosen = width - 1;
-        for (i, &p) in marginal.iter().enumerate() {
-            if u < p {
-                chosen = i;
-                break;
-            }
-            u -= p;
-        }
-        out.set(r, chosen, 1.0);
-    }
-    out
-}
-
-/// One pre-fusion CTABGAN+ training epoch: per discriminator step, two
-/// half-batch forward/backward passes and two Adam updates (real then
-/// fake), with per-step `hconcat` batch assembly — exactly the loop shipped
-/// before the fused double-step, but on today's kernels, so the measured
-/// ratio isolates the fusion itself.
-#[allow(clippy::too_many_arguments)]
-fn baseline_ctabgan_epoch(
-    generator: &mut Mlp,
-    discriminator: &mut Mlp,
-    adam: &mut Adam,
-    data: &Matrix,
-    codec: &TableCodec,
-    condition: &Option<(usize, Vec<f64>)>,
-    cfg: &CtabGanConfig,
-    schedule: &CosineDecay,
-    step: &mut usize,
-    rng: &mut StdRng,
-) -> f64 {
-    let n = data.rows();
-    let width = codec.encoded_width();
-    let batch = cfg.batch_size.min(n).max(1);
-    let steps_per_epoch = n.div_ceil(batch);
-    let mut d_loss_sum = 0.0;
-    let mut g_loss_sum = 0.0;
-    for _ in 0..steps_per_epoch {
-        let lr = schedule.lr_at(*step);
-        *step += 1;
-
-        for _ in 0..cfg.discriminator_steps {
-            let idx: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..n)).collect();
-            let real = data.take_rows(&idx);
-            let cond = sample_condition(condition, codec, batch, rng);
-
-            let z = standard_normal_matrix(batch, cfg.latent_dim, rng);
-            let g_in = z.hconcat(&cond);
-            let fake_raw = generator.infer(&g_in);
-            let fake = mixed_activation(codec.spans(), &fake_raw);
-
-            let d_real_in = real.hconcat(&cond);
-            let d_fake_in = fake.hconcat(&cond);
-
-            let real_logits = discriminator.forward(&d_real_in);
-            let (loss_real, grad_real) =
-                bce_with_logits(&real_logits, &Matrix::filled(batch, 1, 1.0));
-            discriminator.backward(&grad_real);
-            discriminator.clip_gradients(5.0);
-            discriminator.apply_gradients(adam, 10, lr);
-
-            let fake_logits = discriminator.forward(&d_fake_in);
-            let (loss_fake, grad_fake) =
-                bce_with_logits(&fake_logits, &Matrix::filled(batch, 1, 0.0));
-            discriminator.backward(&grad_fake);
-            discriminator.clip_gradients(5.0);
-            discriminator.apply_gradients(adam, 10, lr);
-
-            d_loss_sum += loss_real + loss_fake;
-        }
-
-        let cond = sample_condition(condition, codec, batch, rng);
-        let z = standard_normal_matrix(batch, cfg.latent_dim, rng);
-        let g_in = z.hconcat(&cond);
-        let fake_raw = generator.forward(&g_in);
-        let fake = mixed_activation(codec.spans(), &fake_raw);
-        let d_in = fake.hconcat(&cond);
-
-        let logits = discriminator.forward(&d_in);
-        let (g_loss, grad_logits) = bce_with_logits(&logits, &Matrix::filled(batch, 1, 1.0));
-        g_loss_sum += g_loss;
-
-        let grad_d_in = discriminator.backward(&grad_logits);
-        let grad_fake = grad_d_in.slice_cols(0, width);
-        let grad_fake_raw = mixed_activation_backward(codec.spans(), &fake, &grad_fake);
-        generator.backward(&grad_fake_raw);
-        generator.clip_gradients(5.0);
-        generator.apply_gradients(adam, 20, lr);
-    }
-    (g_loss_sum + d_loss_sum) / steps_per_epoch as f64
-}
-
-fn ctabgan_epoch_bench(quick: bool) -> EpochBench {
-    let rows = if quick { 512 } else { 2048 };
-    let (e1, e2, reps) = if quick { (1, 3, 1) } else { (2, 10, 2) };
-    let epochs = e2 - e1;
-    let cfg = CtabGanConfig {
-        epochs: e2,
-        ..CtabGanConfig::fast()
-    };
-    let train = epoch_table(rows, 99);
-
-    let new_epoch_ms = differenced_epoch_ms("ctabgan", reps, e1, e2, |epochs, reps| {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let mut model = CtabGan::new(CtabGanConfig {
-                epochs,
-                ..cfg.clone()
-            });
-            let start = Instant::now();
-            model.fit(&train).expect("CTABGAN fit");
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    });
-
-    // --- Unfused baseline: identical model setup, pre-fusion update loop. ---
-    let codec = TableCodec::fit(&train).expect("codec fit");
-    let data = codec.encode(&train).expect("codec encode");
-    let width = codec.encoded_width();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let condition = if cfg.conditional {
-        choose_condition(&codec, &data)
-    } else {
-        None
-    };
-    let cond_width = condition
-        .as_ref()
-        .map_or(0, |(idx, _)| codec.spans()[*idx].width);
-    let mut generator = Mlp::new(
-        &MlpConfig::relu(
-            cfg.latent_dim + cond_width,
-            cfg.generator_hidden.clone(),
-            width,
-        ),
-        &mut rng,
-    );
-    let mut discriminator = Mlp::new(
-        &MlpConfig::relu(width + cond_width, cfg.discriminator_hidden.clone(), 1),
-        &mut rng,
-    );
-    let mut adam = Adam::new(AdamConfig::default());
-    let n = data.rows();
-    let batch = cfg.batch_size.min(n).max(1);
-    let steps_per_epoch = n.div_ceil(batch);
-    let schedule = CosineDecay {
-        base_lr: cfg.learning_rate,
-        min_lr: cfg.learning_rate * 0.01,
-        total_steps: cfg.epochs * steps_per_epoch,
-        warmup_steps: 0,
-    };
-    let mut step = 0usize;
-    let start = Instant::now();
-    let mut last_loss = f64::NAN;
-    for _ in 0..epochs {
-        last_loss = baseline_ctabgan_epoch(
-            &mut generator,
-            &mut discriminator,
-            &mut adam,
-            &data,
-            &codec,
-            &condition,
-            &cfg,
-            &schedule,
-            &mut step,
-            &mut rng,
-        );
-    }
-    let baseline_epoch_ms = start.elapsed().as_secs_f64() * 1e3 / epochs as f64;
-    assert!(
-        last_loss.is_finite(),
-        "baseline CTABGAN training diverged; comparison would be meaningless"
-    );
-
-    EpochBench {
-        baseline_kind: "unfused_discriminator_double_step".to_string(),
-        rows,
-        epochs_timed: epochs,
-        new_epoch_ms,
-        baseline_epoch_ms,
-        speedup: baseline_epoch_ms / new_epoch_ms.max(1e-9),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TVAE epoch bench (vs the seed-kernel baseline loop).
-// ---------------------------------------------------------------------------
-
-/// One pre-PR-style TVAE training epoch: the seed inner loop (fresh batch
-/// and noise allocations every step, clone-heavy reference-kernel MLPs),
-/// driven by the same schedule, batch size and shuffling pattern as
-/// `Tvae::fit`.
-#[allow(clippy::too_many_arguments)]
-fn baseline_tvae_epoch(
-    encoder: &mut BaselineMlp,
-    decoder: &mut BaselineMlp,
-    adam: &mut BaselineAdam,
-    data: &Matrix,
-    codec: &TableCodec,
-    cfg: &TvaeConfig,
-    indices: &mut [usize],
-    schedule: &CosineDecay,
-    step: &mut usize,
-    rng: &mut StdRng,
-) -> f64 {
-    let n = data.rows();
-    let batch = cfg.batch_size.min(n).max(1);
-    let steps_per_epoch = n.div_ceil(batch);
-    indices.shuffle(rng);
-    let mut epoch_loss = 0.0;
-    for chunk in indices.chunks(batch) {
-        let x = data.take_rows(chunk);
-        let lr = schedule.lr_at(*step);
-        *step += 1;
-
-        let enc_out = encoder.forward(&x);
-        let mu = enc_out.slice_cols(0, cfg.latent_dim);
-        let logvar = enc_out
-            .slice_cols(cfg.latent_dim, 2 * cfg.latent_dim)
-            .map(|v| v.clamp(-8.0, 8.0));
-
-        let eps = standard_normal_matrix(x.rows(), cfg.latent_dim, rng);
-        let std = logvar.map(|v| (0.5 * v).exp());
-        let z = mu.add(&eps.mul(&std));
-
-        let recon = decoder.forward(&z);
-        let (recon_loss, grad_recon) = mixed_reconstruction_loss(codec.spans(), &recon, &x);
-        let (kl_loss, grad_kl_mu, grad_kl_logvar) = gaussian_kl(&mu, &logvar);
-        epoch_loss += recon_loss + cfg.kl_weight * kl_loss;
-
-        let grad_z = decoder.backward(&grad_recon);
-        let grad_mu = grad_z.add(&grad_kl_mu.scale(cfg.kl_weight));
-        let grad_logvar_from_z = grad_z.mul(&eps).mul(&std).scale(0.5);
-        let grad_logvar = grad_logvar_from_z.add(&grad_kl_logvar.scale(cfg.kl_weight));
-
-        let grad_enc_out = grad_mu.hconcat(&grad_logvar);
-        encoder.backward(&grad_enc_out);
-
-        encoder.clip_gradients(5.0);
-        decoder.clip_gradients(5.0);
-        encoder.apply_gradients(adam, 0, lr);
-        decoder.apply_gradients(adam, 1, lr);
-    }
-    epoch_loss / steps_per_epoch as f64
-}
-
-fn tvae_epoch_bench(quick: bool) -> EpochBench {
-    let rows = if quick { 512 } else { 2048 };
-    let (e1, e2, reps) = if quick { (1, 3, 1) } else { (2, 10, 2) };
-    let epochs = e2 - e1;
-    let cfg = TvaeConfig {
-        epochs: e2,
-        ..TvaeConfig::fast()
-    };
-    let train = epoch_table(rows, 99);
-
-    let new_epoch_ms = differenced_epoch_ms("tvae", reps, e1, e2, |epochs, reps| {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let mut model = Tvae::new(TvaeConfig {
-                epochs,
-                ..cfg.clone()
-            });
-            let start = Instant::now();
-            model.fit(&train).expect("TVAE fit");
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    });
-
-    // --- Seed-style baseline: reference kernels, allocating loop. ---
-    let codec = TableCodec::fit(&train).expect("codec fit");
-    let data = codec.encode(&train).expect("codec encode");
-    let width = codec.encoded_width();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let enc_template = Mlp::new(
-        &MlpConfig::relu(width, cfg.hidden.clone(), 2 * cfg.latent_dim),
-        &mut rng,
-    );
-    let dec_template = Mlp::new(
-        &MlpConfig::relu(cfg.latent_dim, cfg.hidden.clone(), width),
-        &mut rng,
-    );
-    let mut encoder = BaselineMlp::from_mlp(&enc_template);
-    let mut decoder = BaselineMlp::from_mlp(&dec_template);
-    let mut adam = BaselineAdam::new();
-    let n = data.rows();
-    let batch = cfg.batch_size.min(n).max(1);
-    let steps_per_epoch = n.div_ceil(batch);
-    let schedule = CosineDecay {
-        base_lr: cfg.learning_rate,
-        min_lr: cfg.learning_rate * 0.01,
-        total_steps: cfg.epochs * steps_per_epoch,
-        warmup_steps: 0,
-    };
-    let mut indices: Vec<usize> = (0..n).collect();
-    let mut step = 0usize;
-    let start = Instant::now();
-    let mut last_loss = f64::NAN;
-    for _ in 0..epochs {
-        last_loss = baseline_tvae_epoch(
-            &mut encoder,
-            &mut decoder,
-            &mut adam,
-            &data,
-            &codec,
-            &cfg,
-            &mut indices,
-            &schedule,
-            &mut step,
-            &mut rng,
-        );
-    }
-    let baseline_epoch_ms = start.elapsed().as_secs_f64() * 1e3 / epochs as f64;
-    assert!(
-        last_loss.is_finite(),
-        "baseline TVAE training diverged; comparison would be meaningless"
-    );
-
-    EpochBench {
-        baseline_kind: "seed_epoch_loop".to_string(),
-        rows,
-        epochs_timed: epochs,
-        new_epoch_ms,
-        baseline_epoch_ms,
-        speedup: baseline_epoch_ms / new_epoch_ms.max(1e-9),
     }
 }
 
@@ -1238,10 +524,6 @@ fn tvae_epoch_bench(quick: bool) -> EpochBench {
 // Report emission, validation and the CI regression guard.
 // ---------------------------------------------------------------------------
 
-/// Parse an emitted report back through the typed `Deserialize` path (no
-/// `Value` accessor chains) and check its invariants: a malformed or
-/// field-stripped document fails at the parse, and a structurally valid one
-/// must carry positive finite timings throughout.
 /// The explicit thread-count suffix of a ladder entry name (`_t4`,
 /// `_t4_f32`), if present.
 fn name_thread_suffix(name: &str) -> Option<usize> {
@@ -1292,6 +574,10 @@ fn check_name_conventions(entry: &KernelBench) -> Result<(), String> {
     Ok(())
 }
 
+/// Parse an emitted report back through the typed `Deserialize` path (no
+/// `Value` accessor chains) and check its invariants: a malformed or
+/// field-stripped document fails at the parse, and a structurally valid one
+/// must carry positive finite timings throughout.
 fn validate_text(text: &str) -> Result<Report, String> {
     let report: Report = serde_json::from_str(text).map_err(|e| format!("parse: {e}"))?;
     if report.kernels.is_empty() {
@@ -1332,8 +618,8 @@ fn validate_text(text: &str) -> Result<Report, String> {
         ("ctabgan_epoch", &report.ctabgan_epoch),
         ("tvae_epoch", &report.tvae_epoch),
     ] {
-        if !epoch.speedup.is_finite() || epoch.speedup <= 0.0 {
-            return Err(format!("{model}.speedup is not a positive number"));
+        if !epoch.new_epoch_ms.is_finite() || epoch.new_epoch_ms <= 0.0 {
+            return Err(format!("{model}.new_epoch_ms is not a positive number"));
         }
     }
     if report.simd_tier.is_empty() {
@@ -1350,7 +636,7 @@ fn validate(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Regression guard: every kernel must still beat its frozen baseline.
+/// Regression guard: every kernel entry must still beat its baseline.
 /// Returns the offending entries (empty = pass). Works off the in-memory
 /// measurements — the file round-trip is already proven by [`validate`].
 ///
@@ -1368,386 +654,16 @@ fn kernel_regressions(kernels: &[KernelBench], host_cores: usize) -> Vec<String>
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Faithful re-implementation of the seed htcsim main loop: `String`-keyed
-// `HashMap` replica catalogue, a freshly-allocated feasible-site `Vec` per
-// brokerage decision, a reallocated pending list per job finish, and the
-// seed `BinaryHeap` scheduler. Frozen verbatim (like the seed epoch loops
-// above) so the `htcsim_throughput_sim` entry measures the whole tentpole —
-// arena SoA storage, interned dataset/site ids, the allocation-free event
-// loop and the calendar queue — against the loop the seed shipped.
-// ---------------------------------------------------------------------------
-mod seed_sim {
-    use std::cmp::Ordering;
-    use std::collections::{BinaryHeap, HashMap};
+/// `htcsim_throughput_queue_<N>`: N transitions of [`hold_model`] through
+/// the calendar queue vs the `HeapQueue` it is pinned against
+/// (`baseline_kind: "binary_heap"`). Deep queues are where the calendar's
+/// flat cost structurally beats the heap's `O(log n)` (the margin at
+/// shallow sizes is noise-level), so the queue holds hundreds of thousands
+/// of in-flight events. A single-threaded f64 entry, gated at 1.0x like
+/// every unsuffixed entry.
+fn htcsim_queue_bench(quick: bool) -> KernelBench {
+    use htcsim::{CalendarQueue, HeapQueue};
 
-    use htcsim::{BrokerPolicy, SimConfig, SimJob, SimReport, SimSite, TransferModel};
-    use pandasim::SiteCatalog;
-
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum EventKind {
-        JobArrival { job: usize },
-        TransferComplete { job: usize, site: usize },
-        JobFinish { job: usize, site: usize },
-    }
-
-    #[derive(Clone, Copy, PartialEq)]
-    struct Event {
-        time: f64,
-        sequence: u64,
-        kind: EventKind,
-    }
-
-    impl Eq for Event {}
-
-    impl Ord for Event {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .time
-                .partial_cmp(&self.time)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.sequence.cmp(&self.sequence))
-        }
-    }
-
-    impl PartialOrd for Event {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    #[derive(Default)]
-    struct EventQueue {
-        heap: BinaryHeap<Event>,
-        next_sequence: u64,
-    }
-
-    impl EventQueue {
-        fn push(&mut self, time: f64, kind: EventKind) {
-            let sequence = self.next_sequence;
-            self.next_sequence += 1;
-            self.heap.push(Event {
-                time,
-                sequence,
-                kind,
-            });
-        }
-
-        fn pop(&mut self) -> Option<Event> {
-            self.heap.pop()
-        }
-    }
-
-    #[derive(Default)]
-    struct ReplicaCatalog {
-        replicas: HashMap<String, Vec<usize>>,
-    }
-
-    impl ReplicaCatalog {
-        fn add_replica(&mut self, dataset: &str, site: usize) {
-            let entry = self.replicas.entry(dataset.to_string()).or_default();
-            if !entry.contains(&site) {
-                entry.push(site);
-            }
-        }
-
-        fn has_replica(&self, dataset: &str, site: usize) -> bool {
-            self.replicas
-                .get(dataset)
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-                .contains(&site)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn choose(
-        policy: BrokerPolicy,
-        sites: &[SimSite],
-        cores: u32,
-        dataset: &str,
-        catalog: &ReplicaCatalog,
-        transfer: &TransferModel,
-        bytes: f64,
-        round_robin_cursor: &mut usize,
-    ) -> Option<usize> {
-        let feasible: Vec<usize> = sites
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.can_run(cores))
-            .map(|(i, _)| i)
-            .collect();
-        if feasible.is_empty() {
-            return None;
-        }
-        match policy {
-            BrokerPolicy::RoundRobin => {
-                for _ in 0..sites.len() {
-                    let candidate = *round_robin_cursor % sites.len();
-                    *round_robin_cursor += 1;
-                    if feasible.contains(&candidate) {
-                        return Some(candidate);
-                    }
-                }
-                feasible.first().copied()
-            }
-            BrokerPolicy::LeastLoaded => feasible.into_iter().max_by(|&a, &b| {
-                sites[a]
-                    .free_slots()
-                    .cmp(&sites[b].free_slots())
-                    .then_with(|| b.cmp(&a))
-            }),
-            BrokerPolicy::DataLocality => feasible.into_iter().min_by(|&a, &b| {
-                let cost = |i: usize| {
-                    let local = catalog.has_replica(dataset, i);
-                    let t = transfer.transfer_hours(bytes, local);
-                    t - 1e-3 * sites[i].free_slots() as f64
-                };
-                cost(a)
-                    .partial_cmp(&cost(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            }),
-        }
-    }
-
-    /// The seed `GridSimulator::run`, verbatim.
-    pub fn run(site_catalog: &SiteCatalog, config: &SimConfig, jobs: &[SimJob]) -> SimReport {
-        let mut sites: Vec<SimSite> = site_catalog
-            .sites()
-            .iter()
-            .map(|s| {
-                let slots = ((s.slots as f64 * config.slot_fraction).round() as u32).max(8);
-                SimSite::new(&s.name, slots, s.hs23_per_core)
-            })
-            .collect();
-        let mut catalog = ReplicaCatalog::default();
-        for job in jobs {
-            if let Some(origin) = &job.origin_site {
-                if let Some(idx) = sites.iter().position(|s| &s.name == origin) {
-                    catalog.add_replica(&job.dataset, idx);
-                }
-            }
-        }
-
-        let mut queue = EventQueue::default();
-        for (i, job) in jobs.iter().enumerate() {
-            queue.push(job.arrival_hours.max(0.0), EventKind::JobArrival { job: i });
-        }
-
-        let mut pending: Vec<usize> = Vec::new();
-        let mut wait_hours = vec![0.0f64; jobs.len()];
-        let mut transfer_hours = vec![0.0f64; jobs.len()];
-        let mut arrival_time = vec![0.0f64; jobs.len()];
-        let mut completed = 0usize;
-        let mut makespan: f64 = 0.0;
-        let mut wan_bytes = 0.0f64;
-        let mut rr_cursor = 0usize;
-
-        let dispatch = |job_idx: usize,
-                        now: f64,
-                        sites: &mut Vec<SimSite>,
-                        catalog: &ReplicaCatalog,
-                        queue: &mut EventQueue,
-                        wan_bytes: &mut f64,
-                        transfer_hours: &mut Vec<f64>,
-                        rr_cursor: &mut usize|
-         -> bool {
-            let job = &jobs[job_idx];
-            let choice = choose(
-                config.policy,
-                sites,
-                job.cores,
-                &job.dataset,
-                catalog,
-                &config.transfer,
-                job.input_bytes,
-                rr_cursor,
-            );
-            let Some(site_idx) = choice else {
-                return false;
-            };
-            sites[site_idx].acquire(job.cores);
-            let local = catalog.has_replica(&job.dataset, site_idx);
-            let t_hours = config.transfer.transfer_hours(job.input_bytes, local);
-            if !local {
-                *wan_bytes += job.input_bytes;
-            }
-            transfer_hours[job_idx] = t_hours;
-            queue.push(
-                now + t_hours,
-                EventKind::TransferComplete {
-                    job: job_idx,
-                    site: site_idx,
-                },
-            );
-            true
-        };
-
-        while let Some(event) = queue.pop() {
-            let now = event.time;
-            match event.kind {
-                EventKind::JobArrival { job } => {
-                    arrival_time[job] = now;
-                    if !dispatch(
-                        job,
-                        now,
-                        &mut sites,
-                        &catalog,
-                        &mut queue,
-                        &mut wan_bytes,
-                        &mut transfer_hours,
-                        &mut rr_cursor,
-                    ) {
-                        pending.push(job);
-                    } else {
-                        wait_hours[job] = 0.0;
-                    }
-                }
-                EventKind::TransferComplete { job, site } => {
-                    let speed = sites[site].hs23_per_core / config.reference_hs23;
-                    let wall = (jobs[job].cpu_hours / jobs[job].cores as f64 / speed).max(1e-4);
-                    queue.push(now + wall, EventKind::JobFinish { job, site });
-                }
-                EventKind::JobFinish { job, site } => {
-                    let speed = sites[site].hs23_per_core / config.reference_hs23;
-                    let wall = (jobs[job].cpu_hours / jobs[job].cores as f64 / speed).max(1e-4);
-                    sites[site].release(jobs[job].cores, wall);
-                    completed += 1;
-                    makespan = makespan.max(now);
-
-                    let mut still_pending = Vec::new();
-                    for &p in &pending {
-                        if dispatch(
-                            p,
-                            now,
-                            &mut sites,
-                            &catalog,
-                            &mut queue,
-                            &mut wan_bytes,
-                            &mut transfer_hours,
-                            &mut rr_cursor,
-                        ) {
-                            wait_hours[p] = now - arrival_time[p];
-                        } else {
-                            still_pending.push(p);
-                        }
-                    }
-                    pending = still_pending;
-                }
-            }
-        }
-
-        let n = jobs.len().max(1) as f64;
-        let mean_utilization = if makespan > 0.0 {
-            sites.iter().map(|s| s.utilization(makespan)).sum::<f64>() / sites.len().max(1) as f64
-        } else {
-            0.0
-        };
-        SimReport {
-            policy: config.policy.name().to_string(),
-            completed,
-            makespan_hours: makespan,
-            mean_wait_hours: wait_hours.iter().sum::<f64>() / n,
-            mean_transfer_hours: transfer_hours.iter().sum::<f64>() / n,
-            wan_bytes,
-            mean_utilization,
-        }
-    }
-}
-
-/// Simulator throughput (the planetary-scale htcsim tentpole), in two cuts:
-///
-/// * `htcsim_throughput_queue_<N>` — the calendar queue vs the seed
-///   `BinaryHeap` scheduler (`baseline_kind: "binary_heap"`) under the
-///   classic "hold" model (N pop→push transitions at a steady queue size),
-///   the access pattern of a discrete-event simulation;
-/// * `htcsim_throughput_sim_<N>` — a full N-job simulation through today's
-///   path (arena SoA storage, interned dataset/site ids, allocation-free
-///   event loop, calendar queue) vs the frozen [`seed_sim`] loop
-///   (`baseline_kind: "seed_sim_loop"`), with the two `SimReport`s asserted
-///   equal inside the harness (the byte-identity pin).
-///
-/// Both are single-threaded f64 entries gated at 1.0x by `--check` like
-/// every other unsuffixed entry.
-fn htcsim_benches(quick: bool) -> Vec<KernelBench> {
-    use htcsim::{
-        CalendarQueue, EventKind, EventScheduler, GridSimulator, HeapQueue, JobArena, SimConfig,
-        SimJob,
-    };
-    use pandasim::SiteCatalog;
-
-    // Classic "hold" benchmark for DES priority queues: prime the queue
-    // with `n` events, then run pop→push transitions where each push lands
-    // at the popped time plus a service increment — a discrete-event steady
-    // state, in which (like the simulator) nothing is ever scheduled behind
-    // the clock. Increments mix WAN-latency transfer completions, job
-    // runtimes and far-future stragglers.
-    fn hold<Q: EventScheduler>(n: usize, transitions: usize) -> f64 {
-        let mut queue = Q::default();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64, state)
-        };
-        for i in 0..n {
-            let (unit, _) = next();
-            queue.push(unit * 168.0, EventKind::JobArrival { job: i as u32 });
-        }
-        let mut last = 0.0;
-        for i in 0..transitions {
-            let event = queue.pop().expect("primed queue never drains");
-            last = event.time;
-            let (unit, s) = next();
-            let delta = match s % 8 {
-                0 => unit * 0.1,      // transfer completions
-                1..=5 => unit * 12.0, // job runtimes
-                _ => unit * 400.0,    // stragglers / future arrivals
-            };
-            queue.push(
-                event.time + delta,
-                EventKind::JobFinish {
-                    job: i as u32,
-                    site: 0,
-                },
-            );
-        }
-        last
-    }
-
-    // Synthetic planetary workload at a subcritical load factor (constant
-    // ~150 jobs/hour against the catalogue's slot capacity, so the pending
-    // queue stays bounded and the run measures steady-state throughput,
-    // not backlog pathology).
-    fn synthetic_jobs(n_jobs: usize, n_sites: usize) -> (SiteCatalog, Vec<SimJob>) {
-        let catalog = SiteCatalog::atlas_like(n_sites);
-        let site_names: Vec<String> = catalog.sites().iter().map(|s| s.name.clone()).collect();
-        let mut jobs = Vec::with_capacity(n_jobs);
-        let mut state = 0x2545f4914f6cdd1du64;
-        for i in 0..n_jobs {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-            jobs.push(SimJob {
-                arrival_hours: unit * (n_jobs as f64 / 150.0),
-                cores: if i % 7 == 0 { 8 } else { 4 },
-                cpu_hours: 0.5 + unit * 6.0,
-                dataset: format!("ds{}", state % 512),
-                input_bytes: (state % 1_000) as f64 * 1e9,
-                origin_site: Some(site_names[(state % site_names.len() as u64) as usize].clone()),
-            });
-        }
-        (catalog, jobs)
-    }
-
-    let mut entries = Vec::new();
-
-    // Deep queues are where the calendar's flat cost structurally beats the
-    // heap's `O(log n)` (the margin at shallow sizes is noise-level), so the
-    // gate holds the queue at planetary depth: hundreds of thousands of
-    // in-flight events.
     let (n_held, transitions) = if quick {
         (200_000, 400_000)
     } else {
@@ -1755,57 +671,19 @@ fn htcsim_benches(quick: bool) -> Vec<KernelBench> {
     };
     let (reps, inner) = if quick { (5, 1) } else { (7, 2) };
     let new_ns = time_ns(reps, inner, || {
-        std::hint::black_box(hold::<CalendarQueue>(n_held, transitions));
+        std::hint::black_box(hold_model::<CalendarQueue>(n_held, transitions));
     });
     let base_ns = time_ns(reps, inner, || {
-        std::hint::black_box(hold::<HeapQueue>(n_held, transitions));
+        std::hint::black_box(hold_model::<HeapQueue>(n_held, transitions));
     });
-    entries.push(kernel_entry_tiered(
+    kernel_entry_tiered(
         &format!("htcsim_throughput_queue_{transitions}"),
         "binary_heap",
         1,
         "f64",
         new_ns,
         base_ns,
-    ));
-
-    let n_jobs = if quick { 10_000 } else { 50_000 };
-    let (catalog, jobs) = synthetic_jobs(n_jobs, 40);
-    let config = SimConfig::default();
-    // Correctness pin inside the timed harness: today's arena/calendar path
-    // must reproduce the seed loop's physics exactly on this workload.
-    let new_report = {
-        let arena = JobArena::from_jobs(&jobs);
-        let mut simulator = GridSimulator::new(&catalog, config.clone());
-        simulator.run_arena(&arena)
-    };
-    let seed_report = seed_sim::run(&catalog, &config, &jobs);
-    assert_eq!(
-        serde_json::to_string(&new_report).expect("report serializes"),
-        serde_json::to_string(&seed_report).expect("report serializes"),
-        "arena/calendar simulator diverged from the seed loop on the throughput workload"
-    );
-    let sreps = if quick { 3 } else { 5 };
-    // Arena construction (string interning) is timed as part of the new
-    // path: it is the real cost of entering SoA storage from `SimJob`s.
-    let new_ns = time_ns(sreps, 1, || {
-        let arena = JobArena::from_jobs(&jobs);
-        let mut simulator = GridSimulator::new(&catalog, config.clone());
-        std::hint::black_box(simulator.run_arena(&arena));
-    });
-    let base_ns = time_ns(sreps, 1, || {
-        std::hint::black_box(seed_sim::run(&catalog, &config, &jobs));
-    });
-    entries.push(kernel_entry_tiered(
-        &format!("htcsim_throughput_sim_{n_jobs}"),
-        "seed_sim_loop",
-        1,
-        "f64",
-        new_ns,
-        base_ns,
-    ));
-
-    entries
+    )
 }
 
 /// Micro-batched serving throughput: 64 independent 4-row sample requests
@@ -1885,7 +763,7 @@ fn main() {
     let mut kernels = kernel_benches(quick);
     kernels.extend(ladder_benches(quick, opts.dtype));
     eprintln!("perf_report: timing htcsim calendar queue vs binary heap...");
-    kernels.extend(htcsim_benches(quick));
+    kernels.push(htcsim_queue_bench(quick));
     eprintln!("perf_report: timing micro-batched serving (64 x 4-row TVAE sample requests)...");
     kernels.push(serve_batching_bench(quick));
     for k in &kernels {
@@ -1895,36 +773,38 @@ fn main() {
         );
     }
 
-    let mut epochs = Vec::new();
-    eprintln!("perf_report: timing TabDDPM fast-config epoch...");
-    let tabddpm_epoch = tabddpm_epoch_bench(quick);
-    epochs.push(("tabddpm_epoch", &tabddpm_epoch, 2.0));
-    eprintln!("perf_report: timing CTABGAN+ fast-config epoch (fused vs unfused)...");
-    let ctabgan_epoch = ctabgan_epoch_bench(quick);
-    epochs.push(("ctabgan_epoch", &ctabgan_epoch, 1.0));
-    eprintln!("perf_report: timing TVAE fast-config epoch...");
-    let tvae_epoch = tvae_epoch_bench(quick);
-    epochs.push(("tvae_epoch", &tvae_epoch, 1.0));
-    for (name, epoch, target) in &epochs {
+    eprintln!("perf_report: timing fast-config training epochs...");
+    let tabddpm_epoch = epoch_bench("tabddpm", quick, |epochs| {
+        TabDdpm::new(TabDdpmConfig {
+            epochs,
+            ..TabDdpmConfig::fast()
+        })
+    });
+    let ctabgan_epoch = epoch_bench("ctabgan", quick, |epochs| {
+        CtabGan::new(CtabGanConfig {
+            epochs,
+            ..CtabGanConfig::fast()
+        })
+    });
+    let tvae_epoch = epoch_bench("tvae", quick, |epochs| {
+        Tvae::new(TvaeConfig {
+            epochs,
+            ..TvaeConfig::fast()
+        })
+    });
+    for (name, epoch) in [
+        ("tabddpm_epoch", &tabddpm_epoch),
+        ("ctabgan_epoch", &ctabgan_epoch),
+        ("tvae_epoch", &tvae_epoch),
+    ] {
         eprintln!(
-            "  {:<14} ({} rows)  new {:>9.1} ms   baseline {:>9.1} ms   speedup {:.2}x  [{}]",
-            name,
-            epoch.rows,
-            epoch.new_epoch_ms,
-            epoch.baseline_epoch_ms,
-            epoch.speedup,
-            epoch.baseline_kind
+            "  {:<14} ({} rows)  {:>9.1} ms per epoch",
+            name, epoch.rows, epoch.new_epoch_ms
         );
-        if epoch.speedup < *target {
-            eprintln!(
-                "warning: {name} speedup {:.2}x is below the {target}x target for this host/run",
-                epoch.speedup
-            );
-        }
     }
 
     let report = Report {
-        schema_version: 3,
+        schema_version: 4,
         generated_by: "bench::perf_report".to_string(),
         quick,
         threads: rayon::current_num_threads(),
@@ -1952,7 +832,7 @@ fn main() {
             eprintln!("perf_report: regression check passed (all gated kernels >= 1.0x)");
         } else {
             eprintln!(
-                "perf_report: REGRESSION — kernels slower than their frozen baseline: {}",
+                "perf_report: REGRESSION — kernels slower than their baseline: {}",
                 offending.join(", ")
             );
             std::process::exit(1);
@@ -1965,16 +845,13 @@ mod tests {
     use super::*;
 
     fn toy_report() -> Report {
-        let epoch = |kind: &str| EpochBench {
-            baseline_kind: kind.to_string(),
+        let epoch = || EpochBench {
             rows: 512,
             epochs_timed: 2,
             new_epoch_ms: 10.0,
-            baseline_epoch_ms: 25.0,
-            speedup: 2.5,
         };
         Report {
-            schema_version: 3,
+            schema_version: 4,
             generated_by: "bench::perf_report".to_string(),
             quick: true,
             threads: 1,
@@ -1988,9 +865,9 @@ mod tests {
                 100.0,
                 250.0,
             )],
-            tabddpm_epoch: epoch("seed_epoch_loop"),
-            ctabgan_epoch: epoch("unfused_discriminator_double_step"),
-            tvae_epoch: epoch("seed_epoch_loop"),
+            tabddpm_epoch: epoch(),
+            ctabgan_epoch: epoch(),
+            tvae_epoch: epoch(),
         }
     }
 
@@ -2035,8 +912,12 @@ mod tests {
         assert!(validate_text(&serde_json::to_string(&bad).unwrap()).is_err());
         let mut bad = toy_report();
         // NaN serializes as null, so the typed parse itself rejects it.
-        bad.tvae_epoch.speedup = f64::NAN;
+        bad.tvae_epoch.new_epoch_ms = f64::NAN;
         assert!(validate_text(&serde_json::to_string(&bad).unwrap()).is_err());
+        let mut bad = toy_report();
+        bad.ctabgan_epoch.new_epoch_ms = 0.0;
+        let err = validate_text(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("ctabgan_epoch.new_epoch_ms"), "{err}");
     }
 
     #[test]

@@ -9,17 +9,18 @@
 //! The orchestration itself lives in [`surrogate::experiment`] — the single
 //! fit→sample→evaluate runtime for the whole workspace (parallel model fits,
 //! per-model error isolation). This crate only re-exports it so the binaries
-//! keep their `bench::` imports, and adds [`options_or_exit`] and
-//! [`report_failures`], the shared ways binaries read their flags and
-//! surface partially failed runs.
+//! keep their `bench::` imports, and adds [`options_or_exit`], the shared
+//! way binaries read their flags, and [`hold_model`], the event-queue
+//! workload that `perf_report` and the `htcsim_events` bench both drive.
 
+use htcsim::{EventKind, EventScheduler};
 pub use surrogate::experiment::{
     fit_all, fit_models_with, maybe_write_json, prepare_data, ExecutionMode, ExperimentOptions,
     FitReport, ModelRun, PreparedData,
 };
 
-/// Parse the process arguments into [`ExperimentOptions`]; on a bad flag
-/// value, print the error and exit with status 2.
+/// Parse the process arguments into [`ExperimentOptions`]; on an unknown
+/// flag or a bad flag value, print the error and exit with status 2.
 pub fn options_or_exit() -> ExperimentOptions {
     ExperimentOptions::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -27,16 +28,43 @@ pub fn options_or_exit() -> ExperimentOptions {
     })
 }
 
-/// Print every failed model run to stderr and return how many failed.
-///
-/// The binaries keep going with the surviving models — the point of the
-/// `Result`-based runtime is that one diverging GAN no longer kills a whole
-/// Table-I run — but they still exit non-zero when nothing succeeded.
-pub fn report_failures(report: &FitReport) -> usize {
-    let mut failed = 0;
-    for (kind, error) in report.failures() {
-        eprintln!("warning: {} failed to fit/sample: {error}", kind.name());
-        failed += 1;
+/// The classic "hold" benchmark for discrete-event priority queues: prime
+/// the queue with `held` events, then run `transitions` pop→push steps where
+/// each push lands at the popped time plus a service increment — a
+/// discrete-event steady state, in which (like the simulator) nothing is
+/// ever scheduled behind the clock. Increments mix WAN-latency transfer
+/// completions, job runtimes and far-future stragglers. Returns the last
+/// popped time.
+pub fn hold_model<Q: EventScheduler>(held: usize, transitions: usize) -> f64 {
+    let mut queue = Q::default();
+    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 11) as f64 / (1u64 << 53) as f64, state)
+    };
+    for i in 0..held {
+        let (unit, _) = next();
+        queue.push(unit * 168.0, EventKind::JobArrival { job: i as u32 });
     }
-    failed
+    let mut last = 0.0;
+    for i in 0..transitions {
+        let event = queue.pop().expect("primed queue never drains");
+        last = event.time;
+        let (unit, s) = next();
+        let delta = match s % 8 {
+            0 => unit * 0.1,      // transfer completions
+            1..=5 => unit * 12.0, // job runtimes
+            _ => unit * 400.0,    // stragglers / future arrivals
+        };
+        queue.push(
+            event.time + delta,
+            EventKind::JobFinish {
+                job: i as u32,
+                site: 0,
+            },
+        );
+    }
+    last
 }

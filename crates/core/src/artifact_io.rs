@@ -10,9 +10,9 @@
 //!   in the workspace (`sweep::grid_fingerprint`, checkpoint payload
 //!   fingerprints), with the length-prefixed token feed that makes
 //!   concatenations collision-free.
-//! * [`atomic_write`] — temp file + fsync + rename, so a reader never
-//!   observes a half-written artifact: either the old file, the new file,
-//!   or a stray `*.tmp` sibling that loaders ignore.
+//! * [`atomic_write`] — temp file + fsync + rename + directory fsync, so a
+//!   reader never observes a half-written artifact: either the old file,
+//!   the new file, or a stray `*.tmp` sibling that loaders ignore.
 //! * [`parse_log_rows`] — validated reading of line-delimited artifacts
 //!   under an explicit [`TailPolicy`]: append-only journals tolerate (and
 //!   drop) one torn trailing line, the mark of a mid-append crash, while
@@ -80,11 +80,12 @@ pub fn temp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Write `bytes` to `path` atomically: stage into the [`temp_path`]
-/// sibling, fsync, then rename over the target. A crash at any point
-/// leaves either the previous file intact or a stray temp file — never a
-/// torn target — which is the same discipline the sweep journal uses for
-/// its fsync'd appends.
+/// Write `bytes` to `path` atomically and durably: stage into the
+/// [`temp_path`] sibling, fsync, rename over the target, then fsync the
+/// parent directory so the rename itself survives a power loss. A crash at
+/// any point leaves either the previous file intact or a stray temp file —
+/// never a torn target — which is the same discipline the sweep journal
+/// uses for its fsync'd appends.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let staging = temp_path(path);
     let mut file = File::create(&staging)?;
@@ -95,7 +96,13 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         // Best-effort cleanup; the stray temp file is harmless (loaders
         // skip it) but tidy directories beat mysterious leftovers.
         let _ = std::fs::remove_file(&staging);
-    })
+    })?;
+    // A bare file name has an empty parent: the current directory.
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// How the last line of a line-delimited artifact may fail.

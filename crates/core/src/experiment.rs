@@ -59,16 +59,17 @@ impl Default for ExperimentOptions {
 }
 
 impl ExperimentOptions {
-    /// Parse options from `--key value` style command-line arguments.
-    /// Unknown keys are ignored so binaries can add their own flags; a known
-    /// flag with a missing or unparseable value is an error naming the flag
-    /// and the value.
+    /// Parse options from `--key value` style command-line arguments. An
+    /// unknown flag is an error naming it, and so is a known flag with a
+    /// missing or unparseable value.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut options = Self::default();
         let mut args = args.into_iter();
         while let Some(key) = args.next() {
             if !["--rows", "--days", "--budget", "--seed", "--json"].contains(&key.as_str()) {
-                continue;
+                return Err(format!(
+                    "unknown flag '{key}' (expected --rows, --days, --budget, --seed or --json)"
+                ));
             }
             let value = args
                 .next()
@@ -269,8 +270,6 @@ mod tests {
             "7",
             "--json",
             "/tmp/x.json",
-            "--unknown",
-            "ignored",
         ])
         .unwrap();
         assert_eq!(options.gross_records, 5000);
@@ -280,9 +279,17 @@ mod tests {
         assert_eq!(options.output_json.as_deref(), Some("/tmp/x.json"));
 
         // Bad values are errors that name the flag and the value, never a
-        // silent fall-back to the default.
+        // silent fall-back to the default; an unknown flag is named too.
         for (args, message) in [
-            (&["--rows", "abc"][..], "invalid value 'abc' for --rows"),
+            (
+                &["--unknown", "ignored"][..],
+                "unknown flag '--unknown' (expected --rows, --days, --budget, --seed or --json)",
+            ),
+            (
+                &["--row", "3000"],
+                "unknown flag '--row' (expected --rows, --days, --budget, --seed or --json)",
+            ),
+            (&["--rows", "abc"], "invalid value 'abc' for --rows"),
             (&["--days", "1e"], "invalid value '1e' for --days"),
             (&["--budget", "typo"], "invalid value 'typo' for --budget"),
             (&["--seed", "-1"], "invalid value '-1' for --seed"),

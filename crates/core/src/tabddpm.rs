@@ -140,11 +140,6 @@ impl TabDdpm {
         &self.config
     }
 
-    /// The ᾱ schedule (monotone decreasing in `t`).
-    pub fn alpha_bar(&self) -> &[f64] {
-        &self.alpha_bar
-    }
-
     /// Write the two timestep-embedding features (normalised t and a
     /// sinusoidal phase) into `dst`. The single definition shared by the
     /// fused training loop and the sampling loop, so training and sampling

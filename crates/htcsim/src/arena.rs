@@ -32,6 +32,13 @@ pub enum SimInputError {
         /// Number of rows offered.
         rows: usize,
     },
+    /// A required numerical column holds NaN or an infinity.
+    NonFinite {
+        /// Name of the offending column.
+        column: String,
+        /// Zero-based row of its first non-finite value.
+        row: usize,
+    },
 }
 
 impl fmt::Display for SimInputError {
@@ -44,6 +51,12 @@ impl fmt::Display for SimInputError {
                 write!(
                     f,
                     "workload has {rows} rows, exceeding the u32 job-index space"
+                )
+            }
+            SimInputError::NonFinite { column, row } => {
+                write!(
+                    f,
+                    "workload table column `{column}` has a non-finite value at row {row}"
                 )
             }
         }
@@ -177,18 +190,27 @@ impl JobArena {
     /// the surrogate models actually learn locality structure. The three
     /// numerical columns (`creationtime`, `inputfilebytes`, `workload`) are
     /// required; a missing or non-numerical one is a typed
-    /// [`SimInputError::Column`] naming it. Label columns degrade to
-    /// `"unknown"` when absent, matching the seed behaviour.
+    /// [`SimInputError::Column`] naming it, and a NaN or infinite value in
+    /// one is a [`SimInputError::NonFinite`] naming the column and row.
+    /// Label columns degrade to `"unknown"` when absent, matching the seed
+    /// behaviour.
     pub fn from_table(table: &tabular::Table) -> Result<Self, SimInputError> {
         let n = table.n_rows();
         if u32::try_from(n).is_err() {
             return Err(SimInputError::TooManyJobs { rows: n });
         }
         let required = |name: &str| {
-            table.numerical(name).map_err(|e| SimInputError::Column {
+            let values = table.numerical(name).map_err(|e| SimInputError::Column {
                 column: name.to_string(),
                 detail: e.to_string(),
-            })
+            })?;
+            match values.iter().position(|v| !v.is_finite()) {
+                Some(row) => Err(SimInputError::NonFinite {
+                    column: name.to_string(),
+                    row,
+                }),
+                None => Ok(values),
+            }
         };
         let creation = required("creationtime")?;
         let bytes = required("inputfilebytes")?;
@@ -320,6 +342,35 @@ mod tests {
             err.to_string().contains("workload"),
             "error names the column: {err}"
         );
+    }
+
+    #[test]
+    fn non_finite_required_values_are_typed_errors_naming_column_and_row() {
+        for column in ["creationtime", "inputfilebytes", "workload"] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut table = Table::new();
+                for name in ["creationtime", "inputfilebytes", "workload"] {
+                    let mut values = vec![1.0; 3];
+                    if name == column {
+                        values[1] = bad;
+                    }
+                    table.push_column(name, Column::Numerical(values)).unwrap();
+                }
+                let err = JobArena::from_table(&table).unwrap_err();
+                assert_eq!(
+                    err,
+                    SimInputError::NonFinite {
+                        column: column.to_string(),
+                        row: 1,
+                    },
+                    "{column} = {bad}"
+                );
+                assert!(
+                    err.to_string().contains(column) && err.to_string().contains("row 1"),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

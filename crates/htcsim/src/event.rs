@@ -89,7 +89,7 @@ pub trait EventScheduler: Default {
 
 /// Min-heap of events keyed by time (ties broken by insertion order) — the
 /// seed scheduler, kept as the oracle the calendar queue is pinned against
-/// and as the frozen baseline of the `htcsim_throughput` perf entries.
+/// and as the baseline of the `htcsim_throughput_queue_<N>` perf entry.
 #[derive(Debug, Default)]
 pub struct HeapQueue {
     heap: BinaryHeap<Event>,

@@ -54,7 +54,8 @@ impl SimJob {
     /// Build simulator jobs from the nine-feature modelling table produced by
     /// `pandasim::records_to_table` (or by a surrogate model). See
     /// [`JobArena::from_table`] for the column contract; a missing required
-    /// column is a typed [`SimInputError`] naming it.
+    /// column, or a NaN or infinite value in one, is a typed
+    /// [`SimInputError`] naming it.
     pub fn from_table(table: &tabular::Table) -> Result<Vec<Self>, SimInputError> {
         let arena = JobArena::from_table(table)?;
         Ok((0..arena.len()).map(|i| arena.job(i)).collect())
@@ -371,8 +372,17 @@ impl GridSimulator {
 
                     // Try to start parked jobs now that slots freed up:
                     // in-place, in arrival order, no per-event allocation.
+                    // A job no site can fit changes nothing (the broker
+                    // returns before touching its cursor), and dispatches
+                    // only take slots, so once a job needing `unfit` cores
+                    // fails, every later one needing as many fails too:
+                    // those stay parked without asking the broker.
                     let before = pending.len();
+                    let mut unfit = u32::MAX;
                     pending.retain(|&p| {
+                        if arena.cores[p as usize] >= unfit {
+                            return true;
+                        }
                         if dispatch(
                             arena,
                             p,
@@ -388,6 +398,7 @@ impl GridSimulator {
                             wait_hours[p as usize] = now - arrival_time[p as usize];
                             false
                         } else {
+                            unfit = arena.cores[p as usize];
                             true
                         }
                     });

@@ -2,13 +2,16 @@
 //! simulator): the bucketed `CalendarQueue` must pop randomized event
 //! streams in exactly the order of the seed `HeapQueue` — including FIFO
 //! order among equal timestamps — and a full simulation run must produce a
-//! byte-identical serialized `SimReport` on either scheduler.
+//! byte-identical serialized `SimReport` on either scheduler. The report of
+//! a fixed synthetic workload is pinned too, so a change to the simulator's
+//! physics (brokerage, transfers, slot accounting) cannot pass unnoticed.
 
 use panda_surrogate::htcsim::{
     BrokerPolicy, CalendarQueue, Event, EventKind, EventScheduler, GridSimulator, HeapQueue,
-    JobArena, SimConfig,
+    JobArena, SimConfig, SimJob,
 };
 use panda_surrogate::pandasim::{FilterFunnel, GeneratorConfig, SiteCatalog, WorkloadGenerator};
+use panda_surrogate::surrogate::fnv1a_hex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -161,4 +164,74 @@ fn slot_starved_runs_agree_too() {
         serde_json::to_string(&heap_report).unwrap(),
         serde_json::to_string(&calendar_report).unwrap()
     );
+}
+
+/// `n_jobs` synthetic jobs from a fixed LCG over 40 atlas-like sites,
+/// arriving at a constant ~150 jobs/hour.
+fn synthetic_workload(n_jobs: usize) -> (SiteCatalog, JobArena) {
+    let catalog = SiteCatalog::atlas_like(40);
+    let site_names: Vec<String> = catalog.sites().iter().map(|s| s.name.clone()).collect();
+    let mut jobs = Vec::with_capacity(n_jobs);
+    let mut state = 0x2545f4914f6cdd1du64;
+    for i in 0..n_jobs {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+        jobs.push(SimJob {
+            arrival_hours: unit * (n_jobs as f64 / 150.0),
+            cores: if i % 7 == 0 { 8 } else { 4 },
+            cpu_hours: 0.5 + unit * 6.0,
+            dataset: format!("ds{}", state % 512),
+            input_bytes: (state % 1_000) as f64 * 1e9,
+            origin_site: Some(site_names[(state % site_names.len() as u64) as usize].clone()),
+        });
+    }
+    (catalog, JobArena::from_jobs(&jobs))
+}
+
+/// FNV-1a digests of the serialized `SimReport` per (jobs, slot fraction,
+/// policy). At the default slot fraction the sites absorb every job on
+/// arrival; at 0.001 a backlog of parked jobs builds up (mean wait ~12 h),
+/// so every job finish re-dispatches the pending list. The digests were
+/// recorded where the seed simulation loop (string-keyed replica map,
+/// binary heap) still ran beside the arena simulator and produced the same
+/// bytes, so they pin the seed loop's physics. The simulator uses only
+/// `+ - * /` and comparisons, so the digests do not depend on the platform.
+#[test]
+fn synthetic_workload_reports_are_pinned() {
+    const PINS: [(usize, f64, BrokerPolicy, &str); 9] = [
+        (10_000, 0.02, BrokerPolicy::RoundRobin, "fa171afa5af628f7"),
+        (10_000, 0.02, BrokerPolicy::LeastLoaded, "3b8a80d0c045eaf4"),
+        (10_000, 0.02, BrokerPolicy::DataLocality, "20aaef761ed40cad"),
+        (10_000, 0.001, BrokerPolicy::RoundRobin, "9a2e63da78c084e6"),
+        (10_000, 0.001, BrokerPolicy::LeastLoaded, "aab0a05b8fbbd8f2"),
+        (
+            10_000,
+            0.001,
+            BrokerPolicy::DataLocality,
+            "6caf2d9db292386d",
+        ),
+        (50_000, 0.02, BrokerPolicy::RoundRobin, "914a69ebb807967a"),
+        (50_000, 0.02, BrokerPolicy::LeastLoaded, "ff71ee8290008990"),
+        (50_000, 0.02, BrokerPolicy::DataLocality, "4a96017eb6f84a8c"),
+    ];
+    for n_jobs in [10_000, 50_000] {
+        let (catalog, arena) = synthetic_workload(n_jobs);
+        for &(_, slot_fraction, policy, digest) in PINS.iter().filter(|pin| pin.0 == n_jobs) {
+            let config = SimConfig {
+                policy,
+                slot_fraction,
+                ..SimConfig::default()
+            };
+            let report = GridSimulator::new(&catalog, config).run_arena(&arena);
+            let bytes = serde_json::to_string(&report).expect("report serializes");
+            assert_eq!(
+                fnv1a_hex(bytes.as_bytes()),
+                digest,
+                "{n_jobs} jobs, slot fraction {slot_fraction}, policy {}: {bytes}",
+                policy.name()
+            );
+        }
+    }
 }
