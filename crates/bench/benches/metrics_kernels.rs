@@ -1,11 +1,13 @@
 //! Criterion bench: the evaluation-metric kernels used by Table I and
-//! Figs. 4–5 (Wasserstein distance, JSD, association matrix, DCR).
+//! Figs. 4–5 (Wasserstein distance, JSD, association matrix, DCR), and
+//! SMOTE's fit, which runs the same nearest-neighbour search as DCR.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use metrics::{
     association_matrix, distance_to_closest_record, mean_jsd, mean_wasserstein, DcrConfig,
 };
 use pandasim::{records_to_table, FilterFunnel, GeneratorConfig, WorkloadGenerator};
+use surrogate::{SmoteConfig, SmoteSampler, TabularGenerator};
 use tabular::Table;
 
 fn tables(rows: usize) -> (Table, Table) {
@@ -54,5 +56,24 @@ fn bench_dcr_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_distribution_metrics, bench_dcr_scaling);
+fn bench_smote_fit(c: &mut Criterion) {
+    let (real, _) = tables(5_000);
+    let mut group = c.benchmark_group("smote_fit");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("rows", real.n_rows()), &real, |b, real| {
+        b.iter(|| {
+            let mut smote = SmoteSampler::new(SmoteConfig::default());
+            smote.fit(real).unwrap();
+            smote
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_distribution_metrics,
+    bench_dcr_scaling,
+    bench_smote_fit
+);
 criterion_main!(benches);

@@ -210,15 +210,6 @@ impl TableCodec {
         }
         Ok(table)
     }
-
-    /// Pairwise squared Euclidean distance between two encoded rows.
-    pub fn encoded_distance(row_a: &[f64], row_b: &[f64]) -> f64 {
-        row_a
-            .iter()
-            .zip(row_b)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -336,12 +327,5 @@ mod tests {
     fn wrong_width_decode_rejected() {
         let codec = TableCodec::fit(&toy_table()).unwrap();
         assert!(codec.decode(&Matrix::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn encoded_distance_is_squared_euclidean() {
-        let a = [0.0, 1.0, 2.0];
-        let b = [1.0, 1.0, 0.0];
-        assert!((TableCodec::encoded_distance(&a, &b) - 5.0).abs() < 1e-12);
     }
 }

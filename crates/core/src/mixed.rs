@@ -9,23 +9,16 @@ use tabular::FeatureKind;
 
 use crate::codec::ColumnSpan;
 
-/// Apply the mixed output activation: identity on numerical slots, softmax on
-/// every categorical block.
-pub fn mixed_activation(spans: &[ColumnSpan], raw: &Matrix) -> Matrix {
-    let mut out = Matrix::default();
-    mixed_activation_into(spans, raw, &mut out);
-    out
-}
-
-/// [`mixed_activation`] into a caller-owned buffer: the raw output is copied
-/// once and activated in place, so a training step that reuses the buffer
-/// performs no allocations here.
+/// Apply the mixed output activation into a caller-owned buffer: identity on
+/// numerical slots, softmax on every categorical block. The raw output is
+/// copied once and activated in place, so a training step that reuses the
+/// buffer performs no allocations here.
 pub fn mixed_activation_into(spans: &[ColumnSpan], raw: &Matrix, out: &mut Matrix) {
     out.copy_from(raw);
     mixed_activation_assign(spans, out);
 }
 
-/// [`mixed_activation`] in place: every categorical block is softmaxed on
+/// [`mixed_activation_into`] in place: every categorical block is softmaxed on
 /// the row slice itself (via the shared [`softmax_slice`] kernel).
 pub(crate) fn mixed_activation_assign(spans: &[ColumnSpan], out: &mut Matrix) {
     for span in spans {
@@ -38,7 +31,7 @@ pub(crate) fn mixed_activation_assign(spans: &[ColumnSpan], out: &mut Matrix) {
     }
 }
 
-/// Backward pass of [`mixed_activation`]: given the gradient with respect to
+/// Backward pass of [`mixed_activation_into`]: given the gradient with respect to
 /// the activated output, return the gradient with respect to the raw input.
 /// Numerical slots pass through; categorical blocks use the softmax Jacobian
 /// `dL/dz_i = p_i (g_i - Σ_j g_j p_j)`.
@@ -137,7 +130,8 @@ mod tests {
     #[test]
     fn activation_normalises_categorical_blocks_only() {
         let raw = Matrix::from_rows(&[vec![2.5, 1.0, 2.0, 3.0]]);
-        let act = mixed_activation(&spans(), &raw);
+        let mut act = Matrix::default();
+        mixed_activation_into(&spans(), &raw, &mut act);
         assert_eq!(act.get(0, 0), 2.5);
         let sum: f64 = act.row(0)[1..4].iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -150,11 +144,16 @@ mod tests {
         let spans = spans();
         // Scalar objective: weighted sum of activated outputs.
         let weights = [0.7, -0.3, 0.9, 0.4];
+        let activate = |raw: &Matrix| {
+            let mut act = Matrix::default();
+            mixed_activation_into(&spans, raw, &mut act);
+            act
+        };
         let objective = |raw: &Matrix| -> f64 {
-            let act = mixed_activation(&spans, raw);
+            let act = activate(raw);
             act.row(0).iter().zip(&weights).map(|(a, w)| a * w).sum()
         };
-        let act = mixed_activation(&spans, &raw);
+        let act = activate(&raw);
         let grad_act = Matrix::from_rows(&[weights.to_vec()]);
         let grad_raw = mixed_activation_backward(&spans, &act, &grad_act);
         let eps = 1e-6;

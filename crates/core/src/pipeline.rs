@@ -278,6 +278,30 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_in_a_numerical_column_is_a_typed_fit_error_for_every_kind() {
+        // ±inf encode to the quantile transform's clamped tails; a NaN has no
+        // rank, so the codec's encode of the training table refuses it.
+        let mut train = toy(40);
+        if let Column::Numerical(values) = train.column_mut("workload").unwrap() {
+            values[0] = f64::INFINITY;
+            values[1] = f64::NEG_INFINITY;
+            values[17] = f64::NAN;
+        }
+        for kind in ModelKind::ALL {
+            let mut model = build_model(kind, TrainingBudget::Smoke, 7);
+            let error = model.fit(&train).unwrap_err();
+            assert!(
+                matches!(
+                    error,
+                    SurrogateError::Tabular(tabular::TabularError::NotANumber { row: 17, .. })
+                ),
+                "{}: {error:?}",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
     fn every_model_kind_fits_and_samples() {
         let train = toy(120);
         for kind in ModelKind::ALL {

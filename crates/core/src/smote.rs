@@ -11,13 +11,23 @@
 //! Because every synthetic row lies on a segment between two real rows,
 //! SMOTE achieves excellent distributional fidelity but almost no privacy —
 //! the behaviour the paper's DCR column exposes.
+//!
+//! The neighbour search is [`metrics::neighbors`] over compact anchors: one
+//! value per numerical span and the hot position of each one-hot block. Its
+//! distance walks the codec's spans in order, adding `(a − b)²` per
+//! numerical span and `1.0` twice per mismatched block, which is the dense
+//! squared distance over the encoded rows to the bit (a matching block adds
+//! only `+0.0`). Its bound (two per mismatched block) never exceeds that sum,
+//! and it keeps neighbours by `(distance, index)`: the lists equal a stable
+//! sort of every other anchor by dense distance, truncated to `k`.
 
+use metrics::{MixedRows, NeighborIndex, Term};
 use nn::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use tabular::Table;
+use tabular::{FeatureKind, Table};
 
 use crate::codec::TableCodec;
 use crate::fault::FitControl;
@@ -94,6 +104,37 @@ impl SmoteSampler {
             (0..cap).map(|i| i * n / cap).collect()
         }
     }
+
+    /// `anchors` in the neighbour search's layout: the codec's spans in
+    /// order, each one-hot block as the position of its 1 (every block of an
+    /// encoded training row holds exactly one).
+    fn neighbor_rows(codec: &TableCodec, anchors: &Matrix) -> MixedRows {
+        let spans = codec.spans();
+        let terms = spans
+            .iter()
+            .map(|span| match span.kind {
+                FeatureKind::Numerical => Term::Numeric,
+                FeatureKind::Categorical => Term::Categorical,
+            })
+            .collect();
+        let of_kind = |kind| spans.iter().filter(move |span| span.kind == kind);
+        let mut rows = MixedRows::new(terms, 2);
+        for r in 0..anchors.rows() {
+            let row = anchors.row(r);
+            rows.push_row(
+                of_kind(FeatureKind::Numerical).map(|span| row[span.start]),
+                of_kind(FeatureKind::Categorical).map(|span| {
+                    let block = &row[span.start..span.start + span.width];
+                    block
+                        .iter()
+                        .position(|&v| v == 1.0)
+                        .expect("one-hot block of an encoded training row")
+                        as u32
+                }),
+            );
+        }
+        rows
+    }
 }
 
 impl TabularGenerator for SmoteSampler {
@@ -119,18 +160,15 @@ impl TabularGenerator for SmoteSampler {
         let anchors = encoded.take_rows(&keep);
 
         let k = self.config.k_neighbors.min(anchors.rows() - 1).max(1);
-        // Brute-force kNN, parallel over anchor rows.
+        // Exact kNN, parallel over anchor rows; each list is built at its
+        // own length.
+        let rows = Self::neighbor_rows(&codec, &anchors);
+        let index = NeighborIndex::new(&rows);
         let neighbors: Vec<Vec<usize>> = (0..anchors.rows())
             .into_par_iter()
             .map(|i| {
-                let row_i = anchors.row(i);
-                let mut distances: Vec<(usize, f64)> = (0..anchors.rows())
-                    .filter(|&j| j != i)
-                    .map(|j| (j, TableCodec::encoded_distance(row_i, anchors.row(j))))
-                    .collect();
-                distances.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-                distances.truncate(k);
-                distances.into_iter().map(|(j, _)| j).collect()
+                let nearest = index.nearest(&rows, i, k, Some(i));
+                nearest.iter().map(|&(_, j)| j).collect()
             })
             .collect();
 
@@ -227,6 +265,39 @@ mod tests {
         smote.fit(&train).unwrap();
         assert_eq!(smote.sample(10, 1).unwrap(), smote.sample(10, 1).unwrap());
         assert_ne!(smote.sample(10, 1).unwrap(), smote.sample(10, 2).unwrap());
+    }
+
+    #[test]
+    fn neighbour_lists_equal_a_stable_sort_over_the_encoded_anchors() {
+        // Every row three times over, so most distances tie.
+        let base = toy(12);
+        let mut train = Table::new();
+        train
+            .push_column(
+                "workload",
+                Column::Numerical(base.numerical("workload").unwrap().repeat(3)),
+            )
+            .unwrap();
+        let labels: Vec<&str> = (0..36)
+            .map(|r| base.label("site", r % 12).unwrap())
+            .collect();
+        train
+            .push_column("site", Column::from_labels(&labels))
+            .unwrap();
+        let mut smote = SmoteSampler::new(SmoteConfig::default());
+        smote.fit(&train).unwrap();
+        let anchors = smote.anchors.as_ref().unwrap();
+        for (i, list) in smote.neighbors.iter().enumerate() {
+            let dense = |j: usize| -> f64 {
+                let (a, b) = (anchors.row(i), anchors.row(j));
+                a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+            };
+            let mut all: Vec<usize> = (0..anchors.rows()).filter(|&j| j != i).collect();
+            all.sort_by(|&a, &b| dense(a).partial_cmp(&dense(b)).unwrap());
+            all.truncate(5);
+            assert_eq!(list, &all, "anchor {i}");
+            assert_eq!(list.capacity(), list.len(), "anchor {i}");
+        }
     }
 
     #[test]

@@ -6,10 +6,19 @@
 //! distances. A *small* DCR means synthetic rows sit on top of real rows —
 //! good fidelity, bad privacy; the paper reports DCR with ↑ "higher is
 //! better" because it reads the column as privacy risk.
+//!
+//! The search is [`crate::neighbors`] with `k = 1`. Its distance is the
+//! ordered sum this metric defines — the numerical terms in schema order,
+//! then `1.0` per mismatched categorical column — and it keeps the minimum
+//! by `(distance, row)`, never a NaN. Its bound (one per mismatched column)
+//! never exceeds that sum, so the value is the minimum a full scan with a
+//! strict `<` finds, bit for bit.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tabular::Table;
+
+use crate::neighbors::{MixedRows, NeighborIndex, Term};
 
 /// Options for the DCR computation.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -30,54 +39,6 @@ impl Default for DcrConfig {
     }
 }
 
-/// Dense mixed-type encoding of a table for distance computations:
-/// numerical columns are min-max normalised with the *training* ranges,
-/// categorical columns keep their codes.
-struct EncodedRows {
-    numeric: Vec<Vec<f64>>, // per column
-    categorical: Vec<Vec<u32>>,
-    n_rows: usize,
-}
-
-fn encode(
-    table: &Table,
-    ranges: &[(f64, f64)],
-    numeric_names: &[&str],
-    cat_names: &[&str],
-) -> EncodedRows {
-    let numeric = numeric_names
-        .iter()
-        .zip(ranges)
-        .map(|(name, &(min, max))| {
-            let span = if (max - min).abs() < 1e-300 {
-                1.0
-            } else {
-                max - min
-            };
-            table
-                .numerical(name)
-                .expect("numeric column present")
-                .iter()
-                .map(|v| (v - min) / span)
-                .collect()
-        })
-        .collect();
-    let categorical = cat_names
-        .iter()
-        .map(|name| {
-            table
-                .codes(name)
-                .expect("categorical column present")
-                .to_vec()
-        })
-        .collect();
-    EncodedRows {
-        numeric,
-        categorical,
-        n_rows: table.n_rows(),
-    }
-}
-
 fn subsample_indices(n: usize, cap: usize) -> Vec<usize> {
     if n <= cap {
         (0..n).collect()
@@ -87,23 +48,44 @@ fn subsample_indices(n: usize, cap: usize) -> Vec<usize> {
     }
 }
 
+/// Row `row` of `columns`, each min-max normalised by its `(min, span)`.
+fn normalised<'a>(
+    columns: &'a [&[f64]],
+    scales: &'a [(f64, f64)],
+    row: usize,
+) -> impl Iterator<Item = f64> + 'a {
+    columns
+        .iter()
+        .zip(scales)
+        .map(move |(column, &(min, span))| (column[row] - min) / span)
+}
+
 /// Mean distance from each synthetic row to its closest training record.
 ///
-/// Categorical vocabularies are compared by *label*: synthetic codes are
-/// remapped onto the training vocabulary first so a synthetic "BNL_PROD"
-/// matches a training "BNL_PROD" even if their integer codes differ.
+/// Numerical columns are min-max normalised with the training table's
+/// finite range. Categorical vocabularies are compared by *label*:
+/// synthetic codes are remapped onto the training vocabulary first so a
+/// synthetic "BNL_PROD" matches a training "BNL_PROD" even if their integer
+/// codes differ, and a label unseen in training matches no training row.
+///
+/// # Panics
+/// If either table is empty, or the synthetic table lacks a training
+/// column, has it with another kind, or holds a code outside its vocabulary
+/// ([`crate::evaluate_against`] checks all of these first).
 pub fn distance_to_closest_record(train: &Table, synthetic: &Table, config: DcrConfig) -> f64 {
     assert!(train.n_rows() > 0, "empty training table");
     assert!(synthetic.n_rows() > 0, "empty synthetic table");
     let schema = train.schema();
     let numeric_names = schema.numerical_names();
     let cat_names = schema.categorical_names();
-
-    // Training-set min/max per numerical column.
-    let ranges: Vec<(f64, f64)> = numeric_names
+    let train_numeric: Vec<&[f64]> = numeric_names
         .iter()
-        .map(|name| {
-            let v = train.numerical(name).expect("numeric column present");
+        .map(|name| train.numerical(name).expect("numeric column present"))
+        .collect();
+    // Training-set min/max per numerical column, as an offset and a span.
+    let scales: Vec<(f64, f64)> = train_numeric
+        .iter()
+        .map(|v| {
             let min = v
                 .iter()
                 .copied()
@@ -114,78 +96,81 @@ pub fn distance_to_closest_record(train: &Table, synthetic: &Table, config: DcrC
                 .copied()
                 .filter(|x| x.is_finite())
                 .fold(f64::NEG_INFINITY, f64::max);
-            (min, max)
+            let span = if (max - min).abs() < 1e-300 {
+                1.0
+            } else {
+                max - min
+            };
+            (min, span)
+        })
+        .collect();
+    let synthetic_numeric: Vec<&[f64]> = numeric_names
+        .iter()
+        .map(|name| {
+            synthetic
+                .numerical(name)
+                .expect("synthetic table must contain the training columns")
+        })
+        .collect();
+    let train_codes: Vec<&[u32]> = cat_names
+        .iter()
+        .map(|name| train.codes(name).expect("categorical column present"))
+        .collect();
+    // Each synthetic code's training code, by label; `u32::MAX` (no training
+    // code) for a label unseen in training.
+    let synthetic_codes: Vec<(&[u32], Vec<u32>)> = cat_names
+        .iter()
+        .map(|name| {
+            let train_vocab = train.vocab(name).expect("categorical column present");
+            let to_train = synthetic
+                .vocab(name)
+                .expect("synthetic table must contain the training columns")
+                .iter()
+                .map(|label| {
+                    train_vocab
+                        .iter()
+                        .position(|v| v == label)
+                        .map_or(u32::MAX, |i| i as u32)
+                })
+                .collect();
+            (synthetic.codes(name).expect("categorical column"), to_train)
         })
         .collect();
 
-    // Remap synthetic categorical codes onto the training vocabulary.
-    let mut synthetic_aligned = synthetic
-        .select(&train.names().iter().map(String::as_str).collect::<Vec<_>>())
-        .expect("synthetic table must contain the training columns");
-    for name in &cat_names {
-        let train_vocab = train.vocab(name).expect("categorical column").to_vec();
-        let labels: Vec<String> = (0..synthetic_aligned.n_rows())
-            .map(|r| {
-                synthetic_aligned
-                    .label(name, r)
-                    .expect("valid code")
-                    .to_string()
-            })
-            .collect();
-        let codes: Vec<u32> = labels
-            .iter()
-            .map(|l| {
-                train_vocab
-                    .iter()
-                    .position(|v| v == l)
-                    .map_or(u32::MAX, |i| i as u32)
-            })
-            .collect();
-        *synthetic_aligned.column_mut(name).expect("column exists") =
-            tabular::Column::Categorical {
-                codes,
-                vocab: train_vocab,
-            };
+    let terms: Vec<Term> = numeric_names
+        .iter()
+        .map(|_| Term::Numeric)
+        .chain(cat_names.iter().map(|_| Term::Categorical))
+        .collect();
+    let mut reference = MixedRows::new(terms.clone(), 1);
+    for t in subsample_indices(train.n_rows(), config.max_train_rows) {
+        reference.push_row(
+            normalised(&train_numeric, &scales, t),
+            train_codes.iter().map(|codes| codes[t]),
+        );
+    }
+    let mut queries = MixedRows::new(terms, 1);
+    for s in subsample_indices(synthetic.n_rows(), config.max_synthetic_rows) {
+        queries.push_row(
+            normalised(&synthetic_numeric, &scales, s),
+            synthetic_codes.iter().map(|(codes, to_train)| {
+                *to_train
+                    .get(codes[s] as usize)
+                    .expect("synthetic code inside its vocabulary")
+            }),
+        );
     }
 
-    let train_enc = encode(train, &ranges, &numeric_names, &cat_names);
-    let syn_enc = encode(&synthetic_aligned, &ranges, &numeric_names, &cat_names);
-
-    let syn_rows = subsample_indices(syn_enc.n_rows, config.max_synthetic_rows);
-    let train_rows = subsample_indices(train_enc.n_rows, config.max_train_rows);
-
-    let total: f64 = syn_rows
-        .par_iter()
-        .map(|&s| {
-            let mut best = f64::INFINITY;
-            for &t in &train_rows {
-                let mut d = 0.0;
-                for col in 0..syn_enc.numeric.len() {
-                    let diff = syn_enc.numeric[col][s] - train_enc.numeric[col][t];
-                    d += diff * diff;
-                    if d >= best {
-                        break;
-                    }
-                }
-                if d < best {
-                    for col in 0..syn_enc.categorical.len() {
-                        if syn_enc.categorical[col][s] != train_enc.categorical[col][t] {
-                            d += 1.0;
-                        }
-                        if d >= best {
-                            break;
-                        }
-                    }
-                }
-                if d < best {
-                    best = d;
-                }
-            }
-            best.sqrt()
+    let index = NeighborIndex::new(&reference);
+    let total: f64 = (0..queries.len())
+        .into_par_iter()
+        .map(|q| {
+            let nearest = index.nearest(&queries, q, 1, None);
+            nearest.first().map_or(f64::INFINITY, |&(d, _)| d).sqrt()
         })
         .sum();
 
-    total / syn_rows.len() as f64
+    total / queries.len() as f64
 }
 
 #[cfg(test)]

@@ -39,6 +39,13 @@ pub enum MetricError {
         /// Rows the synthetic table has.
         rows: usize,
     },
+    /// A synthetic categorical code has no label in its column's vocabulary.
+    CodeOutOfVocabulary {
+        /// Name of the column.
+        name: String,
+        /// First row holding such a code.
+        row: usize,
+    },
 }
 
 impl fmt::Display for MetricError {
@@ -71,6 +78,12 @@ impl fmt::Display for MetricError {
                 write!(
                     f,
                     "synthetic table has {rows} row(s), at least 2 are needed"
+                )
+            }
+            MetricError::CodeOutOfVocabulary { name, row } => {
+                write!(
+                    f,
+                    "synthetic column '{name}' holds a code outside its vocabulary at row {row}"
                 )
             }
         }

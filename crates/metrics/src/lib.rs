@@ -15,6 +15,9 @@
 //!   gradient-boosted regressor trained on synthetic data minus the test MSE
 //!   of the same regressor trained on real data.
 //!
+//! SMOTE's neighbour lists and DCR share one exact nearest-neighbour search
+//! over mixed-type rows, [`neighbors`].
+//!
 //! [`report::evaluate_surrogate`] computes all five at once,
 //! [`report::evaluate_against`] does the same against an MLEF baseline
 //! shared by every table scored on one split, and
@@ -25,6 +28,7 @@ pub mod dcr;
 pub mod error;
 pub mod jsd;
 pub mod mlef;
+pub mod neighbors;
 pub mod report;
 pub mod wasserstein;
 
@@ -36,6 +40,7 @@ pub use error::MetricError;
 pub use jsd::column_jsd;
 pub use jsd::{jensen_shannon_divergence, mean_jsd};
 pub use mlef::{diff_mlef, mlef_mse, MlefBaseline, MlefConfig};
+pub use neighbors::{MixedRows, NeighborIndex, Term};
 pub use report::{
     evaluate_against, evaluate_surrogate, mean_report, EvaluationConfig, SurrogateReport,
 };

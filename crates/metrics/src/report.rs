@@ -1,7 +1,7 @@
 //! Aggregated Table-I-style evaluation of a synthetic table.
 
 use serde::{Deserialize, Serialize};
-use tabular::Table;
+use tabular::{Column, Table};
 
 use crate::correlation::diff_corr;
 use crate::dcr::{distance_to_closest_record, DcrConfig};
@@ -182,8 +182,10 @@ pub fn evaluate_against(
 }
 
 /// What diff-CORR, DCR and MLEF assume of a synthetic table: every training
-/// column, with the training column's kind, and the two rows a Pearson
-/// correlation needs.
+/// column, with the training column's kind, the two rows a Pearson
+/// correlation needs, and a label for every categorical code (DCR and MLEF
+/// match categories by label). The code check comes last, so a table that
+/// fails an earlier check reports that one.
 fn check_scorable(train: &Table, synthetic: &Table) -> Result<(), MetricError> {
     for feature in train.schema().features() {
         let name = || feature.name.clone();
@@ -199,6 +201,16 @@ fn check_scorable(train: &Table, synthetic: &Table) -> Result<(), MetricError> {
         return Err(MetricError::TooFewRows {
             rows: synthetic.n_rows(),
         });
+    }
+    for name in train.schema().categorical_names() {
+        if let Ok(Column::Categorical { codes, vocab }) = synthetic.column(name) {
+            if let Some(row) = codes.iter().position(|&c| c as usize >= vocab.len()) {
+                return Err(MetricError::CodeOutOfVocabulary {
+                    name: name.to_string(),
+                    row,
+                });
+            }
+        }
     }
     Ok(())
 }
@@ -403,6 +415,41 @@ mod tests {
         assert_eq!(
             evaluate_surrogate("numbered", &train, &test, &numbered, &cfg),
             Err(MetricError::NoSharedCategoricalColumns)
+        );
+    }
+
+    #[test]
+    fn code_outside_the_vocabulary_yields_typed_error() {
+        let train = toy(100, 24);
+        let test = toy(40, 25);
+        let mut bad = toy(100, 26);
+        if let Column::Categorical { codes, vocab } = bad.column_mut("computingsite").unwrap() {
+            codes[7] = vocab.len() as u32;
+        }
+        let error =
+            evaluate_surrogate("bad", &train, &test, &bad, &EvaluationConfig::fast()).unwrap_err();
+        assert_eq!(
+            error,
+            MetricError::CodeOutOfVocabulary {
+                name: "computingsite".to_string(),
+                row: 7
+            }
+        );
+        assert!(error.to_string().contains("'computingsite'"));
+        // Earlier checks keep their precedence: a missing column is named
+        // first.
+        let partial = bad.select(&["computingsite", "workload"]).unwrap();
+        assert_eq!(
+            evaluate_surrogate(
+                "partial",
+                &train,
+                &test,
+                &partial,
+                &EvaluationConfig::fast()
+            ),
+            Err(MetricError::MissingColumn {
+                name: "ninputdatafiles".to_string()
+            })
         );
     }
 

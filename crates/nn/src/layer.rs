@@ -143,16 +143,6 @@ impl LinearLayer {
         }
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.weights.rows()
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.weights.cols()
-    }
-
     /// Forward pass without storing caches (inference only): affine map,
     /// bias and activation fused into one kernel pass, so a single matrix is
     /// allocated per layer.
@@ -222,7 +212,7 @@ impl LinearLayer {
 #[derive(Debug, Clone)]
 pub struct LinearLayer32 {
     /// Weight matrix, shape (in_dim × out_dim), down-converted once.
-    weights: Matrix32,
+    pub(crate) weights: Matrix32,
     /// Bias vector, length out_dim.
     bias: Vec<f32>,
     /// Activation applied after the affine map.
@@ -237,16 +227,6 @@ impl LinearLayer32 {
             bias: layer.bias.iter().map(|&b| b as f32).collect(),
             activation: layer.activation,
         }
-    }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.weights.rows()
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.weights.cols()
     }
 
     /// Inference forward pass into a caller-owned buffer: affine map, bias
@@ -304,8 +284,7 @@ mod tests {
         assert_eq!(y1.rows(), 2);
         assert_eq!(y1.cols(), 3);
         assert_eq!(y1, y2);
-        assert_eq!(layer.in_dim(), 4);
-        assert_eq!(layer.out_dim(), 3);
+        assert_eq!((layer.weights.rows(), layer.weights.cols()), (4, 3));
         assert_eq!(layer.n_params(), 15);
     }
 
@@ -357,8 +336,7 @@ mod tests {
                 *b = (i as f64 * 0.3).sin();
             }
             let layer32 = LinearLayer32::from_f64(&layer);
-            assert_eq!(layer32.in_dim(), 12);
-            assert_eq!(layer32.out_dim(), 9);
+            assert_eq!((layer32.weights.rows(), layer32.weights.cols()), (12, 9));
             let x = Matrix::randn(6, 12, 1.0, &mut rng);
             let want = layer.infer(&x);
             let mut got = Matrix32::default();

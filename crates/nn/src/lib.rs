@@ -46,7 +46,6 @@ pub use mlp::{Mlp, Mlp32, MlpConfig};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
 pub use sample::{
     gumbel_softmax, standard_normal_fill, standard_normal_into, standard_normal_into_f32,
-    standard_normal_matrix,
 };
 pub use schedule::{ConstantLr, CosineDecay, LrSchedule};
 pub use simd::{active_tier, SimdTier};

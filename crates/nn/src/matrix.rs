@@ -603,14 +603,7 @@ impl Matrix {
         }
     }
 
-    /// Column-wise sum, producing a vector of length `cols`.
-    pub fn sum_rows(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// [`Matrix::sum_rows`] into a caller-owned buffer.
+    /// Column-wise sum into a caller-owned buffer, resized to `cols`.
     pub fn sum_rows_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.cols, 0.0);
@@ -1060,7 +1053,9 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let with_bias = a.add_row_vector(&[10.0, 20.0]);
         assert_eq!(with_bias.data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(a.sum_rows(), vec![4.0, 6.0]);
+        let mut sums = vec![9.0; 5];
+        a.sum_rows_into(&mut sums);
+        assert_eq!(sums, vec![4.0, 6.0]);
         assert!((a.mean() - 2.5).abs() < 1e-12);
         assert!((a.frobenius_norm() - 30f64.sqrt()).abs() < 1e-12);
     }

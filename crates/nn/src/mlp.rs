@@ -68,19 +68,14 @@ impl Mlp {
         }
     }
 
-    /// The layers (read-only).
-    pub fn layers(&self) -> &[LinearLayer] {
-        &self.layers
-    }
-
     /// Input width.
     pub fn input_dim(&self) -> usize {
-        self.layers.first().map_or(0, LinearLayer::in_dim)
+        self.layers.first().map_or(0, |l| l.weights.rows())
     }
 
     /// Output width.
     pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, LinearLayer::out_dim)
+        self.layers.last().map_or(0, |l| l.weights.cols())
     }
 
     /// Total trainable parameter count.
@@ -274,12 +269,12 @@ pub struct Mlp32 {
 impl Mlp32 {
     /// Input width.
     pub fn input_dim(&self) -> usize {
-        self.layers.first().map_or(0, LinearLayer32::in_dim)
+        self.layers.first().map_or(0, |l| l.weights.rows())
     }
 
     /// Output width.
     pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, LinearLayer32::out_dim)
+        self.layers.last().map_or(0, |l| l.weights.cols())
     }
 
     /// Inference-only forward pass (no buffer reuse).
@@ -328,7 +323,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let cfg = MlpConfig::relu(6, vec![16, 8], 3);
         let mlp = Mlp::new(&cfg, &mut rng);
-        assert_eq!(mlp.layers().len(), 3);
+        assert_eq!(mlp.layers.len(), 3);
         assert_eq!(mlp.input_dim(), 6);
         assert_eq!(mlp.output_dim(), 3);
         assert_eq!(mlp.n_params(), 6 * 16 + 16 + 16 * 8 + 8 + 8 * 3 + 3);
@@ -445,7 +440,7 @@ mod tests {
         assert_eq!(a, b);
         full.backward(&grad_out);
         params_only.backward_params_only(&grad_out);
-        for (lf, lp) in full.layers().iter().zip(params_only.layers()) {
+        for (lf, lp) in full.layers.iter().zip(&params_only.layers) {
             assert_eq!(lf.grad_weights, lp.grad_weights);
             assert_eq!(lf.grad_bias, lp.grad_bias);
         }

@@ -7,17 +7,10 @@ use crate::loss::softmax_rows;
 use crate::matrix::Matrix;
 use crate::matrix32::Matrix32;
 
-/// Matrix of i.i.d. standard-normal samples (the latent noise for the VAE,
-/// GAN and diffusion models).
-pub fn standard_normal_matrix<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Matrix {
-    let mut out = Matrix::zeros(rows, cols);
-    standard_normal_fill(rng, out.data_mut());
-    out
-}
-
-/// Overwrite `out` with i.i.d. standard-normal samples in the stream order of
-/// [`standard_normal_matrix`], so a sampling loop can draw each request's
-/// block straight into its rows of a stacked matrix.
+/// Overwrite `out` with i.i.d. standard-normal samples (the latent noise for
+/// the VAE, GAN and diffusion models), one `Normal` draw per element in
+/// order, so a sampling loop can draw each request's block straight into its
+/// rows of a stacked matrix.
 pub fn standard_normal_fill<R: Rng>(rng: &mut R, out: &mut [f64]) {
     let normal = Normal::new(0.0, 1.0).expect("unit normal is valid");
     for v in out {
@@ -27,11 +20,11 @@ pub fn standard_normal_fill<R: Rng>(rng: &mut R, out: &mut [f64]) {
 
 /// Fill a caller-owned buffer with i.i.d. standard-normal samples.
 ///
-/// The training-loop variant of [`standard_normal_matrix`]: reuses the
+/// The training-loop variant of [`standard_normal_fill`]: reuses the
 /// buffer's allocation and draws variates with the *pairwise* Box–Muller
 /// transform — each uniform pair yields both the cosine and the sine
 /// variate, halving the uniform draws and transcendental evaluations per
-/// sample. The stream differs from `standard_normal_matrix` for the same
+/// sample. The stream differs from `standard_normal_fill` for the same
 /// RNG state, but remains fully determined by it.
 pub fn standard_normal_into<R: Rng>(rows: usize, cols: usize, rng: &mut R, out: &mut Matrix) {
     out.reset(rows, cols);
@@ -129,7 +122,8 @@ mod tests {
     #[test]
     fn normal_matrix_moments() {
         let mut rng = StdRng::seed_from_u64(0);
-        let m = standard_normal_matrix(200, 50, &mut rng);
+        let mut m = Matrix::zeros(200, 50);
+        standard_normal_fill(&mut rng, m.data_mut());
         let mean = m.mean();
         let var = m.data().iter().map(|v| (v - mean).powi(2)).sum::<f64>() / m.len() as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");

@@ -45,6 +45,13 @@ pub enum TabularError {
     },
     /// An empty table or column where data was required.
     Empty(&'static str),
+    /// A NaN where a transform needs an ordered value.
+    NotANumber {
+        /// What was being transformed.
+        context: &'static str,
+        /// Index of the first NaN.
+        row: usize,
+    },
 }
 
 impl fmt::Display for TabularError {
@@ -78,6 +85,9 @@ impl fmt::Display for TabularError {
                 )
             }
             TabularError::Empty(what) => write!(f, "{what} is empty"),
+            TabularError::NotANumber { context, row } => {
+                write!(f, "NaN at row {row} of {context}")
+            }
         }
     }
 }

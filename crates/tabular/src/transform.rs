@@ -181,8 +181,16 @@ impl NumericTransform for QuantileTransformer {
         Ok(())
     }
 
+    /// ±inf map to the clamped tails; a NaN has no rank, so it is a
+    /// [`TabularError::NotANumber`] naming its row.
     fn transform(&self, values: &[f64]) -> Result<Vec<f64>, TabularError> {
         self.check_fitted()?;
+        if let Some(row) = values.iter().position(|x| x.is_nan()) {
+            return Err(TabularError::NotANumber {
+                context: "QuantileTransformer::transform input",
+                row,
+            });
+        }
         Ok(values
             .iter()
             .map(|&x| inverse_normal_cdf(self.ecdf(x)))
