@@ -15,9 +15,15 @@
 
 use std::collections::BTreeMap;
 
-use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
+use bench::cli::{experiment, experiment_options, Command};
+use bench::{fit_all, prepare_data};
 use htcsim::{BrokerPolicy, GridSimulator, SimConfig, SimJob, SimReport};
 use serde::Serialize;
+
+const CLI: Command = experiment(
+    "downstream",
+    "grid-simulator responses to real vs synthetic jobs",
+);
 
 #[derive(Serialize)]
 struct DownstreamArtifact {
@@ -26,19 +32,16 @@ struct DownstreamArtifact {
 }
 
 fn main() {
-    let options = options_or_exit();
+    let options = CLI.check(experiment_options(&CLI.parse()));
     let data = prepare_data(&options);
     let fits = fit_all(&data.train, options.budget, options.seed);
     if fits.report_failures() == fits.runs.len() {
-        eprintln!("error: every surrogate model failed — nothing to compare against GT");
-        std::process::exit(1);
+        CLI.fail("every surrogate model failed — nothing to compare against GT");
     }
 
     let jobs_or_exit = |source: &str, table: &tabular::Table| -> Vec<SimJob> {
-        SimJob::from_table(table).unwrap_or_else(|err| {
-            eprintln!("error: {source} workload table is unusable: {err}");
-            std::process::exit(1);
-        })
+        SimJob::from_table(table)
+            .unwrap_or_else(|err| CLI.fail(format!("{source} workload table is unusable: {err}")))
     };
     let mut sources: Vec<(String, Vec<SimJob>)> =
         vec![("GT".to_string(), jobs_or_exit("GT", &data.train))];
@@ -84,5 +87,5 @@ fn main() {
 
     println!("\ninterpretation: the closer a model's row is to GT, the better the surrogate");
     println!("serves as a calibration input for the event-based grid simulation.");
-    maybe_write_json(&options, &artifact);
+    CLI.maybe_write_json(options.output_json.as_deref(), &artifact);
 }

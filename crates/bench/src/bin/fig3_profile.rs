@@ -5,9 +5,15 @@
 //! cargo run -p bench --release --bin fig3_profile -- --rows 60000
 //! ```
 
-use bench::{maybe_write_json, options_or_exit, prepare_data};
+use bench::cli::{experiment, experiment_options, Command};
+use bench::prepare_data;
 use serde::Serialize;
 use tabular::stats::summarize;
+
+const CLI: Command = experiment(
+    "fig3_profile",
+    "Fig. 3: dataset profile and filtering funnel",
+);
 
 #[derive(Serialize)]
 struct Fig3Artifact {
@@ -16,7 +22,7 @@ struct Fig3Artifact {
 }
 
 fn main() {
-    let options = options_or_exit();
+    let options = CLI.check(experiment_options(&CLI.parse()));
     let data = prepare_data(&options);
 
     println!("== Fig. 3(a): dataset profile ==");
@@ -52,8 +58,8 @@ fn main() {
         data.test.n_rows()
     );
 
-    maybe_write_json(
-        &options,
+    CLI.maybe_write_json(
+        options.output_json.as_deref(),
         &Fig3Artifact {
             funnel: data.funnel.stages.clone(),
             profile,

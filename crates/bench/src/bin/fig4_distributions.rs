@@ -10,10 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
+use bench::cli::{experiment, experiment_options, Command};
+use bench::{fit_all, prepare_data};
 use metrics::{column_jsd, wasserstein_1d_normalized};
 use serde::Serialize;
 use tabular::stats::{histogram_with_range, top_k_frequencies};
+
+const CLI: Command = experiment("fig4_distributions", "Fig. 4: marginals vs ground truth");
 
 const NUMERICAL: [&str; 4] = [
     "workload",
@@ -34,12 +37,11 @@ struct Fig4Artifact {
 }
 
 fn main() {
-    let options = options_or_exit();
+    let options = CLI.check(experiment_options(&CLI.parse()));
     let data = prepare_data(&options);
     let fits = fit_all(&data.train, options.budget, options.seed);
     if fits.report_failures() == fits.runs.len() {
-        eprintln!("error: every surrogate model failed — nothing to compare");
-        std::process::exit(1);
+        CLI.fail("every surrogate model failed — nothing to compare");
     }
     let models: Vec<(&str, &tabular::Table)> = fits.successes().collect();
 
@@ -113,7 +115,7 @@ fn main() {
         artifact.categorical.insert(feature.to_string(), per_model);
     }
 
-    maybe_write_json(&options, &artifact);
+    CLI.maybe_write_json(options.output_json.as_deref(), &artifact);
 }
 
 /// Render a probability mass function as a unicode sparkline.

@@ -8,9 +8,12 @@
 
 use std::collections::BTreeMap;
 
-use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
+use bench::cli::{experiment, experiment_options, Command};
+use bench::{fit_all, prepare_data};
 use metrics::{association_matrix, AssociationMatrix};
 use serde::Serialize;
+
+const CLI: Command = experiment("fig5_correlations", "Fig. 5: associations vs ground truth");
 
 #[derive(Serialize)]
 struct Fig5Artifact {
@@ -39,7 +42,7 @@ fn truncate(s: &str, n: usize) -> String {
 }
 
 fn main() {
-    let options = options_or_exit();
+    let options = CLI.check(experiment_options(&CLI.parse()));
     let data = prepare_data(&options);
 
     println!("== Fig. 5(a): ground-truth association matrix ==");
@@ -54,8 +57,7 @@ fn main() {
     println!("\n== Fig. 5(b): synthetic data correlations and diff vs GT ==");
     let fits = fit_all(&data.train, options.budget, options.seed);
     if fits.report_failures() == fits.runs.len() {
-        eprintln!("error: every surrogate model failed — nothing to correlate");
-        std::process::exit(1);
+        CLI.fail("every surrogate model failed — nothing to correlate");
     }
     for (name, synthetic) in fits.successes() {
         let aligned = synthetic
@@ -76,5 +78,5 @@ fn main() {
     }
 
     println!("\npaper reference diff-CORR: TVAE 0.653, CTABGAN+ 0.658, SMOTE 0.011, TabDDPM 0.036");
-    maybe_write_json(&options, &artifact);
+    CLI.maybe_write_json(options.output_json.as_deref(), &artifact);
 }

@@ -53,16 +53,16 @@
 //! entry whose measured speedup over its baseline drops below 1.0 fails the
 //! run (the CI regression guard).
 //!
-//! Usage: `perf_report [--quick] [--check] [--out PATH] [--threads N]
-//! [--dtype f32|f64]` (default `BENCH_nn.json`). `--threads N` sets
-//! `RAYON_NUM_THREADS` before the pool spins up, so one flag controls the
-//! fan-out width; `--dtype` restricts which ladder rungs are measured
-//! (legacy kernels and epoch benches always run — the schema requires
-//! them). Malformed flag values exit with status 2 and a message, never a
-//! panic.
+//! `perf_report --help` lists the flags (the default output is
+//! `BENCH_nn.json`). `--threads N` sets `RAYON_NUM_THREADS` before the pool
+//! spins up, so one flag controls the fan-out width; `--dtype` restricts
+//! which ladder rungs are measured (legacy kernels and epoch benches always
+//! run — the schema requires them).
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
+use bench::cli::{Args, Command};
 use bench::hold_model;
 use nn::matrix::reference;
 use nn::{Matrix, Matrix32, Mlp, MlpConfig};
@@ -132,6 +132,20 @@ impl DtypeFilter {
     }
 }
 
+const CLI: Command = Command {
+    name: "perf_report",
+    about: "time the live kernels, epochs, event queue and batched serving into BENCH_nn.json",
+    flags: "
+flags:
+  --quick                small shapes and few repetitions (the CI smoke)
+  --check                exit 1 if a gated kernel entry is slower than its baseline
+  --out PATH             report path (default BENCH_nn.json)
+  --threads N            pool executors, N >= 1 (sets RAYON_NUM_THREADS)
+  --dtype f32|f64        measure only that dtype's ladder rungs (default both)
+",
+    operands: false,
+};
+
 /// Parsed command line.
 #[derive(Debug, PartialEq, Eq)]
 struct Options {
@@ -142,50 +156,21 @@ struct Options {
     dtype: DtypeFilter,
 }
 
-/// Panic-free argument parsing; every malformed input comes back as an
-/// `Err` message (main exits 2 on it) rather than a panic or a silently
-/// ignored flag.
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        quick: false,
-        check: false,
-        out: "BENCH_nn.json".to_string(),
-        threads: None,
-        dtype: DtypeFilter::Both,
+fn options(args: &Args) -> Result<Options, String> {
+    let dtype = |text: &str| match text {
+        "f32" => Ok(DtypeFilter::F32),
+        "f64" => Ok(DtypeFilter::F64),
+        _ => Err(""),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--check" => opts.check = true,
-            "--out" => {
-                opts.out = it
-                    .next()
-                    .ok_or_else(|| "--out requires a path argument".to_string())?
-                    .clone();
-            }
-            "--threads" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--threads requires a positive integer".to_string())?;
-                opts.threads = Some(value.parse::<usize>().ok().filter(|&t| t > 0).ok_or_else(
-                    || format!("--threads expects a positive integer, got '{value}'"),
-                )?);
-            }
-            "--dtype" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--dtype requires a value (f32 or f64)".to_string())?;
-                opts.dtype = match value.as_str() {
-                    "f32" => DtypeFilter::F32,
-                    "f64" => DtypeFilter::F64,
-                    other => return Err(format!("--dtype expects f32 or f64, got '{other}'")),
-                };
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    Ok(opts)
+    Ok(Options {
+        quick: args.switch("--quick"),
+        check: args.switch("--check"),
+        out: args.text("--out").unwrap_or("BENCH_nn.json").to_string(),
+        threads: args.value("--threads")?.map(NonZeroUsize::get),
+        dtype: args
+            .value_with("--dtype", dtype)?
+            .unwrap_or(DtypeFilter::Both),
+    })
 }
 
 /// Best-of-`reps` wall time of `inner` consecutive runs of `f`, in
@@ -733,18 +718,7 @@ fn serve_batching_bench(quick: bool) -> KernelBench {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("perf_report: {e}");
-            eprintln!(
-                "usage: perf_report [--quick] [--check] [--out PATH] \
-                 [--threads N] [--dtype f32|f64]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let opts = CLI.check(options(&CLI.parse()));
     // Must happen before the first parallel call: the rayon shim sizes its
     // pool from this variable once, lazily.
     if let Some(t) = opts.threads {
@@ -816,14 +790,11 @@ fn main() {
         tvae_epoch,
     };
     let json = serde_json::to_string_pretty(&report).expect("render report");
-    std::fs::write(&out_path, json + "\n").expect("write report");
+    CLI.write(&out_path, json + "\n");
 
     match validate(&out_path) {
         Ok(()) => eprintln!("perf_report: wrote and validated {out_path}"),
-        Err(e) => {
-            eprintln!("perf_report: emitted {out_path} failed validation: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => CLI.fail(format!("emitted {out_path} failed validation: {e}")),
     }
 
     if check {
@@ -831,11 +802,10 @@ fn main() {
         if offending.is_empty() {
             eprintln!("perf_report: regression check passed (all gated kernels >= 1.0x)");
         } else {
-            eprintln!(
-                "perf_report: REGRESSION — kernels slower than their baseline: {}",
+            CLI.fail(format!(
+                "REGRESSION — kernels slower than their baseline: {}",
                 offending.join(", ")
-            );
-            std::process::exit(1);
+            ));
         }
     }
 }
@@ -1056,10 +1026,16 @@ mod tests {
         assert_eq!(name_thread_suffix("transpose_512x384"), None);
     }
 
+    fn parse(list: &[&str]) -> Result<Options, String> {
+        let args = CLI
+            .parse_from(list.iter().map(|a| a.to_string()))
+            .map_err(|e| e.to_string())?;
+        options(&args)
+    }
+
     #[test]
     fn parse_args_accepts_the_documented_flags() {
-        let to_vec = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let opts = parse_args(&to_vec(&[
+        let opts = parse(&[
             "--quick",
             "--check",
             "--out",
@@ -1068,14 +1044,14 @@ mod tests {
             "4",
             "--dtype",
             "f32",
-        ]))
+        ])
         .unwrap();
         assert!(opts.quick && opts.check);
         assert_eq!(opts.out, "x.json");
         assert_eq!(opts.threads, Some(4));
         assert_eq!(opts.dtype, DtypeFilter::F32);
         // Defaults.
-        let opts = parse_args(&[]).unwrap();
+        let opts = parse(&[]).unwrap();
         assert!(!opts.quick && !opts.check);
         assert_eq!(opts.out, "BENCH_nn.json");
         assert_eq!(opts.threads, None);
@@ -1085,7 +1061,6 @@ mod tests {
 
     #[test]
     fn parse_args_rejects_garbage_without_panicking() {
-        let to_vec = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
         for bad in [
             &["--threads"][..],
             &["--threads", "zero"][..],
@@ -1096,7 +1071,7 @@ mod tests {
             &["--out"][..],
             &["--frobnicate"][..],
         ] {
-            let err = parse_args(&to_vec(bad)).unwrap_err();
+            let err = parse(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad:?}");
         }
     }

@@ -59,12 +59,14 @@
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::cli::{Args, Command};
 use serde::{Deserialize, Serialize};
 use surrogate::artifact_io::fnv1a_hex;
 use surrogate::checkpoint::{
@@ -74,9 +76,13 @@ use surrogate::fault::panic_message;
 use surrogate::{FaultClock, ModelKind, SampleSpec, ServeFaultPlan, TrainingBudget};
 use tabular::Table;
 
-const USAGE: &str = "\
-serve: supervised serving loop over crash-safe model checkpoints
+const CLI: Command = Command {
+    name: "serve",
+    about: "supervised serving loop over crash-safe model checkpoints",
+    flags: "
+usage: serve --checkpoints DIR [FLAGS]
 
+flags:
   --checkpoints DIR      checkpoint directory to load (required); corrupt
                          entries are quarantined, not fatal, and stray *.tmp
                          staging files are ignored
@@ -106,7 +112,9 @@ Requests are JSON lines on stdin, responses JSON lines on stdout:
   {\"id\":2,\"op\":\"list\"}
   {\"id\":3,\"op\":\"sample\",\"model\":\"tabddpm\",\"preset\":\"small\",
    \"seed\":2024,\"budget\":\"smoke\",\"rows\":64,\"sample_seed\":7}
-";
+",
+    operands: false,
+};
 
 /// Default `--max-rows`: generous for benchmarking, small enough that one
 /// request cannot pin the worker on a multi-gigabyte forward pass.
@@ -115,98 +123,41 @@ const DEFAULT_MAX_ROWS: usize = 65_536;
 /// Default `--max-batch-rows`: one coalesced pass stays cache-friendly.
 const DEFAULT_MAX_BATCH_ROWS: usize = 4_096;
 
-/// Exit for malformed command lines.
-fn usage_error(message: &str) -> ! {
-    eprintln!("serve: {message}");
-    eprintln!("serve: run with --help for usage");
-    std::process::exit(2);
+/// A serve command line, parsed and checked before the registry loads.
+struct Options {
+    dir: String,
+    queue_depth: usize,
+    batch_window_ms: u64,
+    policy: BatchPolicy,
 }
 
-/// Exit for runtime failures (unreadable checkpoint directory).
-fn runtime_error(message: &str) -> ! {
-    eprintln!("serve: {message}");
-    std::process::exit(1);
-}
-
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// Flags that consume the following argument.
-const VALUE_FLAGS: &[&str] = &[
-    "--checkpoints",
-    "--queue-depth",
-    "--deadline-ms",
-    "--batch-window-ms",
-    "--max-batch-rows",
-    "--max-rows",
-    "--inject",
-];
-
-/// Extract the value of `name`, refusing to consume another flag as the
-/// value — `--checkpoints --queue-depth 1` is a usage error naming
-/// `--checkpoints`, not a directory called "--queue-depth".
-fn value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
+fn options(args: &Args) -> Result<Options, String> {
+    let policy = BatchPolicy {
+        deadline_ms: args.value("--deadline-ms")?.map(NonZeroU64::get),
+        max_rows: args
+            .value("--max-rows")?
+            .map_or(DEFAULT_MAX_ROWS, NonZeroUsize::get),
+        max_batch_rows: args
+            .value("--max-batch-rows")?
+            .map_or(DEFAULT_MAX_BATCH_ROWS, NonZeroUsize::get),
+        faults: args
+            .value_with("--inject", ServeFaultPlan::parse)?
+            .unwrap_or_else(ServeFaultPlan::none),
+        clock: if args.switch("--virtual-clock") {
+            FaultClock::Virtual
+        } else {
+            FaultClock::Real
+        },
     };
-    match args.get(i + 1) {
-        Some(v) if v.starts_with("--") || VALUE_FLAGS.contains(&v.as_str()) => {
-            Err(format!("{name} needs a value, but found the flag '{v}'"))
-        }
-        Some(v) => Ok(Some(v.clone())),
-        None => Err(format!("{name} needs a value")),
-    }
-}
-
-/// Parse `--queue-depth N` (at least 1 — a zero-depth queue would shed
-/// every request).
-fn parse_queue_depth(text: &str) -> Result<usize, String> {
-    match text.trim().parse::<usize>() {
-        Ok(0) => Err(format!("bad --queue-depth '{text}' (want >= 1)")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("bad --queue-depth '{text}' (want an integer >= 1)")),
-    }
-}
-
-/// Parse `--deadline-ms N` (at least 1 — a zero deadline would fail every
-/// request before any work happens).
-fn parse_deadline_ms(text: &str) -> Result<u64, String> {
-    match text.trim().parse::<u64>() {
-        Ok(0) => Err(format!("bad --deadline-ms '{text}' (want >= 1)")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("bad --deadline-ms '{text}' (want an integer >= 1)")),
-    }
-}
-
-/// Parse `--batch-window-ms N` (0 disables the wait; the scheduler still
-/// coalesces whatever is already queued).
-fn parse_batch_window_ms(text: &str) -> Result<u64, String> {
-    text.trim()
-        .parse::<u64>()
-        .map_err(|_| format!("bad --batch-window-ms '{text}' (want an integer >= 0)"))
-}
-
-/// Parse `--max-batch-rows N` (at least 1 — a zero budget could never
-/// carry a request).
-fn parse_max_batch_rows(text: &str) -> Result<usize, String> {
-    match text.trim().parse::<usize>() {
-        Ok(0) => Err(format!("bad --max-batch-rows '{text}' (want >= 1)")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "bad --max-batch-rows '{text}' (want an integer >= 1)"
-        )),
-    }
-}
-
-/// Parse `--max-rows N` (at least 1 — a zero cap would refuse every
-/// sample).
-fn parse_max_rows(text: &str) -> Result<usize, String> {
-    match text.trim().parse::<usize>() {
-        Ok(0) => Err(format!("bad --max-rows '{text}' (want >= 1)")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("bad --max-rows '{text}' (want an integer >= 1)")),
-    }
+    Ok(Options {
+        dir: args
+            .text("--checkpoints")
+            .ok_or("--checkpoints is required")?
+            .to_string(),
+        queue_depth: args.value("--queue-depth")?.map_or(64, NonZeroUsize::get),
+        batch_window_ms: args.value("--batch-window-ms")?.unwrap_or(0),
+        policy,
+    })
 }
 
 /// One request line. Every selector field is optional: `sample` matches
@@ -599,42 +550,16 @@ fn process_batch(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return;
-    }
-    let value = |name: &str| value(&args, name).unwrap_or_else(|e| usage_error(&e));
-    let dir =
-        value("--checkpoints").unwrap_or_else(|| usage_error("--checkpoints DIR is required"));
-    let queue_depth = value("--queue-depth")
-        .map(|v| parse_queue_depth(&v).unwrap_or_else(|e| usage_error(&e)))
-        .unwrap_or(64);
-    let deadline_ms =
-        value("--deadline-ms").map(|v| parse_deadline_ms(&v).unwrap_or_else(|e| usage_error(&e)));
-    let batch_window_ms = value("--batch-window-ms")
-        .map(|v| parse_batch_window_ms(&v).unwrap_or_else(|e| usage_error(&e)))
-        .unwrap_or(0);
-    let max_batch_rows = value("--max-batch-rows")
-        .map(|v| parse_max_batch_rows(&v).unwrap_or_else(|e| usage_error(&e)))
-        .unwrap_or(DEFAULT_MAX_BATCH_ROWS);
-    let max_rows = value("--max-rows")
-        .map(|v| parse_max_rows(&v).unwrap_or_else(|e| usage_error(&e)))
-        .unwrap_or(DEFAULT_MAX_ROWS);
-    let faults = value("--inject")
-        .map(|v| {
-            ServeFaultPlan::parse(&v).unwrap_or_else(|e| usage_error(&format!("bad --inject: {e}")))
-        })
-        .unwrap_or_else(ServeFaultPlan::none);
-    let clock = if flag(&args, "--virtual-clock") {
-        FaultClock::Virtual
-    } else {
-        FaultClock::Real
-    };
+    let Options {
+        dir,
+        queue_depth,
+        batch_window_ms,
+        policy,
+    } = CLI.check(options(&CLI.parse()));
 
     let mut registry = CheckpointRegistry::load_dir(Path::new(&dir))
-        .unwrap_or_else(|e| runtime_error(&format!("cannot load checkpoints: {e}")));
-    if faults.load_corrupt() && !registry.entries.is_empty() {
+        .unwrap_or_else(|e| CLI.fail(format!("cannot load checkpoints: {e}")));
+    if policy.faults.load_corrupt() && !registry.entries.is_empty() {
         // Deterministic startup-corruption drill: treat the first
         // (alphabetically) loadable checkpoint as corrupt.
         let first = registry.entries.remove(0);
@@ -663,25 +588,22 @@ fn main() {
         );
     }
     if registry.entries.is_empty() && registry.quarantined.is_empty() {
-        runtime_error(&format!("no checkpoints in {dir}"));
+        CLI.fail(format!("no checkpoints in {dir}"));
     }
     eprintln!(
         "serve: ready (queue depth {queue_depth}, deadline {}, batch window {batch_window_ms}ms, \
-         max batch rows {max_batch_rows}, max rows {max_rows})",
-        deadline_ms.map_or_else(|| "none".to_string(), |ms| format!("{ms}ms"))
+         max batch rows {}, max rows {})",
+        policy
+            .deadline_ms
+            .map_or_else(|| "none".to_string(), |ms| format!("{ms}ms")),
+        policy.max_batch_rows,
+        policy.max_rows
     );
 
     let shed = Arc::new(AtomicUsize::new(0));
     let (tx, rx) = sync_channel::<(Request, Instant)>(queue_depth);
     let worker = {
         let shed = Arc::clone(&shed);
-        let policy = BatchPolicy {
-            deadline_ms,
-            max_rows,
-            max_batch_rows,
-            faults: faults.clone(),
-            clock,
-        };
         std::thread::spawn(move || {
             let mut held = !policy.faults.queue_hold();
             let mut batch_hold = policy.faults.batch_hold_min();
@@ -737,7 +659,7 @@ fn main() {
     for line in stdin.lock().lines() {
         let line = match line {
             Ok(line) => line,
-            Err(e) => runtime_error(&format!("cannot read stdin: {e}")),
+            Err(e) => CLI.fail(format!("cannot read stdin: {e}")),
         };
         if line.trim().is_empty() {
             continue;
@@ -763,7 +685,7 @@ fn main() {
                     .emit();
                 }
                 TrySendError::Disconnected(_) => {
-                    runtime_error("worker thread died");
+                    CLI.fail("worker thread died");
                 }
             }
         }
@@ -771,7 +693,7 @@ fn main() {
     drop(tx);
     worker
         .join()
-        .unwrap_or_else(|_| runtime_error("worker thread panicked outside the capture boundary"));
+        .unwrap_or_else(|_| CLI.fail("worker thread panicked outside the capture boundary"));
     eprintln!(
         "serve: shutdown after {received} request(s), {} shed",
         shed.load(Ordering::SeqCst)
@@ -785,8 +707,14 @@ mod tests {
     use surrogate::{build_payload, SmoteConfig, SmoteSampler, TabularGenerator};
     use tabular::Column;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn args(list: &[&str]) -> Result<Args, String> {
+        CLI.parse_from(list.iter().map(|s| s.to_string()))
+            .map_err(|e| e.to_string())
+    }
+
+    /// Serve's options for `flags` after `--checkpoints ckpts`.
+    fn parse(flags: &[&str]) -> Result<Options, String> {
+        options(&args(&[&["--checkpoints", "ckpts"], flags].concat())?)
     }
 
     /// A registry holding one fitted SMOTE checkpoint, so batch-processing
@@ -857,13 +785,12 @@ mod tests {
 
     #[test]
     fn queue_depth_parser_requires_a_positive_depth() {
-        assert_eq!(parse_queue_depth("64").unwrap(), 64);
-        assert_eq!(parse_queue_depth(" 1 ").unwrap(), 1);
+        let depth = |v: &str| parse(&["--queue-depth", v]).map(|o| o.queue_depth);
+        assert_eq!(depth("64").unwrap(), 64);
+        assert_eq!(depth(" 1 ").unwrap(), 1);
         for bad in ["0", "", "-3", "deep", "1.5"] {
             assert!(
-                parse_queue_depth(bad)
-                    .unwrap_err()
-                    .contains("--queue-depth"),
+                depth(bad).unwrap_err().contains("--queue-depth"),
                 "{bad:?} must be rejected with the flag name"
             );
         }
@@ -871,12 +798,11 @@ mod tests {
 
     #[test]
     fn deadline_parser_requires_a_positive_deadline() {
-        assert_eq!(parse_deadline_ms("50").unwrap(), 50);
+        let deadline = |v: &str| parse(&["--deadline-ms", v]).map(|o| o.policy.deadline_ms);
+        assert_eq!(deadline("50").unwrap(), Some(50));
         for bad in ["0", "", "-1", "soon"] {
             assert!(
-                parse_deadline_ms(bad)
-                    .unwrap_err()
-                    .contains("--deadline-ms"),
+                deadline(bad).unwrap_err().contains("--deadline-ms"),
                 "{bad:?} must be rejected with the flag name"
             );
         }
@@ -884,29 +810,28 @@ mod tests {
 
     #[test]
     fn batching_parsers_name_their_flags() {
-        assert_eq!(parse_batch_window_ms("0").unwrap(), 0);
-        assert_eq!(parse_batch_window_ms("25").unwrap(), 25);
+        let window = |v: &str| parse(&["--batch-window-ms", v]).map(|o| o.batch_window_ms);
+        assert_eq!(window("0").unwrap(), 0);
+        assert_eq!(window("25").unwrap(), 25);
         for bad in ["", "-1", "soon"] {
             assert!(
-                parse_batch_window_ms(bad)
-                    .unwrap_err()
-                    .contains("--batch-window-ms"),
+                window(bad).unwrap_err().contains("--batch-window-ms"),
                 "{bad:?} must be rejected with the flag name"
             );
         }
-        assert_eq!(parse_max_batch_rows("512").unwrap(), 512);
+        let batch_rows = |v: &str| parse(&["--max-batch-rows", v]).map(|o| o.policy.max_batch_rows);
+        assert_eq!(batch_rows("512").unwrap(), 512);
         for bad in ["0", "", "-1", "wide"] {
             assert!(
-                parse_max_batch_rows(bad)
-                    .unwrap_err()
-                    .contains("--max-batch-rows"),
+                batch_rows(bad).unwrap_err().contains("--max-batch-rows"),
                 "{bad:?} must be rejected with the flag name"
             );
         }
-        assert_eq!(parse_max_rows("65536").unwrap(), 65536);
+        let max_rows = |v: &str| parse(&["--max-rows", v]).map(|o| o.policy.max_rows);
+        assert_eq!(max_rows("65536").unwrap(), 65536);
         for bad in ["0", "", "-1", "lots"] {
             assert!(
-                parse_max_rows(bad).unwrap_err().contains("--max-rows"),
+                max_rows(bad).unwrap_err().contains("--max-rows"),
                 "{bad:?} must be rejected with the flag name"
             );
         }
@@ -917,37 +842,31 @@ mod tests {
         // The old extractor silently consumed the next flag as a value, so
         // `--checkpoints --queue-depth 1` became a directory named
         // "--queue-depth". Now it is a usage error naming both flags.
-        let err = value(
-            &args(&["--checkpoints", "--queue-depth", "1"]),
-            "--checkpoints",
-        )
-        .unwrap_err();
+        let err = args(&["--checkpoints", "--queue-depth", "1"]).unwrap_err();
         assert!(err.contains("--checkpoints"), "{err}");
         assert!(err.contains("--queue-depth"), "{err}");
 
-        let err = value(&args(&["--inject"]), "--inject").unwrap_err();
-        assert!(err.contains("--inject needs a value"), "{err}");
+        let err = args(&["--inject"]).unwrap_err();
+        assert!(err.contains("--inject requires a value"), "{err}");
 
-        let err = value(
-            &args(&["--deadline-ms", "--virtual-clock"]),
-            "--deadline-ms",
-        )
-        .unwrap_err();
+        let err = args(&["--deadline-ms", "--virtual-clock"]).unwrap_err();
         assert!(err.contains("--virtual-clock"), "{err}");
 
         assert_eq!(
-            value(&args(&["--queue-depth", "9"]), "--queue-depth").unwrap(),
-            Some("9".to_string())
+            args(&["--queue-depth", "9"]).unwrap().text("--queue-depth"),
+            Some("9")
         );
         // Absent flag, and a negative-number value, both stay fine: the
         // typed parsers reject "-3" with a better message.
         assert_eq!(
-            value(&args(&["--queue-depth", "9"]), "--max-rows").unwrap(),
+            args(&["--queue-depth", "9"]).unwrap().text("--max-rows"),
             None
         );
         assert_eq!(
-            value(&args(&["--deadline-ms", "-3"]), "--deadline-ms").unwrap(),
-            Some("-3".to_string())
+            args(&["--deadline-ms", "-3"])
+                .unwrap()
+                .text("--deadline-ms"),
+            Some("-3")
         );
     }
 

@@ -26,9 +26,12 @@
 //! must stay within X for every policy, or the run exits non-zero — the
 //! `sim-fidelity-matrix` CI gate.
 
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
+use bench::cli::{Command, Positive};
 use htcsim::{BrokerPolicy, GridSimulator, JobArena, SimConfig, SimReport, SimTrace};
+use pandasim::GeneratorConfig;
 use serde::{Deserialize, Serialize};
 use surrogate::checkpoint::{Checkpoint, CheckpointRegistry};
 use surrogate::experiment::prepare_data_from_config;
@@ -36,9 +39,13 @@ use surrogate::{ModelKind, TrainingBudget};
 
 const SCHEMA_VERSION: u32 = 1;
 
-const USAGE: &str = "\
-simloop: surrogate-in-sim fidelity harness (surrogate vs ground-truth workloads)
+const CLI: Command = Command {
+    name: "simloop",
+    about: "surrogate-in-sim fidelity harness (surrogate vs ground-truth workloads)",
+    flags: "
+usage: simloop --checkpoint-dir DIR [FLAGS]
 
+flags:
   --checkpoint-dir DIR   directory of *.ckpt artifacts (required; see
                          `sweep --checkpoint-dir`)
   --model NAME           checkpoint model: tvae, ctabgan, smote, tabddpm
@@ -47,17 +54,19 @@ simloop: surrogate-in-sim fidelity harness (surrogate vs ground-truth workloads)
   --budget NAME          checkpoint training budget (default smoke)
   --preset NAME          checkpoint generator preset (default small)
   --gross N              gross generator records used to rebuild the
-                         ground-truth workload; must match what the sweep
-                         fitted on (default 2500 = `sweep --quick`)
-  --rows N               synthetic rows to sample (default: ground-truth
-                         training-split size)
+                         ground-truth workload, N >= 1; must match what the
+                         sweep fitted on (default 2500 = `sweep --quick`)
+  --rows N               synthetic rows to sample, N >= 1 (default:
+                         ground-truth training-split size)
   --sample-seed N        RNG seed of the surrogate sampling pass (default 7)
   --bins N               queue-depth bins per trace, N >= 1 (default 24)
   --slot-fraction F      simulator slot fraction, F > 0 (default 0.02)
-  --max-rel-delta X      gate: exit non-zero unless every relative fidelity
-                         delta and absolute utilisation delta is <= X
+  --max-rel-delta X      gate, X > 0: exit non-zero unless every relative
+                         fidelity delta and absolute utilisation delta is <= X
   --out PATH             JSON artifact path (default SIMLOOP.json)
-";
+",
+    operands: false,
+};
 
 /// Scalar fidelity deltas between the surrogate-driven and ground-truth
 /// simulation outcomes of one policy. Relative deltas use the bounded
@@ -169,105 +178,42 @@ struct SimloopArtifact {
     ok: bool,
 }
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("simloop: {message}");
-    eprintln!("simloop: run with --help for usage");
-    std::process::exit(2);
-}
-
-fn runtime_error(message: &str) -> ! {
-    eprintln!("simloop: {message}");
-    std::process::exit(1);
-}
-
-fn value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn parse_value<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    match value(args, name) {
-        None => default,
-        Some(text) => text
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| usage_error(&format!("bad {name} '{text}'"))),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return;
-    }
-    const VALUE_FLAGS: &[&str] = &[
-        "--checkpoint-dir",
-        "--model",
-        "--seed",
-        "--budget",
-        "--preset",
-        "--gross",
-        "--rows",
-        "--sample-seed",
-        "--bins",
-        "--slot-fraction",
-        "--max-rel-delta",
-        "--out",
-    ];
-    let mut expect_value = false;
-    for arg in &args {
-        if expect_value {
-            expect_value = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            expect_value = true;
-        } else {
-            usage_error(&format!("unknown argument '{arg}'"));
-        }
-    }
-    if expect_value {
-        usage_error("flag at end of line is missing its value");
-    }
-
-    let checkpoint_dir = value(&args, "--checkpoint-dir")
-        .unwrap_or_else(|| usage_error("--checkpoint-dir is required"));
-    let model_text = value(&args, "--model").unwrap_or_else(|| "smote".to_string());
-    let model = ModelKind::parse(&model_text)
-        .unwrap_or_else(|| usage_error(&format!("unknown --model '{model_text}'")));
-    let seed: u64 = parse_value(&args, "--seed", 2025);
-    let budget_text = value(&args, "--budget").unwrap_or_else(|| "smoke".to_string());
-    let budget = TrainingBudget::parse(&budget_text)
-        .unwrap_or_else(|| usage_error(&format!("unknown --budget '{budget_text}'")));
-    let preset = value(&args, "--preset").unwrap_or_else(|| "small".to_string());
-    let gross: usize = parse_value(&args, "--gross", 2_500);
-    let sample_seed: u64 = parse_value(&args, "--sample-seed", 7);
-    let bins: usize = parse_value(&args, "--bins", 24);
-    if bins == 0 {
-        usage_error("--bins must be at least 1");
-    }
-    let slot_fraction: f64 = parse_value(&args, "--slot-fraction", 0.02);
-    if !slot_fraction.is_finite() || slot_fraction <= 0.0 {
-        usage_error("--slot-fraction must be positive");
-    }
-    let max_rel_delta: Option<f64> = value(&args, "--max-rel-delta").map(|text| {
-        let x: f64 = text
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| usage_error(&format!("bad --max-rel-delta '{text}'")));
-        if !x.is_finite() || x <= 0.0 {
-            usage_error("--max-rel-delta must be positive");
-        }
-        x
-    });
-    let out = PathBuf::from(value(&args, "--out").unwrap_or_else(|| "SIMLOOP.json".to_string()));
+    let args = CLI.parse();
+    let checkpoint_dir = CLI.check(
+        args.text("--checkpoint-dir")
+            .ok_or("--checkpoint-dir is required"),
+    );
+    let model = CLI
+        .check(args.value_with("--model", |name| ModelKind::parse(name).ok_or("")))
+        .unwrap_or(ModelKind::Smote);
+    let seed = CLI.check(args.value("--seed")).unwrap_or(2025);
+    let budget = CLI
+        .check(args.value_with("--budget", |name| TrainingBudget::parse(name).ok_or("")))
+        .unwrap_or(TrainingBudget::Smoke);
+    let preset = args.text("--preset").map_or("small", str::trim);
+    let mut config = CLI
+        .check(args.value_with("--preset", |name| GeneratorConfig::preset(name).ok_or("")))
+        .unwrap_or_else(GeneratorConfig::small);
+    let gross = CLI
+        .check(args.value("--gross"))
+        .map_or(2_500, NonZeroUsize::get);
+    let rows: Option<NonZeroUsize> = CLI.check(args.value("--rows"));
+    let sample_seed = CLI.check(args.value("--sample-seed")).unwrap_or(7);
+    let bins = CLI
+        .check(args.value("--bins"))
+        .map_or(24, NonZeroUsize::get);
+    let slot_fraction = CLI
+        .check(args.value("--slot-fraction"))
+        .map_or(0.02, |Positive(f)| f);
+    let max_rel_delta = CLI
+        .check(args.value("--max-rel-delta"))
+        .map(|Positive(x)| x);
+    let out = PathBuf::from(args.text("--out").unwrap_or("SIMLOOP.json"));
 
     // 1. Load the checkpoint.
     let registry = CheckpointRegistry::load_dir(Path::new(&checkpoint_dir))
-        .unwrap_or_else(|e| runtime_error(&format!("cannot scan '{checkpoint_dir}': {e}")));
+        .unwrap_or_else(|e| CLI.fail(format!("cannot scan '{checkpoint_dir}': {e}")));
     for q in &registry.quarantined {
         eprintln!(
             "simloop: warning: quarantined checkpoint '{}': {}",
@@ -279,7 +225,7 @@ fn main() {
         .iter()
         .find(|c| c.model == model && c.seed == seed && c.budget == budget && c.preset == preset)
         .unwrap_or_else(|| {
-            runtime_error(&format!(
+            CLI.fail(format!(
                 "no checkpoint for model={} seed={seed} budget={} preset={preset} in \
                  '{checkpoint_dir}' ({} loadable entries)",
                 model.name(),
@@ -291,24 +237,15 @@ fn main() {
 
     // 2. Rebuild the exact ground-truth workload the checkpoint was fitted
     //    on: the data pipeline is a pure function of the generator config.
-    let mut config = pandasim::GeneratorConfig::preset(&preset)
-        .unwrap_or_else(|| usage_error(&format!("unknown --preset '{preset}'")));
     config.seed = seed;
     config.gross_records = gross;
     let data = prepare_data_from_config(&config);
     let gt_rows = data.train.n_rows();
-    if gt_rows == 0 {
-        runtime_error("ground-truth training split is empty — raise --gross");
-    }
 
     // 3. Sample the surrogate workload from the checkpoint.
-    let rows: usize = parse_value(&args, "--rows", gt_rows);
-    if rows == 0 {
-        usage_error("--rows must be at least 1");
-    }
     let synthetic = checkpoint
-        .sample(rows, sample_seed)
-        .unwrap_or_else(|e| runtime_error(&format!("checkpoint sampling failed: {e}")));
+        .sample(rows.map_or(gt_rows, NonZeroUsize::get), sample_seed)
+        .unwrap_or_else(|e| CLI.fail(format!("checkpoint sampling failed: {e}")));
     println!(
         "simloop: ground truth {gt_rows} jobs vs surrogate {} jobs (sample seed {sample_seed})",
         synthetic.n_rows()
@@ -316,9 +253,9 @@ fn main() {
 
     // 4. Both workloads into arenas (typed errors name the broken column).
     let gt_arena = JobArena::from_table(&data.train)
-        .unwrap_or_else(|e| runtime_error(&format!("ground-truth workload: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format!("ground-truth workload: {e}")));
     let surrogate_arena = JobArena::from_table(&synthetic)
-        .unwrap_or_else(|e| runtime_error(&format!("surrogate workload: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format!("surrogate workload: {e}")));
 
     // 5. Side-by-side traced runs under every brokerage policy.
     let sites = data.generator.sites();
@@ -381,7 +318,7 @@ fn main() {
         schema_version: SCHEMA_VERSION,
         checkpoint_key: checkpoint.key(),
         model: model.name().to_string(),
-        preset: preset.clone(),
+        preset: preset.to_string(),
         seed,
         budget: budget.name().to_string(),
         gross_records: gross,
@@ -395,14 +332,13 @@ fn main() {
         ok: all_ok,
     };
     let rendered = serde_json::to_string_pretty(&artifact).expect("artifact serializes") + "\n";
-    std::fs::write(&out, &rendered)
-        .unwrap_or_else(|e| runtime_error(&format!("cannot write '{}': {e}", out.display())));
+    CLI.write(&out, &rendered);
     let read_back = std::fs::read_to_string(&out)
-        .unwrap_or_else(|e| runtime_error(&format!("cannot re-read '{}': {e}", out.display())));
+        .unwrap_or_else(|e| CLI.fail(format!("cannot re-read '{}': {e}", out.display())));
     let parsed: SimloopArtifact = serde_json::from_str(&read_back)
-        .unwrap_or_else(|e| runtime_error(&format!("artifact failed typed validation: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format!("artifact failed typed validation: {e}")));
     if parsed != artifact {
-        runtime_error("artifact round-trip produced a different value");
+        CLI.fail("artifact round-trip produced a different value");
     }
     println!(
         "simloop: wrote {} ({} policies, ok={})",
@@ -411,6 +347,6 @@ fn main() {
         artifact.ok
     );
     if !all_ok {
-        runtime_error("fidelity deltas exceed --max-rel-delta bound");
+        CLI.fail("fidelity deltas exceed --max-rel-delta bound");
     }
 }

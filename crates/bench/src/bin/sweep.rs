@@ -41,28 +41,18 @@
 //!   crash-safe checkpoint artifact (`<cell-id>.ckpt`, written atomically)
 //!   that `serve` loads into its model registry.
 //!
-//! Usage:
-//!   sweep [--seeds 2024..2032 | 2024,2025] [--budgets fast,standard]
-//!         [--models tabddpm,smote] [--grid default,tier2_heavy]
-//!         [--rows N] [--days D] [--sample-rows N] [--no-mlef]
-//!         [--sequential] [--quick] [--strict] [--shard I/N]
-//!         [--resume PRIOR.json|JOURNAL.jsonl] [--out PATH]
-//!         [--canonical-out PATH] [--csv PATH] [--retries N]
-//!         [--budget-ms N] [--max-epochs N] [--journal PATH]
-//!         [--inject SPEC]
-//!   sweep --merge A.json B.json … [--allow-partial] [--out PATH]
-//!         [--canonical-out PATH]
-//!   sweep --drop-last K IN.json [--out PATH]
-//!
-//! `--seeds` accepts a half-open range (`A..B`) or a comma list. `--rows`
-//! overrides every variant's gross record count (`--rows 0` keeps each
-//! preset's own value; the default is 20000 so a bare run finishes on a
-//! laptop). `--quick` is the CI smoke grid: 2 seeds × smoke budget × the
-//! `small` preset × all four models = 8 cells at 2500 gross records.
+//! `sweep --help` lists every flag. `--seeds` accepts a half-open range
+//! (`A..B`) or a comma list. `--rows` overrides every variant's gross record
+//! count (`--rows 0` keeps each preset's own value; the default is 20000 so
+//! a bare run finishes on a laptop). `--quick` is the CI smoke grid: 2
+//! seeds × smoke budget × the `small` preset × all four models = 8 cells at
+//! 2500 gross records.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use bench::cli::{Args, Command, Positive};
 use metrics::{mean_report, EvaluationConfig, SurrogateReport};
 use surrogate::sweep::{
     run_sweep, NamedGeneratorConfig, ShardSpec, SweepArtifactError, SweepCellRow, SweepGrid,
@@ -70,16 +60,21 @@ use surrogate::sweep::{
 };
 use surrogate::{CellBudget, ExecutionMode, FaultClock, FaultPlan, ModelKind, TrainingBudget};
 
-const USAGE: &str = "\
-sweep: scenario-sweep runtime over the surrogate experiment pipeline
+const CLI: Command = Command {
+    name: "sweep",
+    about: "scenario-sweep runtime over the surrogate experiment pipeline",
+    flags: "
+usage: sweep [FLAGS]
+       sweep --merge A.json B.json ... [--allow-partial] [--out PATH] [--canonical-out PATH]
+       sweep --drop-last K IN.json [--out PATH]
 
 run mode:
-  --seeds A..B | a,b,c   seed axis (half-open range or comma list; default 2024..2026)
+  --seeds A..B|a,b,c     seed axis (half-open range or comma list; default 2024..2026)
   --budgets LIST         training budgets: smoke|fast, standard, full|paper (default standard)
   --models LIST          model subset: tvae, ctabgan, smote, tabddpm (default all four)
   --grid LIST            generator presets: default, small, tier2_heavy, user_heavy, burst
   --rows N               gross records per variant (0 = keep preset values; default 20000)
-  --days D               collection-window override in days
+  --days D               collection-window override in days, D > 0
   --sample-rows N        synthetic rows per cell, N >= 1 (default: training-split size)
   --no-mlef              skip the (slow) MLEF probe
   --sequential           run cells one after another (byte-identical to parallel)
@@ -96,8 +91,9 @@ run mode:
   --csv PATH             also write per-cell metrics rows as CSV (cell id in the model column)
 
 fault tolerance:
-  --budget-ms N          per-cell wall-clock budget in milliseconds (N >= 1);
-                         a tripped cell becomes a typed 'budget' row
+  --budget-ms N          per-cell wall-clock budget in milliseconds, N >= 1 (use
+                         --max-epochs 0 for an immediate trip); a tripped cell
+                         becomes a typed 'budget' row
   --max-epochs N         per-cell training-epoch cap (0 trips immediately)
   --retries N            retry failed cells up to N times with deterministic
                          per-attempt reseeds (budget trips never retry)
@@ -113,81 +109,17 @@ fault tolerance:
                          in DIR; created if missing, must be a writable
                          directory (not an existing file)
 
-merge mode:
-  --merge A.json B.json ...  validate + recombine disjoint shard artifacts
-  --allow-partial            accept a merge that does not cover the full grid
-  --out / --canonical-out    as in run mode
+merge mode (--out and --canonical-out as in run mode):
+  --merge                validate + recombine the disjoint shard artifacts
+                         given as arguments
+  --allow-partial        accept a merge that does not cover the full grid
 
 artifact surgery:
-  --drop-last K IN.json      rewrite IN.json without its last K cell rows
-                             (used by the CI resume smoke) to --out
-";
-
-/// Flags that consume the following argument, for positional extraction.
-const VALUE_FLAGS: &[&str] = &[
-    "--seeds",
-    "--budgets",
-    "--models",
-    "--grid",
-    "--rows",
-    "--days",
-    "--sample-rows",
-    "--shard",
-    "--resume",
-    "--out",
-    "--canonical-out",
-    "--csv",
-    "--drop-last",
-    "--retries",
-    "--budget-ms",
-    "--max-epochs",
-    "--journal",
-    "--inject",
-    "--checkpoint-dir",
-];
-
-/// Exit for malformed command lines (bad flag syntax, unknown names).
-fn usage_error(message: &str) -> ! {
-    eprintln!("sweep: {message}");
-    eprintln!("sweep: run with --help for usage");
-    std::process::exit(2);
-}
-
-/// Exit for runtime failures (unreadable/stale artifacts, failed cells).
-fn runtime_error(message: &str) -> ! {
-    eprintln!("sweep: {message}");
-    std::process::exit(1);
-}
-
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Arguments that are neither flags nor a value consumed by one — the input
-/// artifact paths of `--merge` / `--drop-last`.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut skip_next = false;
-    for arg in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            skip_next = true;
-        } else if !arg.starts_with("--") {
-            out.push(arg.clone());
-        }
-    }
-    out
-}
+  --drop-last K          rewrite the artifact given as argument without its last
+                         K cell rows to --out (used by the CI resume smoke)
+",
+    operands: true,
+};
 
 /// Parse the seed axis: a half-open `A..B` range or a comma list. Every
 /// malformed spelling comes back as `Err` with the offending token, so the
@@ -219,13 +151,14 @@ fn parse_seeds(text: &str) -> Result<Vec<u64>, String> {
     Ok(seeds)
 }
 
-fn parse_list<T>(text: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
+fn parse_list<T>(
+    text: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
     text.split(',')
         .filter(|s| !s.trim().is_empty())
-        .map(|s| {
-            parse(s.trim())
-                .unwrap_or_else(|| usage_error(&format!("unknown {what} '{}'", s.trim())))
-        })
+        .map(|s| parse(s.trim()).ok_or_else(|| format!("unknown {what} '{}'", s.trim())))
         .collect()
 }
 
@@ -249,34 +182,6 @@ fn dedup_axis<T, K: PartialEq>(what: &str, values: Vec<T>, key: impl Fn(&T) -> K
         eprintln!("sweep: dropped {dropped} duplicate {what} value(s)");
     }
     unique
-}
-
-/// Parse `--retries N` (any non-negative count; 0 disables retries).
-fn parse_retries(text: &str) -> Result<u32, String> {
-    text.trim()
-        .parse::<u32>()
-        .map_err(|_| format!("bad --retries '{text}' (want a non-negative integer)"))
-}
-
-/// Parse `--budget-ms N` (a wall-clock cap must be at least 1 ms — 0 would
-/// fail every cell before its first epoch; use --max-epochs 0 to express
-/// that deterministically).
-fn parse_budget_ms(text: &str) -> Result<u64, String> {
-    match text.trim().parse::<u64>() {
-        Ok(0) => Err(format!(
-            "bad --budget-ms '{text}' (want >= 1; use --max-epochs 0 for an immediate trip)"
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("bad --budget-ms '{text}' (want an integer >= 1)")),
-    }
-}
-
-/// Parse `--max-epochs N` (0 is allowed: the budget trips before the first
-/// epoch, which is how CI exercises the budget path without timing races).
-fn parse_max_epochs(text: &str) -> Result<usize, String> {
-    text.trim()
-        .parse::<usize>()
-        .map_err(|_| format!("bad --max-epochs '{text}' (want a non-negative integer)"))
 }
 
 /// Validate `--checkpoint-dir DIR` up front, before any cell burns compute:
@@ -308,12 +213,12 @@ fn parse_checkpoint_dir(text: &str) -> Result<PathBuf, String> {
 /// structural invariants.
 fn read_report(path: &str) -> SweepReport {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| runtime_error(&format!("cannot read {path}: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format!("cannot read {path}: {e}")));
     let report: SweepReport = serde_json::from_str(&text)
-        .unwrap_or_else(|e| runtime_error(&format!("cannot parse {path}: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format!("cannot parse {path}: {e}")));
     report
         .validate()
-        .unwrap_or_else(|e| runtime_error(&format!("invalid artifact {path}: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format!("invalid artifact {path}: {e}")));
     report
 }
 
@@ -323,10 +228,10 @@ fn read_report(path: &str) -> SweepReport {
 /// `SweepReport::recover_journal`.
 fn read_prior(path: &str) -> SweepReport {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| runtime_error(&format!("cannot read {path}: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format!("cannot read {path}: {e}")));
     if text.trim_start().starts_with("{\"journal_version\"") {
         let report = SweepReport::recover_journal(&text)
-            .unwrap_or_else(|e| runtime_error(&format!("cannot recover journal {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(format!("cannot recover journal {path}: {e}")));
         eprintln!(
             "sweep: recovered {} completed cell(s) from journal {path}",
             report.total_cells
@@ -341,21 +246,20 @@ fn read_prior(path: &str) -> SweepReport {
 /// through the typed parser (the writer/parser round-trip CI relies on).
 fn write_report(report: &SweepReport, path: &str) {
     let json = serde_json::to_string_pretty(report).expect("render sweep report");
-    std::fs::write(path, json + "\n")
-        .unwrap_or_else(|e| runtime_error(&format!("cannot write {path}: {e}")));
+    CLI.write(path, json + "\n");
     match std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
         .and_then(|text| SweepReport::validate_artifact(&text))
     {
         Ok(cells) => eprintln!("sweep: wrote and validated {path} ({cells} cells)"),
-        Err(e) => runtime_error(&format!("emitted {path} failed validation: {e}")),
+        Err(e) => CLI.fail(format!("emitted {path} failed validation: {e}")),
     }
 }
 
 /// Write the wall-clock-zeroed canonical form when requested.
-fn write_canonical(report: &SweepReport, args: &[String]) {
-    if let Some(path) = value(args, "--canonical-out") {
-        write_report(&report.canonical(), &path);
+fn write_canonical(report: &SweepReport, args: &Args) {
+    if let Some(path) = args.text("--canonical-out") {
+        write_report(&report.canonical(), path);
     }
 }
 
@@ -376,31 +280,27 @@ fn row_metrics(row: &SweepCellRow) -> Option<SurrogateReport> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return;
-    }
-    if flag(&args, "--merge") {
-        merge_main(&args);
-    } else if flag(&args, "--drop-last") {
-        drop_last_main(&args);
+    let args = CLI.parse();
+    let out = args.text("--out").unwrap_or("SWEEP.json");
+    if args.switch("--merge") {
+        merge_main(&args, out);
+    } else if let Some(count) = CLI.check(args.value("--drop-last")) {
+        drop_last_main(&args, count, out);
     } else {
-        run_main(&args);
+        run_main(&args, out);
     }
 }
 
 /// `--merge`: validate and recombine shard artifacts.
-fn merge_main(args: &[String]) {
-    let inputs = positionals(args);
-    if inputs.is_empty() {
-        usage_error("--merge needs at least one artifact path");
+fn merge_main(args: &Args, out: &str) {
+    if args.operands.is_empty() {
+        CLI.reject("--merge needs at least one artifact path");
     }
-    let parts: Vec<SweepReport> = inputs.iter().map(|path| read_report(path)).collect();
+    let parts: Vec<SweepReport> = args.operands.iter().map(|path| read_report(path)).collect();
     let merged =
-        SweepReport::merge(&parts).unwrap_or_else(|e| runtime_error(&format!("cannot merge: {e}")));
-    if !merged.is_complete() && !flag(args, "--allow-partial") {
-        runtime_error(&format!(
+        SweepReport::merge(&parts).unwrap_or_else(|e| CLI.fail(format!("cannot merge: {e}")));
+    if !merged.is_complete() && !args.switch("--allow-partial") {
+        CLI.fail(format!(
             "merged artifact covers {} of {} grid cells; pass --allow-partial to accept an \
              incomplete merge",
             merged.total_cells, merged.grid_cells
@@ -413,23 +313,18 @@ fn merge_main(args: &[String]) {
         merged.failed_cells,
         merged.grid_cells
     );
-    let out_path = value(args, "--out").unwrap_or_else(|| "SWEEP.json".to_string());
-    write_report(&merged, &out_path);
+    write_report(&merged, out);
     write_canonical(&merged, args);
 }
 
 /// `--drop-last K IN.json`: artifact surgery for the CI resume smoke.
-fn drop_last_main(args: &[String]) {
-    let count: usize = value(args, "--drop-last")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage_error("--drop-last needs an integer row count"));
-    let inputs = positionals(args);
-    let [input] = inputs.as_slice() else {
-        usage_error("--drop-last needs exactly one input artifact path");
+fn drop_last_main(args: &Args, count: usize, out: &str) {
+    let [input] = args.operands.as_slice() else {
+        CLI.reject("--drop-last needs exactly one input artifact path");
     };
     let mut report = read_report(input);
     if count > report.cells.len() {
-        runtime_error(&format!(
+        CLI.fail(format!(
             "cannot drop {count} rows from a {}-row artifact",
             report.cells.len()
         ));
@@ -437,18 +332,17 @@ fn drop_last_main(args: &[String]) {
     report.cells.truncate(report.cells.len() - count);
     report.total_cells = report.cells.len();
     report.failed_cells = report.cells.iter().filter(|row| !row.ok).count();
-    let out_path = value(args, "--out").unwrap_or_else(|| "SWEEP.json".to_string());
     eprintln!(
         "sweep: dropped the last {count} row(s) of {input} ({} remain)",
         report.total_cells
     );
-    write_report(&report, &out_path);
+    write_report(&report, out);
 }
 
-/// Default mode: expand the grid and run it (optionally one shard of it,
-/// optionally resuming from a prior artifact).
-fn run_main(args: &[String]) {
-    let quick = flag(args, "--quick");
+/// The grid (quick or default, then each axis flag) and the per-cell
+/// options of a run.
+fn run_options(args: &Args) -> Result<(SweepGrid, SweepOptions), String> {
+    let quick = args.switch("--quick");
     let mut grid = SweepGrid {
         seeds: if quick {
             vec![2024, 2025]
@@ -466,36 +360,30 @@ fn run_main(args: &[String]) {
         ],
         models: ModelKind::ALL.to_vec(),
     };
-    let mut rows_override = Some(if quick { 2_500 } else { 20_000 });
-
-    if let Some(v) = value(args, "--seeds") {
-        grid.seeds = parse_seeds(&v).unwrap_or_else(|e| usage_error(&e));
-    }
-    if let Some(v) = value(args, "--budgets") {
-        grid.budgets = parse_list(&v, "budget", TrainingBudget::parse);
-    }
-    if let Some(v) = value(args, "--models") {
-        grid.models = parse_list(&v, "model", ModelKind::parse);
-    }
-    if let Some(v) = value(args, "--grid") {
-        grid.generators = parse_list(&v, "generator preset", NamedGeneratorConfig::preset);
-    }
-    if let Some(v) = value(args, "--rows") {
-        match v.parse::<usize>() {
-            Ok(0) => rows_override = None,
-            Ok(n) => rows_override = Some(n),
-            Err(_) => usage_error(&format!("bad --rows '{v}' (want a non-negative integer)")),
-        }
-    }
-    if let Some(n) = rows_override {
+    grid.seeds = args
+        .value_with("--seeds", parse_seeds)?
+        .unwrap_or(grid.seeds);
+    grid.budgets = args
+        .value_with("--budgets", |v| {
+            parse_list(v, "budget", TrainingBudget::parse)
+        })?
+        .unwrap_or(grid.budgets);
+    grid.models = args
+        .value_with("--models", |v| parse_list(v, "model", ModelKind::parse))?
+        .unwrap_or(grid.models);
+    let preset = NamedGeneratorConfig::preset;
+    grid.generators = args
+        .value_with("--grid", |v| parse_list(v, "generator preset", preset))?
+        .unwrap_or(grid.generators);
+    let rows = args
+        .value::<usize>("--rows")?
+        .unwrap_or(if quick { 2_500 } else { 20_000 });
+    if rows > 0 {
         for generator in &mut grid.generators {
-            generator.config.gross_records = n;
+            generator.config.gross_records = rows;
         }
     }
-    if let Some(v) = value(args, "--days") {
-        let days: f64 = v
-            .parse()
-            .unwrap_or_else(|_| usage_error(&format!("bad --days '{v}' (want a number)")));
+    if let Some(Positive(days)) = args.value("--days")? {
         for generator in &mut grid.generators {
             generator.config.days = days;
         }
@@ -504,11 +392,11 @@ fn run_main(args: &[String]) {
     grid.budgets = dedup_axis("--budgets", grid.budgets, |b| *b);
     grid.models = dedup_axis("--models", grid.models, |m| *m);
     grid.generators = dedup_axis("--grid", grid.generators, |g| g.name.clone());
+    if grid.is_empty() {
+        return Err("the grid is empty (every axis needs at least one value)".to_string());
+    }
 
-    let shard = value(args, "--shard").map(|v| {
-        ShardSpec::parse(&v).unwrap_or_else(|e| usage_error(&format!("bad --shard: {e}")))
-    });
-    let evaluation = if quick || flag(args, "--no-mlef") {
+    let evaluation = if quick || args.switch("--no-mlef") {
         EvaluationConfig {
             mlef: None,
             ..EvaluationConfig::fast()
@@ -516,50 +404,49 @@ fn run_main(args: &[String]) {
     } else {
         EvaluationConfig::fast()
     };
-    let budget = CellBudget {
-        wall_clock: value(args, "--budget-ms")
-            .map(|v| parse_budget_ms(&v).unwrap_or_else(|e| usage_error(&e)))
-            .map(Duration::from_millis),
-        max_epochs: value(args, "--max-epochs")
-            .map(|v| parse_max_epochs(&v).unwrap_or_else(|e| usage_error(&e))),
-    };
     let options = SweepOptions {
-        mode: if flag(args, "--sequential") {
+        mode: if args.switch("--sequential") {
             ExecutionMode::Sequential
         } else {
             ExecutionMode::Parallel
         },
         evaluation,
         keep_tables: false,
-        sample_rows: value(args, "--sample-rows").map(|v| match v.parse() {
-            Ok(n) if n > 0 => n,
-            _ => usage_error(&format!("bad --sample-rows '{v}' (want an integer >= 1)")),
-        }),
-        budget,
-        retries: value(args, "--retries")
-            .map(|v| parse_retries(&v).unwrap_or_else(|e| usage_error(&e)))
-            .unwrap_or(0),
-        faults: value(args, "--inject")
-            .map(|v| {
-                FaultPlan::parse(&v).unwrap_or_else(|e| usage_error(&format!("bad --inject: {e}")))
-            })
+        sample_rows: args.value("--sample-rows")?.map(NonZeroUsize::get),
+        budget: CellBudget {
+            wall_clock: args
+                .value("--budget-ms")?
+                .map(|ms: NonZeroU64| Duration::from_millis(ms.get())),
+            max_epochs: args.value("--max-epochs")?,
+        },
+        retries: args.value("--retries")?.unwrap_or(0),
+        faults: args
+            .value_with("--inject", FaultPlan::parse)?
             .unwrap_or_else(FaultPlan::none),
-        clock: if flag(args, "--virtual-clock") {
+        clock: if args.switch("--virtual-clock") {
             FaultClock::Virtual
         } else {
             FaultClock::Real
         },
-        shard,
-        journal: value(args, "--journal").map(PathBuf::from),
-        checkpoint_dir: value(args, "--checkpoint-dir")
-            .map(|v| parse_checkpoint_dir(&v).unwrap_or_else(|e| usage_error(&e))),
+        shard: args.value_with("--shard", ShardSpec::parse)?,
+        journal: args.text("--journal").map(PathBuf::from),
+        // Last, so a refused command line leaves no directory behind.
+        checkpoint_dir: args
+            .text("--checkpoint-dir")
+            .map(parse_checkpoint_dir)
+            .transpose()?,
     };
-    let out_path = value(args, "--out").unwrap_or_else(|| "SWEEP.json".to_string());
-    let prior = value(args, "--resume").map(|path| read_prior(&path));
+    Ok((grid, options))
+}
 
-    if grid.is_empty() {
-        usage_error("the grid is empty (every axis needs at least one value)");
+/// Default mode: expand the grid and run it (optionally one shard of it,
+/// optionally resuming from a prior artifact).
+fn run_main(args: &Args, out: &str) {
+    if let Some(arg) = args.operands.first() {
+        CLI.reject(format!("unexpected argument '{arg}'"));
     }
+    let (grid, options) = CLI.check(run_options(args));
+    let prior = args.text("--resume").map(read_prior);
     eprintln!(
         "sweep: {} cells = {} seed(s) x {} budget(s) x {} generator variant(s) x {} model(s){}",
         grid.len(),
@@ -567,14 +454,17 @@ fn run_main(args: &[String]) {
         grid.budgets.len(),
         grid.generators.len(),
         grid.models.len(),
-        shard.map(|s| format!(", shard {s}")).unwrap_or_default()
+        options
+            .shard
+            .map(|s| format!(", shard {s}"))
+            .unwrap_or_default()
     );
 
     // The prior was read into memory above, so the runner may recreate the
     // journal even when it is the very file being resumed from.
     let summary = run_sweep(&grid, &options, prior.as_ref()).unwrap_or_else(|e| match e {
-        SweepArtifactError::Journal { .. } => runtime_error(&e.to_string()),
-        _ => runtime_error(&format!("cannot resume: {e}")),
+        SweepArtifactError::Journal { .. } => CLI.fail(e),
+        _ => CLI.fail(format!("cannot resume: {e}")),
     });
     let report = &summary.report;
     if let Some(dir) = &options.checkpoint_dir {
@@ -658,7 +548,7 @@ fn run_main(args: &[String]) {
         }
     }
 
-    if let Some(csv_path) = value(args, "--csv") {
+    if let Some(csv_path) = args.text("--csv") {
         // Per-cell metrics rows; the model column carries the full cell id
         // so one file covers every axis combination.
         let mut csv = String::from(SurrogateReport::csv_header());
@@ -673,12 +563,11 @@ fn run_main(args: &[String]) {
                 csv.push('\n');
             }
         }
-        std::fs::write(&csv_path, csv)
-            .unwrap_or_else(|e| runtime_error(&format!("cannot write {csv_path}: {e}")));
+        CLI.write(csv_path, csv);
         eprintln!("sweep: wrote {csv_path}");
     }
 
-    write_report(report, &out_path);
+    write_report(report, out);
     write_canonical(report, args);
     eprintln!(
         "sweep: {} cells, {} failed, {:.1}s",
@@ -687,10 +576,10 @@ fn run_main(args: &[String]) {
         report.wall_ms / 1e3
     );
     if failed == report.total_cells && report.total_cells > 0 {
-        runtime_error("every cell failed");
+        CLI.fail("every cell failed");
     }
-    if failed > 0 && flag(args, "--strict") {
-        runtime_error(&format!("{failed} cell(s) failed (--strict)"));
+    if failed > 0 && args.switch("--strict") {
+        CLI.fail(format!("{failed} cell(s) failed (--strict)"));
     }
 }
 
@@ -698,8 +587,14 @@ fn run_main(args: &[String]) {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn args(list: &[&str]) -> Args {
+        CLI.parse_from(list.iter().map(|s| s.to_string()))
+            .unwrap_or_else(|e| panic!("{list:?}: {e}"))
+    }
+
+    /// The per-cell options of `list`, or the usage error it exits 2 with.
+    fn run(list: &[&str]) -> Result<SweepOptions, String> {
+        run_options(&args(list)).map(|(_, options)| options)
     }
 
     #[test]
@@ -744,7 +639,7 @@ mod tests {
             "--canonical-out",
             "canon.json",
         ]);
-        assert_eq!(positionals(&argv), args(&["a.json", "b.json", "c.json"]));
+        assert_eq!(argv.operands, ["a.json", "b.json", "c.json"]);
     }
 
     #[test]
@@ -755,11 +650,12 @@ mod tests {
 
     #[test]
     fn retries_parser_accepts_counts_and_rejects_garbage() {
-        assert_eq!(parse_retries("0").unwrap(), 0);
-        assert_eq!(parse_retries(" 3 ").unwrap(), 3);
+        let retries = |v: &str| run(&["--retries", v]).map(|options| options.retries);
+        assert_eq!(retries("0").unwrap(), 0);
+        assert_eq!(retries(" 3 ").unwrap(), 3);
         for bad in ["", "-1", "two", "1.5"] {
             assert!(
-                parse_retries(bad).unwrap_err().contains("--retries"),
+                retries(bad).unwrap_err().contains("--retries"),
                 "{bad:?} must be rejected with the flag name"
             );
         }
@@ -767,11 +663,14 @@ mod tests {
 
     #[test]
     fn budget_ms_parser_requires_a_positive_cap() {
-        assert_eq!(parse_budget_ms("250").unwrap(), 250);
-        assert_eq!(parse_budget_ms(" 1 ").unwrap(), 1);
+        let budget_ms = |v: &str| {
+            run(&["--budget-ms", v]).map(|options| options.budget.wall_clock.unwrap().as_millis())
+        };
+        assert_eq!(budget_ms("250").unwrap(), 250);
+        assert_eq!(budget_ms(" 1 ").unwrap(), 1);
         for bad in ["0", "", "-5", "fast", "1.5"] {
             assert!(
-                parse_budget_ms(bad).unwrap_err().contains("--budget-ms"),
+                budget_ms(bad).unwrap_err().contains("--budget-ms"),
                 "{bad:?} must be rejected with the flag name"
             );
         }
@@ -779,11 +678,13 @@ mod tests {
 
     #[test]
     fn max_epochs_parser_allows_zero_for_immediate_trips() {
-        assert_eq!(parse_max_epochs("0").unwrap(), 0);
-        assert_eq!(parse_max_epochs("40").unwrap(), 40);
+        let max_epochs =
+            |v: &str| run(&["--max-epochs", v]).map(|options| options.budget.max_epochs.unwrap());
+        assert_eq!(max_epochs("0").unwrap(), 0);
+        assert_eq!(max_epochs("40").unwrap(), 40);
         for bad in ["", "-1", "many"] {
             assert!(
-                parse_max_epochs(bad).unwrap_err().contains("--max-epochs"),
+                max_epochs(bad).unwrap_err().contains("--max-epochs"),
                 "{bad:?} must be rejected with the flag name"
             );
         }
@@ -838,9 +739,9 @@ mod tests {
             "5",
             "in.json",
         ]);
-        assert_eq!(positionals(&argv), args(&["in.json"]));
-        assert_eq!(value(&argv, "--inject").as_deref(), Some("cell0:panic"));
-        assert_eq!(value(&argv, "--retries").as_deref(), Some("2"));
-        assert_eq!(value(&argv, "--journal").as_deref(), Some("j.jsonl"));
+        assert_eq!(argv.operands, ["in.json"]);
+        assert_eq!(argv.text("--inject"), Some("cell0:panic"));
+        assert_eq!(argv.text("--retries"), Some("2"));
+        assert_eq!(argv.text("--journal"), Some("j.jsonl"));
     }
 }

@@ -5,11 +5,17 @@
 //! cargo run -p bench --release --bin table1 -- --rows 30000 --budget standard
 //! ```
 
-use bench::{fit_all, maybe_write_json, options_or_exit, prepare_data};
+use bench::cli::{experiment, experiment_options, Command};
+use bench::{fit_all, prepare_data};
 use metrics::{evaluate_against, EvaluationConfig, MlefBaseline, SurrogateReport};
 
+const CLI: Command = experiment(
+    "table1",
+    "Table I: WD, JSD, diff-CORR, DCR, diff-MLEF per model",
+);
+
 fn main() {
-    let options = options_or_exit();
+    let options = CLI.check(experiment_options(&CLI.parse()));
     println!("== Table I: performance comparisons on surrogate models ==");
     println!(
         "simulated gross records: {}, window: {} days, budget: {:?}",
@@ -32,8 +38,7 @@ fn main() {
 
     let fits = fit_all(&data.train, options.budget, options.seed);
     if fits.report_failures() == fits.runs.len() {
-        eprintln!("error: every surrogate model failed — nothing to evaluate");
-        std::process::exit(1);
+        CLI.fail("every surrogate model failed — nothing to evaluate");
     }
 
     // MLEF(train → test) is fitted once, by the first evaluation, and
@@ -41,17 +46,23 @@ fn main() {
     let baseline = MlefBaseline::default();
     println!("\n{}", SurrogateReport::table_header());
     for (name, synthetic) in fits.successes() {
-        let report = evaluate_against(
+        match evaluate_against(
             name,
             &data.train,
             &data.test,
             synthetic,
             &evaluation,
             &baseline,
-        )
-        .expect("synthetic table is evaluable");
-        println!("{}", report.table_row());
-        reports.push(report);
+        ) {
+            Ok(report) => {
+                println!("{}", report.table_row());
+                reports.push(report);
+            }
+            Err(e) => eprintln!("warning: {name} could not be scored: {e}"),
+        }
+    }
+    if reports.is_empty() {
+        CLI.fail("no surrogate model could be scored");
     }
 
     println!("\npaper reference values (Table I):");
@@ -60,5 +71,5 @@ fn main() {
     println!("  SMOTE     WD 0.871  JSD 0.799  diff-CORR 0.011  DCR 0.001  diff-MLEF  0.058");
     println!("  TabDDPM   WD 0.874  JSD 0.799  diff-CORR 0.036  DCR 0.025  diff-MLEF  0.826");
 
-    maybe_write_json(&options, &reports);
+    CLI.maybe_write_json(options.output_json.as_deref(), &reports);
 }

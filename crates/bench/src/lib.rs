@@ -9,24 +9,17 @@
 //! The orchestration itself lives in [`surrogate::experiment`] — the single
 //! fit→sample→evaluate runtime for the whole workspace (parallel model fits,
 //! per-model error isolation). This crate only re-exports it so the binaries
-//! keep their `bench::` imports, and adds [`options_or_exit`], the shared
-//! way binaries read their flags, and [`hold_model`], the event-queue
-//! workload that `perf_report` and the `htcsim_events` bench both drive.
+//! keep their `bench::` imports, and adds [`cli`], the one command-line
+//! layer of every binary, and [`hold_model`], the event-queue workload that
+//! `perf_report` and the `htcsim_events` bench both drive.
+
+pub mod cli;
 
 use htcsim::{EventKind, EventScheduler};
 pub use surrogate::experiment::{
-    fit_all, fit_models_with, maybe_write_json, prepare_data, ExecutionMode, ExperimentOptions,
-    FitReport, ModelRun, PreparedData,
+    fit_all, fit_models_with, prepare_data, ExecutionMode, ExperimentOptions, FitReport, ModelRun,
+    PreparedData,
 };
-
-/// Parse the process arguments into [`ExperimentOptions`]; on an unknown
-/// flag or a bad flag value, print the error and exit with status 2.
-pub fn options_or_exit() -> ExperimentOptions {
-    ExperimentOptions::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
-}
 
 /// The classic "hold" benchmark for discrete-event priority queues: prime
 /// the queue with `held` events, then run `transitions` pop→push steps where

@@ -309,12 +309,28 @@ fn row_caps_answer_typed_rejections() {
 fn flag_shaped_values_are_usage_errors() {
     // `--checkpoints --queue-depth 1` must not be read as a directory
     // named "--queue-depth": the process exits 2 naming the bad flag pair.
-    let output = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--checkpoints", "--queue-depth", "1"])
-        .output()
-        .expect("serve spawns");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("--checkpoints"), "{stderr}");
-    assert!(stderr.contains("--queue-depth"), "{stderr}");
+    // A misspelt flag next to a loadable directory must not be ignored
+    // either: serve exits 2 naming it instead of serving.
+    let dir = checkpoint_dir("usage");
+    let dir_arg = dir.to_str().unwrap();
+    for (args, named) in [
+        (
+            &["--checkpoints", "--queue-depth", "1"][..],
+            &["--checkpoints", "--queue-depth"][..],
+        ),
+        (
+            &["--checkpoints", dir_arg, "--queue-dept", "1"],
+            &["--queue-dept"],
+        ),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .output()
+            .expect("serve spawns");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        for flag in named {
+            assert!(stderr.contains(flag), "{stderr}");
+        }
+    }
 }

@@ -58,36 +58,6 @@ impl Default for ExperimentOptions {
     }
 }
 
-impl ExperimentOptions {
-    /// Parse options from `--key value` style command-line arguments. An
-    /// unknown flag is an error naming it, and so is a known flag with a
-    /// missing or unparseable value.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut options = Self::default();
-        let mut args = args.into_iter();
-        while let Some(key) = args.next() {
-            if !["--rows", "--days", "--budget", "--seed", "--json"].contains(&key.as_str()) {
-                return Err(format!(
-                    "unknown flag '{key}' (expected --rows, --days, --budget, --seed or --json)"
-                ));
-            }
-            let value = args
-                .next()
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("{key} requires a value"))?;
-            let bad = || format!("invalid value '{value}' for {key}");
-            match key.as_str() {
-                "--rows" => options.gross_records = value.parse().map_err(|_| bad())?,
-                "--days" => options.days = value.parse().map_err(|_| bad())?,
-                "--budget" => options.budget = TrainingBudget::parse(&value).ok_or_else(bad)?,
-                "--seed" => options.seed = value.parse().map_err(|_| bad())?,
-                _ => options.output_json = Some(value),
-            }
-        }
-        Ok(options)
-    }
-}
-
 /// The prepared dataset every experiment starts from: the gross stream, the
 /// filtering funnel, and the 80/20 train/test split of the modelling table.
 pub struct PreparedData {
@@ -239,73 +209,9 @@ pub fn fit_all(train: &Table, budget: TrainingBudget, seed: u64) -> FitReport {
     })
 }
 
-/// Write a serde-serialisable artifact to the path given in the options, if
-/// one was requested.
-pub fn maybe_write_json<T: serde::Serialize>(options: &ExperimentOptions, artifact: &T) {
-    if let Some(path) = &options.output_json {
-        let json = serde_json::to_string_pretty(artifact).expect("serialisable artifact");
-        match std::fs::write(path, json) {
-            Ok(()) => println!("wrote artifact to {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn argument_parsing_handles_all_flags() {
-        let parse =
-            |args: &[&str]| ExperimentOptions::from_args(args.iter().map(|s| s.to_string()));
-        let options = parse(&[
-            "--rows",
-            "5000",
-            "--days",
-            "30",
-            "--budget",
-            "smoke",
-            "--seed",
-            "7",
-            "--json",
-            "/tmp/x.json",
-        ])
-        .unwrap();
-        assert_eq!(options.gross_records, 5000);
-        assert_eq!(options.days, 30.0);
-        assert_eq!(options.budget, TrainingBudget::Smoke);
-        assert_eq!(options.seed, 7);
-        assert_eq!(options.output_json.as_deref(), Some("/tmp/x.json"));
-
-        // Bad values are errors that name the flag and the value, never a
-        // silent fall-back to the default; an unknown flag is named too.
-        for (args, message) in [
-            (
-                &["--unknown", "ignored"][..],
-                "unknown flag '--unknown' (expected --rows, --days, --budget, --seed or --json)",
-            ),
-            (
-                &["--row", "3000"],
-                "unknown flag '--row' (expected --rows, --days, --budget, --seed or --json)",
-            ),
-            (&["--rows", "abc"], "invalid value 'abc' for --rows"),
-            (&["--days", "1e"], "invalid value '1e' for --days"),
-            (&["--budget", "typo"], "invalid value 'typo' for --budget"),
-            (&["--seed", "-1"], "invalid value '-1' for --seed"),
-            (&["--rows", "100", "--seed"], "--seed requires a value"),
-            (&["--json", "--rows", "100"], "--json requires a value"),
-        ] {
-            assert_eq!(parse(args).unwrap_err(), message, "{args:?}");
-        }
-    }
-
-    #[test]
-    fn argument_parsing_defaults() {
-        let options = ExperimentOptions::from_args(Vec::<String>::new()).unwrap();
-        assert_eq!(options.gross_records, 30_000);
-        assert_eq!(options.budget, TrainingBudget::Standard);
-    }
 
     #[test]
     fn prepare_data_produces_consistent_split() {

@@ -45,6 +45,15 @@ pub enum TabularError {
     },
     /// An empty table or column where data was required.
     Empty(&'static str),
+    /// A table with fewer rows than the operation needs.
+    TooFewRows {
+        /// What needed the rows.
+        context: &'static str,
+        /// Rows present.
+        rows: usize,
+        /// Rows needed.
+        needed: usize,
+    },
     /// A NaN where a transform needs an ordered value.
     NotANumber {
         /// What was being transformed.
@@ -85,6 +94,11 @@ impl fmt::Display for TabularError {
                 )
             }
             TabularError::Empty(what) => write!(f, "{what} is empty"),
+            TabularError::TooFewRows {
+                context,
+                rows,
+                needed,
+            } => write!(f, "{context} has {rows} row(s), needs at least {needed}"),
             TabularError::NotANumber { context, row } => {
                 write!(f, "NaN at row {row} of {context}")
             }

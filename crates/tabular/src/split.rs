@@ -39,8 +39,12 @@ pub fn train_test_split(
     table: &Table,
     options: SplitOptions,
 ) -> Result<(Table, Table), TabularError> {
-    if table.n_rows() == 0 {
-        return Err(TabularError::Empty("train_test_split input"));
+    if table.n_rows() < 2 {
+        return Err(TabularError::TooFewRows {
+            context: "train_test_split input",
+            rows: table.n_rows(),
+            needed: 2,
+        });
     }
     if !(options.train_fraction > 0.0 && options.train_fraction < 1.0) {
         return Err(TabularError::LengthMismatch {
@@ -80,6 +84,20 @@ mod tests {
         let (train, test) = train_test_split(&t, SplitOptions::default()).unwrap();
         assert_eq!(train.n_rows(), 80);
         assert_eq!(test.n_rows(), 20);
+    }
+
+    #[test]
+    fn one_row_cannot_be_split() {
+        assert_eq!(
+            train_test_split(&table(1), SplitOptions::default()).unwrap_err(),
+            TabularError::TooFewRows {
+                context: "train_test_split input",
+                rows: 1,
+                needed: 2,
+            }
+        );
+        let (train, test) = train_test_split(&table(2), SplitOptions::default()).unwrap();
+        assert_eq!((train.n_rows(), test.n_rows()), (1, 1));
     }
 
     #[test]
