@@ -1,8 +1,12 @@
 //! Criterion bench: the calendar event queue vs the binary heap it is
 //! pinned against, on the hold model ([`bench::hold_model`], which
 //! `perf_report` drives for its gated `htcsim_throughput_queue_<N>` entry),
-//! plus full arena simulation runs under both schedulers. The full-run
-//! comparison is timed only here: its margin is too thin for a gate.
+//! plus full arena simulation runs under both schedulers on one 50,000-job
+//! arena at two slot fractions. At the default 0.02 the sites absorb every
+//! job on arrival, so those legs time the event queue and the broker; at
+//! 0.001 a backlog of parked jobs builds up, so those legs time how job
+//! finishes hand freed slots to parked jobs. The full-run comparison is
+//! timed only here: its margin is too thin for a gate.
 
 use bench::hold_model;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -56,18 +60,32 @@ fn bench_sim(c: &mut Criterion) {
     let (catalog, arena) = synthetic_arena(50_000, 40);
     let mut group = c.benchmark_group("htcsim_sim_run");
     group.sample_size(10);
-    group.bench_function("calendar", |b| {
-        b.iter(|| {
-            let mut simulator = GridSimulator::new(&catalog, SimConfig::default());
-            simulator.run_arena_with::<CalendarQueue>(&arena)
-        })
-    });
-    group.bench_function("heap", |b| {
-        b.iter(|| {
-            let mut simulator = GridSimulator::new(&catalog, SimConfig::default());
-            simulator.run_arena_with::<HeapQueue>(&arena)
-        })
-    });
+    for slot_fraction in [0.02, 0.001] {
+        let config = SimConfig {
+            slot_fraction,
+            ..SimConfig::default()
+        };
+        group.bench_with_input(
+            BenchmarkId::new("calendar", slot_fraction),
+            &config,
+            |b, config| {
+                b.iter(|| {
+                    let mut simulator = GridSimulator::new(&catalog, config.clone());
+                    simulator.run_arena_with::<CalendarQueue>(&arena)
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("heap", slot_fraction),
+            &config,
+            |b, config| {
+                b.iter(|| {
+                    let mut simulator = GridSimulator::new(&catalog, config.clone());
+                    simulator.run_arena_with::<HeapQueue>(&arena)
+                })
+            },
+        );
+    }
     group.finish();
 }
 

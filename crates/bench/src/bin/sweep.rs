@@ -283,8 +283,10 @@ fn main() {
     let args = CLI.parse();
     let out = args.text("--out").unwrap_or("SWEEP.json");
     if args.switch("--merge") {
+        CLI.check(args.only("--merge", &["--out", "--canonical-out", "--allow-partial"]));
         merge_main(&args, out);
     } else if let Some(count) = CLI.check(args.value("--drop-last")) {
+        CLI.check(args.only("--drop-last", &["--out"]));
         drop_last_main(&args, count, out);
     } else {
         run_main(&args, out);

@@ -223,6 +223,20 @@ impl Args {
     pub fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         self.value_with(name, |text| text.parse().map_err(|_| ""))
     }
+
+    /// Refuse every given flag but `mode` and `allowed`, for a mode that
+    /// reads only part of the table: a flag it would ignore is named, not
+    /// dropped.
+    pub fn only(&self, mode: &str, allowed: &[&str]) -> Result<(), String> {
+        let mut names = self.given.iter().map(|(name, _)| *name);
+        match names.find(|name| *name != mode && !allowed.contains(name)) {
+            None => Ok(()),
+            Some(flag) => Err(format!(
+                "{flag} does not apply to {mode}, which accepts only {}",
+                allowed.join(", ")
+            )),
+        }
+    }
 }
 
 /// The flag table of the five experiment binaries (`table1`,

@@ -229,3 +229,101 @@ fn a_two_row_table_is_reported_not_panicked_on() {
         String::from_utf8_lossy(&output.stderr)
     );
 }
+
+#[test]
+fn fig5_refuses_a_one_row_training_split() {
+    let dir = workdir("fig5_tiny");
+    // Two gross records split into one training row: refused before any
+    // association matrix or fit, with the binary's prefix and exit 1.
+    let output = run(
+        "fig5_correlations",
+        &["--rows", "2", "--budget", "smoke"],
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("fig5_correlations: the training split has 1 row(s)"),
+        "{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "{stderr}");
+    // Three records leave two training rows: every model is correlated,
+    // none is skipped.
+    let output = run(
+        "fig5_correlations",
+        &["--rows", "3", "--budget", "smoke"],
+        &dir,
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("could not be correlated"), "{stderr}");
+    for model in ["TVAE", "CTABGAN+", "SMOTE", "TabDDPM"] {
+        assert!(
+            stdout.contains(&format!("--- {model} (diff-CORR")),
+            "{stdout}"
+        );
+    }
+}
+
+#[test]
+fn sweep_merge_and_drop_last_refuse_flags_they_would_ignore() {
+    let dir = workdir("modes");
+    // Exit 2 before the missing input is read or `zz` is created.
+    for (args, flag) in [
+        (
+            &[
+                "--merge",
+                "nothere.json",
+                "--seeds",
+                "abc",
+                "--checkpoint-dir",
+                "zz",
+            ][..],
+            "--seeds",
+        ),
+        (&["--merge", "nothere.json", "--quick"], "--quick"),
+        (
+            &["--merge", "nothere.json", "--drop-last", "1"],
+            "--drop-last",
+        ),
+        (
+            &["--drop-last", "1", "nothere.json", "--checkpoint-dir", "zz"],
+            "--checkpoint-dir",
+        ),
+        (
+            &[
+                "--drop-last",
+                "1",
+                "nothere.json",
+                "--canonical-out",
+                "c.json",
+            ],
+            "--canonical-out",
+        ),
+    ] {
+        assert_usage_error("sweep", args, &dir, &[&format!("{flag} does not apply")]);
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    // The flags each mode reads pass the check and reach the input.
+    for args in [
+        &[
+            "--merge",
+            "nothere.json",
+            "--out",
+            "o.json",
+            "--canonical-out",
+            "c.json",
+            "--allow-partial",
+        ][..],
+        &["--drop-last", "1", "nothere.json", "--out", "o.json"],
+    ] {
+        let output = run("sweep", args, &dir);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("sweep: cannot read nothere.json"),
+            "{stderr}"
+        );
+    }
+}

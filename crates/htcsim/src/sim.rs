@@ -3,10 +3,12 @@
 //! The loop is generic over the [`EventScheduler`] so the calendar queue can
 //! be pinned byte-identical against the binary-heap oracle, and it runs
 //! entirely over [`JobArena`] struct-of-arrays storage: after setup, a
-//! simulated event touches only integer ids and pre-allocated vectors — no
-//! per-event allocation, hashing, or string traffic.
+//! simulated event touches only integer ids, no hashing or string traffic.
+//! The per-job vectors are allocated once; the only storage that grows
+//! during a run is the parked-job FIFOs (one per core count), amortised
+//! like any `VecDeque`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -177,6 +179,45 @@ fn dispatch<Q: EventScheduler>(
     true
 }
 
+/// Jobs waiting for a slot: one FIFO per distinct core count, sorted by core
+/// count. Each entry is `(park index, job)`; park indices grow by one per
+/// park, so the earliest-parked job of several FIFOs is the head with the
+/// smallest index. A job parks at most once, so the index fits a `u32` like
+/// the job ids.
+#[derive(Debug, Default)]
+struct ParkedJobs {
+    classes: Vec<(u32, VecDeque<(u32, u32)>)>,
+    parks: u32,
+    len: usize,
+}
+
+impl ParkedJobs {
+    fn push(&mut self, cores: u32, job: u32) {
+        let class = match self.classes.binary_search_by_key(&cores, |&(c, _)| c) {
+            Ok(class) => class,
+            Err(at) => {
+                self.classes.insert(at, (cores, VecDeque::new()));
+                at
+            }
+        };
+        self.classes[class].1.push_back((self.parks, job));
+        self.parks += 1;
+        self.len += 1;
+    }
+
+    /// The FIFO whose head parked earliest among those needing fewer than
+    /// `unfit` cores.
+    fn earliest_below(&self, unfit: u32) -> Option<usize> {
+        self.classes
+            .iter()
+            .take_while(|&&(cores, _)| cores < unfit)
+            .enumerate()
+            .filter_map(|(class, (_, fifo))| fifo.front().map(|&(park, _)| (park, class)))
+            .min()
+            .map(|(_, class)| class)
+    }
+}
+
 impl GridSimulator {
     /// Build a simulator over a site catalogue.
     pub fn new(catalog: &SiteCatalog, config: SimConfig) -> Self {
@@ -320,7 +361,7 @@ impl GridSimulator {
             queue.push(arrival.max(0.0), EventKind::JobArrival { job: i as u32 });
         }
 
-        let mut pending: Vec<u32> = Vec::new();
+        let mut parked = ParkedJobs::default();
         let mut wait_hours = vec![0.0f64; arena.len()];
         let mut transfer_hours = vec![0.0f64; arena.len()];
         let mut arrival_time = vec![0.0f64; arena.len()];
@@ -346,9 +387,9 @@ impl GridSimulator {
                         &mut transfer_hours,
                         &mut rr_cursor,
                     ) {
-                        pending.push(job);
+                        parked.push(arena.cores[job as usize], job);
                         if let Some(samples) = trace.as_deref_mut() {
-                            samples.push((now, pending.len() as u32));
+                            samples.push((now, parked.len as u32));
                         }
                     } else {
                         wait_hours[job as usize] = 0.0;
@@ -370,19 +411,23 @@ impl GridSimulator {
                     completed += 1;
                     makespan = makespan.max(now);
 
-                    // Try to start parked jobs now that slots freed up:
-                    // in-place, in arrival order, no per-event allocation.
-                    // A job no site can fit changes nothing (the broker
-                    // returns before touching its cursor), and dispatches
-                    // only take slots, so once a job needing `unfit` cores
-                    // fails, every later one needing as many fails too:
-                    // those stay parked without asking the broker.
-                    let before = pending.len();
+                    // Offer the freed slots to parked jobs in park order.
+                    // A broker call that finds no site changes nothing
+                    // (`choose` returns before touching its cursor), and
+                    // dispatches only take slots, so once a job needing
+                    // `unfit` cores fails, every job needing as many fails
+                    // too: its FIFO and every larger one close for this
+                    // finish. The jobs a scan of all parked jobs would
+                    // start from one FIFO are thus a prefix of it, and the
+                    // earliest-parked head among the open FIFOs is the job
+                    // that scan would offer next, so the broker sees the
+                    // same calls in the same order. A finish costs
+                    // (jobs started + FIFOs) × FIFOs, not the backlog.
+                    let before = parked.len;
                     let mut unfit = u32::MAX;
-                    pending.retain(|&p| {
-                        if arena.cores[p as usize] >= unfit {
-                            return true;
-                        }
+                    while let Some(class) = parked.earliest_below(unfit) {
+                        let (cores, fifo) = &mut parked.classes[class];
+                        let (_, p) = fifo[0];
                         if dispatch(
                             arena,
                             p,
@@ -395,16 +440,16 @@ impl GridSimulator {
                             &mut transfer_hours,
                             &mut rr_cursor,
                         ) {
+                            fifo.pop_front();
+                            parked.len -= 1;
                             wait_hours[p as usize] = now - arrival_time[p as usize];
-                            false
                         } else {
-                            unfit = arena.cores[p as usize];
-                            true
+                            unfit = *cores;
                         }
-                    });
-                    if pending.len() != before {
+                    }
+                    if parked.len != before {
                         if let Some(samples) = trace.as_deref_mut() {
-                            samples.push((now, pending.len() as u32));
+                            samples.push((now, parked.len as u32));
                         }
                     }
                 }
@@ -586,5 +631,59 @@ mod tests {
             trace.queue_depth.iter().any(|&d| d > 0.0),
             "a slot-starved grid must show queueing in the trace"
         );
+    }
+
+    #[test]
+    fn freed_cores_go_to_parked_jobs_in_park_order_among_those_that_fit() {
+        // One 8-slot site, data local, unit speed: wall = cpu / cores.
+        let catalog = SiteCatalog::new(vec![pandasim::Site {
+            name: "ONLY".to_string(),
+            hs23_per_core: 15.0,
+            capacity_weight: 1.0,
+            reliability: 1.0,
+            slots: 8,
+            tier: 1,
+        }]);
+        let mut arena = JobArena::new();
+        for (arrival, cores, cpu_hours) in [
+            (0.0, 4, 40.0),   // j0 runs 0 → 10
+            (0.0, 3, 60.0),   // j1 runs 0 → 20
+            (0.0, 1, 1.0),    // j2 runs 0 → 1
+            (0.25, 4, 4.0),   // j3 parks first; runs 10 → 11
+            (0.5, 1, 2.0),    // j4 parks second; runs 1 → 3
+            (0.75, 1, 0.5),   // j5 parks third; runs 3 → 3.5
+            (3.75, 1, 100.0), // j6 takes the core j5 freed; runs 3.75 → 103.75
+            (4.0, 1, 2.0),    // j7 parks fourth; runs 11 → 13
+        ] {
+            arena.push(arrival, cores, cpu_hours, "ds", 0.0, Some("ONLY"));
+        }
+        // Every change of the parked count, as (time, parked jobs). At 1
+        // one core frees: j4 starts ahead of the 4-core j3 parked before
+        // it. At 3 j4's class-mate j5 follows in park order. At 10 four
+        // cores free: j3 takes them ahead of the 1-core j7 parked after it.
+        let expected = vec![
+            (0.25, 1),
+            (0.5, 2),
+            (0.75, 3),
+            (1.0, 2),
+            (3.0, 1),
+            (4.0, 2),
+            (10.0, 1),
+            (11.0, 0),
+        ];
+        for run in [
+            GridSimulator::run_inner::<CalendarQueue>,
+            GridSimulator::run_inner::<HeapQueue>,
+        ] {
+            let mut sim = GridSimulator::new(&catalog, SimConfig::default());
+            let mut samples = Vec::new();
+            let report = run(&mut sim, &arena, Some(&mut samples));
+            assert_eq!(samples, expected);
+            // Waits of j3, j4, j5 and j7: 9.75 + 0.5 + 2.25 + 7 over eight
+            // jobs.
+            assert_eq!(report.mean_wait_hours, 19.5 / 8.0);
+            assert_eq!(report.makespan_hours, 103.75);
+            assert_eq!(report.completed, 8);
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! streams in exactly the order of the seed `HeapQueue` — including FIFO
 //! order among equal timestamps — and a full simulation run must produce a
 //! byte-identical serialized `SimReport` on either scheduler. The report of
-//! a fixed synthetic workload is pinned too, so a change to the simulator's
-//! physics (brokerage, transfers, slot accounting) cannot pass unnoticed.
+//! a fixed synthetic workload is pinned too, and where jobs park, its trace,
+//! so a change to the simulator's physics (brokerage, transfers, slot
+//! accounting, which parked job a freed slot goes to) cannot pass unnoticed.
 
 use panda_surrogate::htcsim::{
     BrokerPolicy, CalendarQueue, Event, EventKind, EventScheduler, GridSimulator, HeapQueue,
@@ -166,9 +167,23 @@ fn slot_starved_runs_agree_too() {
     );
 }
 
+/// The original mix: one job in seven needs 8 cores, the rest 4.
+fn two_classes(i: usize) -> u32 {
+    if i.is_multiple_of(7) {
+        8
+    } else {
+        4
+    }
+}
+
+/// Five core classes in rotation, so parked jobs of every size interleave.
+fn five_classes(i: usize) -> u32 {
+    [1, 2, 4, 8, 16][i % 5]
+}
+
 /// `n_jobs` synthetic jobs from a fixed LCG over 40 atlas-like sites,
-/// arriving at a constant ~150 jobs/hour.
-fn synthetic_workload(n_jobs: usize) -> (SiteCatalog, JobArena) {
+/// arriving at a constant ~150 jobs/hour; job `i` needs `cores(i)` cores.
+fn synthetic_workload(n_jobs: usize, cores: fn(usize) -> u32) -> (SiteCatalog, JobArena) {
     let catalog = SiteCatalog::atlas_like(40);
     let site_names: Vec<String> = catalog.sites().iter().map(|s| s.name.clone()).collect();
     let mut jobs = Vec::with_capacity(n_jobs);
@@ -180,7 +195,7 @@ fn synthetic_workload(n_jobs: usize) -> (SiteCatalog, JobArena) {
         let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
         jobs.push(SimJob {
             arrival_hours: unit * (n_jobs as f64 / 150.0),
-            cores: if i % 7 == 0 { 8 } else { 4 },
+            cores: cores(i),
             cpu_hours: 0.5 + unit * 6.0,
             dataset: format!("ds{}", state % 512),
             input_bytes: (state % 1_000) as f64 * 1e9,
@@ -193,7 +208,7 @@ fn synthetic_workload(n_jobs: usize) -> (SiteCatalog, JobArena) {
 /// FNV-1a digests of the serialized `SimReport` per (jobs, slot fraction,
 /// policy). At the default slot fraction the sites absorb every job on
 /// arrival; at 0.001 a backlog of parked jobs builds up (mean wait ~12 h),
-/// so every job finish re-dispatches the pending list. The digests were
+/// so job finishes hand freed slots to parked jobs. The digests were
 /// recorded where the seed simulation loop (string-keyed replica map,
 /// binary heap) still ran beside the arena simulator and produced the same
 /// bytes, so they pin the seed loop's physics. The simulator uses only
@@ -217,7 +232,7 @@ fn synthetic_workload_reports_are_pinned() {
         (50_000, 0.02, BrokerPolicy::DataLocality, "4a96017eb6f84a8c"),
     ];
     for n_jobs in [10_000, 50_000] {
-        let (catalog, arena) = synthetic_workload(n_jobs);
+        let (catalog, arena) = synthetic_workload(n_jobs, two_classes);
         for &(_, slot_fraction, policy, digest) in PINS.iter().filter(|pin| pin.0 == n_jobs) {
             let config = SimConfig {
                 policy,
@@ -232,6 +247,53 @@ fn synthetic_workload_reports_are_pinned() {
                 "{n_jobs} jobs, slot fraction {slot_fraction}, policy {}: {bytes}",
                 policy.name()
             );
+        }
+    }
+}
+
+/// FNV-1a digests of the JSON of `run_arena_traced(&arena, 24)`, report and
+/// trace together, on 10,000 synthetic jobs at slot fraction 0.001, per
+/// core-class mix and policy. Parked jobs of several sizes wait side by side
+/// there, so these pin which parked job each freed slot goes to, and when:
+/// the queue-depth trace moves with every start. The binary-heap run must
+/// report what the calendar run does. The digests were recorded on the
+/// simulator that re-scanned every parked job in arrival order on each job
+/// finish.
+#[test]
+fn parked_runs_are_pinned_with_their_traces() {
+    // Digests in `BrokerPolicy::ALL` order.
+    type Pin = (&'static str, fn(usize) -> u32, [&'static str; 3]);
+    const PINS: [Pin; 2] = [
+        (
+            "{4, 8}",
+            two_classes,
+            ["2d556c424f666d8a", "15c80bb7e5cd8d4e", "b18776c84a5d68a9"],
+        ),
+        (
+            "{1, 2, 4, 8, 16}",
+            five_classes,
+            ["382654bb7f872050", "ab617647279373da", "92602a467eb18c98"],
+        ),
+    ];
+    for (classes, cores, digests) in PINS {
+        let (catalog, arena) = synthetic_workload(10_000, cores);
+        for (policy, digest) in BrokerPolicy::ALL.into_iter().zip(digests) {
+            let config = SimConfig {
+                policy,
+                slot_fraction: 0.001,
+                ..SimConfig::default()
+            };
+            let traced = GridSimulator::new(&catalog, config.clone()).run_arena_traced(&arena, 24);
+            let heap = GridSimulator::new(&catalog, config).run_arena_with::<HeapQueue>(&arena);
+            let context = format!("classes {classes}, policy {}", policy.name());
+            assert_eq!(traced.0.completed, arena.len(), "{context}");
+            assert!(traced.0.mean_wait_hours > 0.0, "{context}: nothing parked");
+            assert_eq!(
+                heap, traced.0,
+                "{context}: heap and calendar reports diverge"
+            );
+            let bytes = serde_json::to_string(&traced).expect("report and trace serialize");
+            assert_eq!(fnv1a_hex(bytes.as_bytes()), digest, "{context}: {bytes}");
         }
     }
 }
