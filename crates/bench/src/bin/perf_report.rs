@@ -36,11 +36,16 @@
 //!   requests answered by one coalesced `sample_batch` pass (the serve
 //!   loop's micro-batch scheduler) vs sixty-four sequential `sample` calls
 //!   on the same fitted TVAE (`baseline_kind: "unbatched_sample_calls"`).
+//! * **Normal-generator bench** — `normal_fill_19424x51`: `nn`'s ziggurat
+//!   [`nn::standard_normal_fill`] over the noise block of simloop's TabDDPM
+//!   sample vs the `rand_distr` shim's per-element Box–Muller `Normal`, which
+//!   `pandasim` still draws with (`baseline_kind: "box_muller"`).
 //!
 //! Every kernel entry carries `threads` and `dtype` fields, and entry
 //! *names* encode both (`_t4`, `_f32` suffixes), so a regenerated report
 //! never gates a new tier against an old baseline kind — the name↔kind
-//! conventions are validated on read-back.
+//! conventions (these suffixes, and the `normal_fill_` prefix for the
+//! `box_muller` baseline) are validated on read-back.
 //!
 //! The three **epoch entries** (`tabddpm_epoch`, `ctabgan_epoch`,
 //! `tvae_epoch`) time one fast-config training epoch of each neural model's
@@ -531,6 +536,13 @@ fn check_name_conventions(entry: &KernelBench) -> Result<(), String> {
             entry.name, entry.dtype
         ));
     }
+    if entry.name.starts_with("normal_fill_") != (entry.baseline_kind == "box_muller") {
+        return Err(format!(
+            "kernel '{}': the normal_fill_ entries, and only they, gate against \
+             box_muller, got baseline_kind '{}'",
+            entry.name, entry.baseline_kind
+        ));
+    }
     match name_thread_suffix(&entry.name) {
         Some(t) => {
             if entry.baseline_kind != "seq_own_dtype" {
@@ -717,6 +729,42 @@ fn serve_batching_bench(quick: bool) -> KernelBench {
     )
 }
 
+/// `normal_fill_19424x51`: one [`nn::standard_normal_fill`] over the
+/// standard-normal block a simloop TabDDPM sampling step draws (19,424 rows
+/// × 51 encoded columns) against the same element count drawn one by one
+/// through the `rand_distr` shim's `Normal`, the per-element Box–Muller
+/// (two uniforms, `ln`, `sqrt` and `cos` per draw) that `nn` used before
+/// its ziggurat and `pandasim` still uses (`baseline_kind: "box_muller"`).
+/// A single-threaded f64 entry, gated at 1.0x like every unsuffixed entry.
+fn normal_fill_bench(quick: bool) -> KernelBench {
+    use rand_distr::{Distribution, Normal};
+
+    const ROWS: usize = 19_424;
+    const COLS: usize = 51;
+    let (reps, inner) = if quick { (3, 1) } else { (7, 2) };
+    let mut rng = StdRng::seed_from_u64(2024);
+    let mut buf = vec![0.0; ROWS * COLS];
+    let new_ns = time_ns(reps, inner, || {
+        nn::standard_normal_fill(&mut rng, &mut buf);
+        std::hint::black_box(&buf);
+    });
+    let normal = Normal::new(0.0, 1.0).expect("unit normal is valid");
+    let base_ns = time_ns(reps, inner, || {
+        for v in buf.iter_mut() {
+            *v = normal.sample(&mut rng);
+        }
+        std::hint::black_box(&buf);
+    });
+    kernel_entry_tiered(
+        &format!("normal_fill_{ROWS}x{COLS}"),
+        "box_muller",
+        1,
+        "f64",
+        new_ns,
+        base_ns,
+    )
+}
+
 fn main() {
     let opts = CLI.check(options(&CLI.parse()));
     // Must happen before the first parallel call: the rayon shim sizes its
@@ -740,6 +788,8 @@ fn main() {
     kernels.push(htcsim_queue_bench(quick));
     eprintln!("perf_report: timing micro-batched serving (64 x 4-row TVAE sample requests)...");
     kernels.push(serve_batching_bench(quick));
+    eprintln!("perf_report: timing the normal generator vs Box-Muller (19,424 x 51 draws)...");
+    kernels.push(normal_fill_bench(quick));
     for k in &kernels {
         eprintln!(
             "  {:<36} new {:>12.0} ns   {:<16} {:>12.0} ns   speedup {:.2}x  [t{} {}]",
@@ -1008,6 +1058,19 @@ mod tests {
                 1.0,
                 2.0,
             ),
+        ] {
+            assert!(check_name_conventions(&bad).is_err(), "{}", bad.name);
+        }
+    }
+
+    #[test]
+    fn normal_fill_entries_and_only_they_gate_against_box_muller() {
+        let entry = |name: &str, kind: &str| kernel_entry_tiered(name, kind, 1, "f64", 1.0, 2.0);
+        check_name_conventions(&entry("normal_fill_19424x51", "box_muller"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        for bad in [
+            entry("normal_fill_19424x51", "seed_reference"),
+            entry("matmul_64x64x64", "box_muller"),
         ] {
             assert!(check_name_conventions(&bad).is_err(), "{}", bad.name);
         }

@@ -18,8 +18,8 @@
 //! discriminator update never consumes `dL/d(input)`.
 
 use nn::{
-    bce_with_logits, standard_normal_fill, standard_normal_into, Adam, AdamConfig, CosineDecay,
-    LrSchedule, Matrix, Mlp, MlpConfig,
+    bce_with_logits, standard_normal_fill, Adam, AdamConfig, CosineDecay, LrSchedule, Matrix, Mlp,
+    MlpConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -323,7 +323,8 @@ impl TabularGenerator for CtabGan {
                     data.take_rows_into(&real_idx, &mut real);
                     self.sample_condition_into(&codec, batch, &mut rng, &mut cond);
 
-                    standard_normal_into(batch, cfg.latent_dim, &mut rng, &mut z);
+                    z.resize_zeroed(batch, cfg.latent_dim);
+                    standard_normal_fill(&mut rng, z.data_mut());
                     z.hconcat_into(&cond, &mut g_in);
                     generator.infer_into(&g_in, &mut fake_raw, &mut gen_scratch);
                     mixed_activation_into(codec.spans(), &fake_raw, &mut fake);
@@ -351,7 +352,8 @@ impl TabularGenerator for CtabGan {
 
                 // ---- Generator update ----
                 self.sample_condition_into(&codec, batch, &mut rng, &mut cond);
-                standard_normal_into(batch, cfg.latent_dim, &mut rng, &mut z);
+                z.resize_zeroed(batch, cfg.latent_dim);
+                standard_normal_fill(&mut rng, z.data_mut());
                 z.hconcat_into(&cond, &mut g_in);
                 generator.forward_into(&g_in, &mut fake_raw);
                 mixed_activation_into(codec.spans(), &fake_raw, &mut fake);

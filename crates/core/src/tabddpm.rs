@@ -15,8 +15,8 @@
 //! non-trivial distance from training records).
 
 use nn::{
-    mse_loss, standard_normal_fill, standard_normal_into, Adam, AdamConfig, CosineDecay,
-    LrSchedule, Matrix, Mlp, MlpConfig,
+    mse_loss, standard_normal_fill, Adam, AdamConfig, CosineDecay, LrSchedule, Matrix, Mlp,
+    MlpConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -304,7 +304,8 @@ impl TabularGenerator for TabDdpm {
                 // Per-row timestep and noise.
                 ts.clear();
                 ts.extend((0..batch).map(|_| rng.gen_range(0..timesteps)));
-                standard_normal_into(batch, width, &mut rng, &mut noise);
+                noise.resize_zeroed(batch, width);
+                standard_normal_fill(&mut rng, noise.data_mut());
 
                 // x_t = sqrt(ᾱ_t) x0 + sqrt(1 - ᾱ_t) ε, written straight
                 // into the denoiser input next to the timestep embedding.

@@ -7,8 +7,8 @@
 //! draws latents from the prior and decodes them.
 
 use nn::{
-    gaussian_kl, standard_normal_fill, standard_normal_into, Adam, AdamConfig, CosineDecay,
-    LrSchedule, Matrix, Mlp, MlpConfig,
+    gaussian_kl, standard_normal_fill, Adam, AdamConfig, CosineDecay, LrSchedule, Matrix, Mlp,
+    MlpConfig,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -177,8 +177,8 @@ impl TabularGenerator for Tvae {
         self.loss_history.clear();
 
         // Batch and noise buffers reused across steps (the final chunk of an
-        // epoch may be short; the `_into` variants reshape without
-        // reallocating).
+        // epoch may be short; `take_rows_into` and `resize_zeroed` reshape
+        // without reallocating).
         let mut x = Matrix::zeros(batch, width);
         let mut eps = Matrix::zeros(batch, cfg.latent_dim);
 
@@ -199,7 +199,8 @@ impl TabularGenerator for Tvae {
                     .map(|v| v.clamp(-8.0, 8.0));
 
                 // Reparameterise (noise buffer reused across steps).
-                standard_normal_into(x.rows(), cfg.latent_dim, &mut rng, &mut eps);
+                eps.resize_zeroed(x.rows(), cfg.latent_dim);
+                standard_normal_fill(&mut rng, eps.data_mut());
                 let std = logvar.map(|v| (0.5 * v).exp());
                 let z = mu.add(&eps.mul(&std));
 

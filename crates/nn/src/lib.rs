@@ -20,7 +20,8 @@
 //! * [`optim`] — SGD and Adam,
 //! * [`schedule`] — cosine learning-rate decay (the schedule the paper
 //!   trains with),
-//! * [`sample`] — Gaussian / Gumbel-softmax sampling helpers.
+//! * [`sample`] — the one standard-normal generator (a ziggurat) behind
+//!   every noise draw and weight initialisation.
 //!
 //! Everything is deterministic given an RNG seed, which the tests and the
 //! experiment harness rely on.
@@ -44,8 +45,6 @@ pub use matrix::Matrix;
 pub use matrix32::Matrix32;
 pub use mlp::{Mlp, Mlp32, MlpConfig};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
-pub use sample::{
-    gumbel_softmax, standard_normal_fill, standard_normal_into, standard_normal_into_f32,
-};
+pub use sample::standard_normal_fill;
 pub use schedule::{ConstantLr, CosineDecay, LrSchedule};
 pub use simd::{active_tier, SimdTier};

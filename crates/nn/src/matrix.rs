@@ -30,8 +30,8 @@
 //! `perf_report` speedup trajectory for the SIMD/packed kernels.
 
 use crate::kernels;
+use crate::sample::standard_normal_fill;
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -97,11 +97,22 @@ impl Matrix {
         }
     }
 
-    /// Matrix with i.i.d. `N(0, std²)` entries.
+    /// Matrix with i.i.d. `N(0, std²)` entries: standard-normal draws in
+    /// row-major order, each scaled by `std`.
+    ///
+    /// # Panics
+    /// If `std` is negative or not finite.
     pub fn randn<R: Rng>(rows: usize, cols: usize, std: f64, rng: &mut R) -> Self {
-        let normal = Normal::new(0.0, std).expect("std must be finite and positive");
-        let data = (0..rows * cols).map(|_| normal.sample(rng)).collect();
-        Self { rows, cols, data }
+        assert!(
+            std.is_finite() && std >= 0.0,
+            "std must be finite and non-negative"
+        );
+        let mut m = Self::zeros(rows, cols);
+        standard_normal_fill(rng, &mut m.data);
+        for v in &mut m.data {
+            *v *= std;
+        }
+        m
     }
 
     /// Number of rows.

@@ -1,12 +1,11 @@
 //! Offline stand-in for the [`rand_distr`](https://crates.io/crates/rand_distr)
-//! crate: the four continuous/discrete distributions this workspace samples
+//! crate: the three continuous/discrete distributions this workspace samples
 //! from, implemented over the local `rand` shim.
 //!
 //! Sampling algorithms are chosen for determinism and simplicity rather than
 //! peak throughput: Normal uses Box–Muller (one pair of uniforms per draw),
-//! LogNormal exponentiates a Normal draw, Gumbel inverts its CDF, and
-//! Poisson uses Knuth's product-of-uniforms method with a normal
-//! approximation above λ = 64.
+//! LogNormal exponentiates a Normal draw, and Poisson uses Knuth's
+//! product-of-uniforms method with a normal approximation above λ = 64.
 
 pub use rand::distributions::Distribution;
 use rand::{unit_f64, RngCore};
@@ -27,8 +26,6 @@ impl std::error::Error for ParamError {}
 pub type NormalError = ParamError;
 /// See [`NormalError`].
 pub type PoissonError = ParamError;
-/// See [`NormalError`].
-pub type GumbelError = ParamError;
 
 /// Gaussian distribution with the given mean and standard deviation.
 #[derive(Debug, Clone, Copy)]
@@ -79,30 +76,6 @@ impl LogNormal {
 impl Distribution<f64> for LogNormal {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         self.norm.sample(rng).exp()
-    }
-}
-
-/// Gumbel (type-I extreme value) distribution.
-#[derive(Debug, Clone, Copy)]
-pub struct Gumbel {
-    location: f64,
-    scale: f64,
-}
-
-impl Gumbel {
-    /// `scale` must be finite and positive.
-    pub fn new(location: f64, scale: f64) -> Result<Self, GumbelError> {
-        if !location.is_finite() || !scale.is_finite() || scale <= 0.0 {
-            return Err(ParamError("Gumbel requires finite location and scale > 0"));
-        }
-        Ok(Gumbel { location, scale })
-    }
-}
-
-impl Distribution<f64> for Gumbel {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u = unit_f64(rng).max(f64::MIN_POSITIVE);
-        self.location - self.scale * (-u.ln()).ln()
     }
 }
 
@@ -185,7 +158,6 @@ mod tests {
     #[test]
     fn constructors_reject_bad_parameters() {
         assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Gumbel::new(0.0, 0.0).is_err());
         assert!(Poisson::new(0.0).is_err());
     }
 }

@@ -60,42 +60,42 @@ const PINS: [(ModelKind, Pins); 3] = [
     (
         ModelKind::Tvae,
         Pins {
-            checkpoint: "2ff5d58703752135",
-            tables: ["7a7a2c74c71843bd", "75ab129cf4750313"],
+            checkpoint: "8f627e121866e723",
+            tables: ["40f5c5fd1ca92826", "8a9c9f0026cfc63b"],
             metrics: [
-                0x3fb5_debf_1d96_a737,
-                0x3fc2_4ba0_fee7_29d7,
-                0x3fd6_9e53_f996_219b,
-                0x3fb6_a30b_c97c_2839,
-                0xbfc3_dac0_2a76_31d0,
+                0x3fb4_0d66_b27d_7423,
+                0x3fc3_0ab3_f71f_24a1,
+                0x3fd6_39e4_b1d9_6970,
+                0x3fb5_968c_db18_762b,
+                0xbfb6_1d79_3f97_b400,
             ],
         },
     ),
     (
         ModelKind::CtabGan,
         Pins {
-            checkpoint: "0513e9059b052f17",
-            tables: ["c02a7f085d3a5f80", "39b85e551b53801c"],
+            checkpoint: "95422aaf0bd2d9c3",
+            tables: ["b1acdf8d6f2881df", "2029dd5df58d23a6"],
             metrics: [
-                0x3fbb_1d90_1a07_cf16,
-                0x3fce_88f0_fba8_354a,
-                0x3fc4_cc83_7656_8b62,
-                0x3ff3_8145_1cb4_94fb,
-                0x3fd4_b299_af12_850c,
+                0x3fb8_0d5b_db9e_0331,
+                0x3fc9_8ae1_2122_7fba,
+                0x3fc7_1e61_9703_3e89,
+                0x3fea_3083_813e_5f36,
+                0x3fe3_b701_56c8_8f34,
             ],
         },
     ),
     (
         ModelKind::TabDdpm,
         Pins {
-            checkpoint: "5797494f9caa98d1",
-            tables: ["c78f6138c6a13ee8", "2acf2f0977026df5"],
+            checkpoint: "abb6c7cc6a35c2a9",
+            tables: ["5f42401d12f36831", "d3612aefae34e7d4"],
             metrics: [
-                0x3fd9_bb61_6e9c_c4bd,
-                0x3fc8_4bf7_c02c_b14b,
-                0x3fbf_f4c4_c86b_a18c,
-                0x3ffc_6dbb_8368_592c,
-                0x4012_c9ca_80fe_70c0,
+                0x3fd9_54f4_7f4a_702c,
+                0x3fc9_12cf_a364_cb08,
+                0x3fbf_287c_b5c5_8669,
+                0x3ffc_baef_b131_6c75,
+                0x4016_8618_9494_2aae,
             ],
         },
     ),
