@@ -12,6 +12,17 @@
 //! A change to any kernel's summation order, an optimiser constant, a
 //! noise draw, a schedule or the timestep embedding moves these values.
 //!
+//! A second leg fits each model at its `Default` (standard-budget) widths
+//! and batch size for one epoch on the same split, and pins the checkpoint
+//! digest and the two tables of one `sample_batch` of 37 and 301 rows. At
+//! smoke widths no product is large enough for the packed matmul driver;
+//! at these widths the training and sampling products run through it,
+//! including its partial tiles: row counts that are not a multiple of the
+//! register-tile height (the 37- and 301-row tables, TVAE's short last
+//! batch) and odd column counts (the 101-wide input gradient of
+//! CTABGAN+'s discriminator), so the tile edges are pinned at every lane
+//! width.
+//!
 //! Scope:
 //! - The pins hold on the `scalar`, `sse2` and `avx2` SIMD tiers, which are
 //!   bit-exact to each other. They do not hold under the opt-in `fma` and
@@ -25,10 +36,13 @@
 
 use panda_surrogate::metrics::{evaluate_against, EvaluationConfig, MlefBaseline};
 use panda_surrogate::pandasim::GeneratorConfig;
-use panda_surrogate::surrogate::checkpoint::Checkpoint;
+use panda_surrogate::surrogate::checkpoint::{Checkpoint, CheckpointPayload};
 use panda_surrogate::surrogate::{
-    build_payload, fnv1a_hex, prepare_data_from_config, ModelKind, SampleSpec, TrainingBudget,
+    build_payload, fnv1a_hex, prepare_data_from_config, CtabGan, CtabGanConfig, ModelKind,
+    PreparedData, SampleSpec, TabDdpm, TabDdpmConfig, TrainingBudget, Tvae, TvaeConfig,
 };
+use panda_surrogate::tabular::Table;
+use std::path::Path;
 
 /// What one model's run is pinned to.
 struct Pins {
@@ -103,10 +117,7 @@ const PINS: [(ModelKind, Pins); 3] = [
 
 #[test]
 fn neural_generators_are_pinned_bit_for_bit() {
-    let data = prepare_data_from_config(&GeneratorConfig {
-        gross_records: 1_500,
-        ..GeneratorConfig::default()
-    });
+    let data = pinned_split();
     let specs = [
         SampleSpec::new(data.train.n_rows(), 2025),
         SampleSpec::new(37, 7),
@@ -118,21 +129,9 @@ fn neural_generators_are_pinned_bit_for_bit() {
 
     let mut mismatches = Vec::new();
     for (kind, pins) in &PINS {
-        let mut payload = build_payload(*kind, TrainingBudget::Smoke, 2024);
-        payload
-            .generator_mut()
-            .fit(&data.train)
-            .unwrap_or_else(|e| panic!("{} failed to fit: {e}", kind.name()));
-        let checkpoint = Checkpoint::new("default", 2024, TrainingBudget::Smoke, payload);
-        let path = checkpoint.save_to_dir(&dir).unwrap();
-        let saved = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-
-        let tables = checkpoint.sample_batch(&specs).unwrap();
-        let digest = |i: usize| {
-            let json = serde_json::to_string(&tables[i]).expect("table serializes");
-            fnv1a_hex(json.as_bytes())
-        };
+        let payload = build_payload(*kind, TrainingBudget::Smoke, 2024);
+        let (checkpoint, tables) =
+            fit_save_and_sample(*kind, payload, TrainingBudget::Smoke, &data, &dir, &specs);
         let report = evaluate_against(
             kind.name(),
             &data.train,
@@ -144,8 +143,8 @@ fn neural_generators_are_pinned_bit_for_bit() {
         .unwrap_or_else(|e| panic!("{} could not be scored: {e}", kind.name()));
         let diff_mlef = report.diff_mlef.expect("the fast config runs MLEF");
         let measured = Measured {
-            checkpoint: fnv1a_hex(&saved),
-            tables: [digest(0), digest(1)],
+            checkpoint,
+            tables: [table_digest(&tables[0]), table_digest(&tables[1])],
             metrics: [
                 report.wd,
                 report.jsd,
@@ -163,6 +162,122 @@ fn neural_generators_are_pinned_bit_for_bit() {
     assert!(
         mismatches.is_empty(),
         "generator pins moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// The split both legs fit on.
+fn pinned_split() -> PreparedData {
+    prepare_data_from_config(&GeneratorConfig {
+        gross_records: 1_500,
+        ..GeneratorConfig::default()
+    })
+}
+
+/// Fit `payload` on the training split, save it as a checkpoint into `dir`
+/// and sample `specs` from it. Returns the digest of the saved file and the
+/// sampled tables.
+fn fit_save_and_sample(
+    kind: ModelKind,
+    mut payload: CheckpointPayload,
+    budget: TrainingBudget,
+    data: &PreparedData,
+    dir: &Path,
+    specs: &[SampleSpec],
+) -> (String, Vec<Table>) {
+    payload
+        .generator_mut()
+        .fit(&data.train)
+        .unwrap_or_else(|e| panic!("{} failed to fit: {e}", kind.name()));
+    let checkpoint = Checkpoint::new("default", 2024, budget, payload);
+    let path = checkpoint.save_to_dir(dir).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let tables = checkpoint.sample_batch(specs).unwrap();
+    (fnv1a_hex(&saved), tables)
+}
+
+/// Digest of a table's JSON rendering.
+fn table_digest(table: &Table) -> String {
+    let json = serde_json::to_string(table).expect("table serializes");
+    fnv1a_hex(json.as_bytes())
+}
+
+/// Paper-shape pins: checkpoint digest, then the digests of the 37-row and
+/// the 301-row table.
+const PAPER_PINS: [(ModelKind, [&str; 3]); 3] = [
+    (
+        ModelKind::Tvae,
+        ["0dd446ad58aba741", "b5fcb5cd420033de", "c693b810120cf772"],
+    ),
+    (
+        ModelKind::CtabGan,
+        ["cf0e24108714fcb3", "07f1d9836069c95c", "a7b2dd76de6c860e"],
+    ),
+    (
+        ModelKind::TabDdpm,
+        ["3dae87abf9e983f8", "89cfa91d4630137c", "313431b987321b0d"],
+    ),
+];
+
+/// Each neural model at its `Default` widths and batch size, one epoch.
+/// TabDDPM runs 10 diffusion steps instead of 100: the step count changes
+/// no product's shape, and sampling at 100 steps alone would take about
+/// half a minute in a debug build.
+fn paper_shape_payload(kind: ModelKind) -> CheckpointPayload {
+    match kind {
+        ModelKind::Tvae => CheckpointPayload::Tvae(Tvae::new(TvaeConfig {
+            epochs: 1,
+            seed: 2024,
+            ..TvaeConfig::default()
+        })),
+        ModelKind::CtabGan => CheckpointPayload::CtabGan(CtabGan::new(CtabGanConfig {
+            epochs: 1,
+            seed: 2024,
+            ..CtabGanConfig::default()
+        })),
+        ModelKind::TabDdpm => CheckpointPayload::TabDdpm(TabDdpm::new(TabDdpmConfig {
+            epochs: 1,
+            timesteps: 10,
+            seed: 2024,
+            ..TabDdpmConfig::default()
+        })),
+        ModelKind::Smote => unreachable!("SMOTE has no network"),
+    }
+}
+
+#[test]
+fn neural_generators_are_pinned_at_paper_shapes() {
+    let data = pinned_split();
+    let specs = [SampleSpec::new(37, 7), SampleSpec::new(301, 2025)];
+    let dir =
+        std::env::temp_dir().join(format!("panda_generator_pin_paper_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mut mismatches = Vec::new();
+    for (kind, pins) in &PAPER_PINS {
+        let payload = paper_shape_payload(*kind);
+        let (checkpoint, tables) = fit_save_and_sample(
+            *kind,
+            payload,
+            TrainingBudget::Standard,
+            &data,
+            &dir,
+            &specs,
+        );
+        let measured = [
+            checkpoint,
+            table_digest(&tables[0]),
+            table_digest(&tables[1]),
+        ];
+        if measured != *pins {
+            mismatches.push(format!("{}: {measured:?}", kind.name()));
+        }
+    }
+    std::fs::remove_dir(&dir).unwrap();
+    assert!(
+        mismatches.is_empty(),
+        "paper-shape generator pins moved:\n{}",
         mismatches.join("\n")
     );
 }
