@@ -96,7 +96,14 @@ fn bench_layer(c: &mut Criterion) {
     let x = Matrix::randn(256, 128, 1.0, &mut rng);
     group.bench_function("forward", |b| b.iter(|| black_box(layer.forward(&x))));
     let out = layer.forward(&x);
-    group.bench_function("backward", |b| b.iter(|| black_box(layer.backward(&out))));
+    // Each training forward pass feeds one backward pass, so the pair is
+    // timed together.
+    group.bench_function("forward_backward", |b| {
+        b.iter(|| {
+            layer.forward(&x);
+            black_box(layer.backward(&out))
+        })
+    });
     group.bench_function("infer", |b| b.iter(|| black_box(layer.infer(&x))));
     group.finish();
 }

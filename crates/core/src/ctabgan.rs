@@ -15,7 +15,9 @@
 //! instead of two sequential half-updates. The backward pass uses
 //! `Mlp::backward_params_only`, which skips the first layer's
 //! input-gradient matmul — the widest product of the pass — because the
-//! discriminator update never consumes `dL/d(input)`.
+//! discriminator update never consumes `dL/d(input)`; the generator update
+//! skips it too, since nothing reads the gradient of the generator's noise
+//! and condition input.
 
 use nn::{
     bce_with_logits, standard_normal_fill, Adam, AdamConfig, CosineDecay, LrSchedule, Matrix, Mlp,
@@ -371,7 +373,9 @@ impl TabularGenerator for CtabGan {
                 let grad_d_in = discriminator.backward(&grad_logits);
                 let grad_fake = grad_d_in.slice_cols(0, width);
                 let grad_fake_raw = mixed_activation_backward(codec.spans(), &fake, &grad_fake);
-                generator.backward(&grad_fake_raw);
+                // Nothing reads the gradient of the noise and condition
+                // input, so the generator's first layer skips that product.
+                generator.backward_params_only(&grad_fake_raw);
                 generator.clip_gradients(5.0);
                 generator.apply_gradients(&mut adam, 20, lr);
             }
@@ -383,6 +387,7 @@ impl TabularGenerator for CtabGan {
             self.loss_history.push((g_mean, d_mean));
         }
 
+        generator.release_training_buffers();
         self.codec = Some(codec);
         self.generator = Some(generator);
         Ok(())

@@ -289,6 +289,7 @@ impl TabularGenerator for TabDdpm {
         let mut x0 = Matrix::zeros(batch, width);
         let mut noise = Matrix::zeros(batch, width);
         let mut input = Matrix::zeros(batch, width + 2);
+        let mut predicted = Matrix::default();
 
         for epoch in 0..cfg.epochs {
             control.check_epoch(epoch)?;
@@ -321,10 +322,12 @@ impl TabularGenerator for TabDdpm {
                     Self::write_time_embedding(t_frac, &mut in_row[width..]);
                 }
 
-                let predicted = denoiser.forward(&input);
+                denoiser.forward_into(&input, &mut predicted);
                 let (loss, grad) = mse_loss(&predicted, &noise);
                 epoch_loss += loss;
-                denoiser.backward(&grad);
+                // Nothing reads the gradient of the noisy input, so the
+                // first layer skips that product.
+                denoiser.backward_params_only(&grad);
                 denoiser.clip_gradients(5.0);
                 denoiser.apply_gradients(&mut adam, 0, lr);
             }
@@ -335,6 +338,7 @@ impl TabularGenerator for TabDdpm {
             self.loss_history.push(mean_loss);
         }
 
+        denoiser.release_training_buffers();
         self.codec = Some(codec);
         self.denoiser = Some(denoiser);
         Ok(())

@@ -181,6 +181,8 @@ impl TabularGenerator for Tvae {
         // without reallocating).
         let mut x = Matrix::zeros(batch, width);
         let mut eps = Matrix::zeros(batch, cfg.latent_dim);
+        let mut enc_out = Matrix::default();
+        let mut recon = Matrix::default();
 
         for epoch in 0..cfg.epochs {
             control.check_epoch(epoch)?;
@@ -192,7 +194,7 @@ impl TabularGenerator for Tvae {
                 step += 1;
 
                 // Encode to (mu, logvar).
-                let enc_out = encoder.forward(&x);
+                encoder.forward_into(&x, &mut enc_out);
                 let mu = enc_out.slice_cols(0, cfg.latent_dim);
                 let logvar = enc_out
                     .slice_cols(cfg.latent_dim, 2 * cfg.latent_dim)
@@ -205,7 +207,7 @@ impl TabularGenerator for Tvae {
                 let z = mu.add(&eps.mul(&std));
 
                 // Decode and compute losses.
-                let recon = decoder.forward(&z);
+                decoder.forward_into(&z, &mut recon);
                 let (recon_loss, grad_recon) = mixed_reconstruction_loss(codec.spans(), &recon, &x);
                 let (kl_loss, grad_kl_mu, grad_kl_logvar) = gaussian_kl(&mu, &logvar);
                 epoch_loss += recon_loss + cfg.kl_weight * kl_loss;
@@ -218,9 +220,10 @@ impl TabularGenerator for Tvae {
                 let grad_logvar_from_z = grad_z.mul(&eps).mul(&std).scale(0.5);
                 let grad_logvar = grad_logvar_from_z.add(&grad_kl_logvar.scale(cfg.kl_weight));
 
-                // Backprop through the encoder.
+                // Backprop through the encoder; nothing reads the gradient
+                // of the data batch, so its first layer skips that product.
                 let grad_enc_out = grad_mu.hconcat(&grad_logvar);
-                encoder.backward(&grad_enc_out);
+                encoder.backward_params_only(&grad_enc_out);
 
                 encoder.clip_gradients(5.0);
                 decoder.clip_gradients(5.0);
@@ -234,6 +237,8 @@ impl TabularGenerator for Tvae {
             self.loss_history.push(mean_loss);
         }
 
+        encoder.release_training_buffers();
+        decoder.release_training_buffers();
         self.codec = Some(codec);
         self.encoder = Some(encoder);
         self.decoder = Some(decoder);

@@ -17,7 +17,12 @@
 //! `B` is packed into contiguous `NR`-column panels and `A` into `MR`-row
 //! panels (both zero-padded to full panels), and an `MR×NR` register-tile
 //! microkernel sweeps `KC`-deep stripes so every packed element is read from
-//! L1. The pack buffers are **per-thread** (thread-local storage keys every
+//! L1. Either operand may be read transposed ([`Operand::transposed`]): the
+//! packs then gather their panels straight from the stored row-major matrix,
+//! so `Aᵀ·B` (weight gradients) and `A·Bᵀ` (input gradients) run through the
+//! same driver without a transposed copy. Partial tiles at the bottom and
+//! right edges run the same microkernel on a zero-padded copy of the tile.
+//! The pack buffers are **per-thread** (thread-local storage keys every
 //! buffer by its owning thread, so pool workers never contend) and
 //! **grow-only without re-zeroing**: packing overwrites exactly the live
 //! region and explicitly zeroes only the padding lanes of partial panels, so
@@ -34,10 +39,12 @@
 //! scalar kernel PR 2 shipped (frozen in `matrix::reference::tiled_matmul`
 //! as the perf baseline); only the documented `±0.0`/non-finite caveat
 //! against the seed reference kernel remains. The opt-in FMA/AVX-512 tiers
-//! replace the `mul`+`add` pair with a fused multiply-add ([`SimdVec::
-//! mul_acc`]) — one rounding per term instead of two — so they are *not*
-//! bit-equal to the scalar chain and are validated against it within 1e-8
-//! relative tolerance instead (see `tests/simd_kernels.rs`). They remain
+//! replace the `mul`+`add` pair with a fused multiply-add
+//! ([`SimdVec::mul_acc`]) — one rounding per term instead of two — in every
+//! vector lane, the packed edge tiles included, so they are *not* bit-equal
+//! to the scalar chain and are validated against it within 1e-8 relative
+//! tolerance instead (see `tests/simd_kernels.rs`); only the direct row
+//! kernels' scalar column tails keep separate roundings there. They remain
 //! deterministic: the accumulation chain per element is still fixed by the
 //! shape alone, so fused results are byte-identical run-to-run and across
 //! thread counts.
@@ -53,6 +60,9 @@ const KC: usize = 256;
 const MC: usize = 128;
 /// Column-block width packed per `B` panel sweep.
 const NC: usize = 512;
+/// Widest register tile any lane type uses (`2 × 16` `f32` lanes on
+/// AVX-512): the column capacity of the padded edge tile.
+const NR_MAX: usize = 32;
 
 /// Shapes whose `B` operand overflows the L1-resident tile go through the
 /// packed driver; small training shapes stay on the direct row kernels.
@@ -84,9 +94,8 @@ pub(crate) trait Elem: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'stati
     /// Vector lanes per register for this element type on `tier`.
     fn lanes(tier: SimdTier) -> usize;
 
-    /// `acc + a·b` with separate multiply and add roundings — the edge
-    /// kernels and scalar tails use this on every tier, which is what keeps
-    /// the bit-exact tiers bit-exact.
+    /// `acc + a·b` with separate multiply and add roundings — the direct
+    /// row kernels' scalar column tails use this on every tier.
     fn mul_add_sep(acc: Self, a: Self, b: Self) -> Self;
 
     fn with_pack_a<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
@@ -667,11 +676,39 @@ pub(crate) fn strided_row(
 // Level 2: cache-blocked panel packing.
 // ---------------------------------------------------------------------------
 
-/// Pack `B[pc..pc+kc, jc..jc+nc]` (row-major, leading dimension `ldb`) into
-/// `NR`-column panels: element `(kk, j)` of panel `jp` lands at
-/// `(jp·kc + kk)·nr + j`. Columns past `nc` are zero-padded so the
-/// microkernel always sees full panels (padded lanes never reach valid
-/// output elements).
+/// One operand of [`packed_matmul`]: a row-major buffer, read either as
+/// the matrix it stores or as that matrix's transpose.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a, E> {
+    data: &'a [E],
+    transposed: bool,
+}
+
+impl<'a, E> Operand<'a, E> {
+    /// The stored matrix itself.
+    pub(crate) fn stored(data: &'a [E]) -> Self {
+        Self {
+            data,
+            transposed: false,
+        }
+    }
+
+    /// The transpose of the stored matrix.
+    pub(crate) fn transposed(data: &'a [E]) -> Self {
+        Self {
+            data,
+            transposed: true,
+        }
+    }
+}
+
+/// Pack `B[pc..pc+kc, jc..jc+nc]` into `NR`-column panels: element `(kk, j)`
+/// of panel `jp` lands at `(jp·kc + kk)·nr + j`. `B` is read from row-major
+/// storage with leading dimension `ldb`: as stored, element `(kk, j)` is at
+/// `kk·ldb + j` and each panel row is one contiguous run; transposed, it is
+/// at `j·ldb + kk` and each panel column is one contiguous run. Columns past
+/// `nc` are zero-padded so the microkernel always sees full panels (padded
+/// lanes never reach valid output elements).
 ///
 /// The buffer grows monotonically and is **never re-zeroed**: every slot of
 /// the live `panels·kc·nr` region is either copied from `B` or explicitly
@@ -679,7 +716,7 @@ pub(crate) fn strided_row(
 /// call can never leak into this product.
 #[allow(clippy::too_many_arguments)]
 fn pack_b<E: Elem>(
-    b: &[E],
+    b: Operand<'_, E>,
     ldb: usize,
     pc: usize,
     kc: usize,
@@ -695,24 +732,39 @@ fn pack_b<E: Elem>(
     }
     for jp in 0..panels {
         let cols = nr.min(nc - jp * nr);
-        let dst_panel = jp * kc * nr;
-        for kk in 0..kc {
-            let src = (pc + kk) * ldb + jc + jp * nr;
-            let dst = dst_panel + kk * nr;
-            buf[dst..dst + cols].copy_from_slice(&b[src..src + cols]);
-            for pad in &mut buf[dst + cols..dst + nr] {
-                *pad = E::ZERO;
+        let col0 = jc + jp * nr;
+        let panel = &mut buf[jp * kc * nr..(jp + 1) * kc * nr];
+        if b.transposed {
+            for j in 0..cols {
+                let src = (col0 + j) * ldb + pc;
+                for (kk, &v) in b.data[src..src + kc].iter().enumerate() {
+                    panel[kk * nr + j] = v;
+                }
+            }
+        } else {
+            for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
+                let src = (pc + kk) * ldb + col0;
+                dst[..cols].copy_from_slice(&b.data[src..src + cols]);
+            }
+        }
+        if cols < nr {
+            for dst in panel.chunks_exact_mut(nr) {
+                dst[cols..].fill(E::ZERO);
             }
         }
     }
 }
 
-/// Pack `A[ic..ic+mc, pc..pc+kc]` (row-major, leading dimension `lda`) into
-/// `MR`-row panels: element `(r, kk)` of panel `ip` lands at
-/// `(ip·kc + kk)·MR + r`. Rows past `mc` are zero-padded; like [`pack_b`],
-/// the buffer grows monotonically and only padding slots are zeroed.
+/// Pack `A[ic..ic+mc, pc..pc+kc]` into `MR`-row panels: element `(r, kk)` of
+/// panel `ip` lands at `(ip·kc + kk)·MR + r`. `A` is read from row-major
+/// storage with leading dimension `lda`: as stored, element `(r, kk)` is at
+/// `r·lda + kk`; transposed, it is at `kk·lda + r`, so each `MR`-element run
+/// of a panel is one contiguous copy. Rows past `mc` are zero-padded; like
+/// [`pack_b`], the buffer grows monotonically and only padding slots are
+/// zeroed.
+#[allow(clippy::too_many_arguments)]
 fn pack_a<E: Elem>(
-    a: &[E],
+    a: Operand<'_, E>,
     lda: usize,
     ic: usize,
     mc: usize,
@@ -727,18 +779,24 @@ fn pack_a<E: Elem>(
     }
     for ip in 0..panels {
         let rows = MR.min(mc - ip * MR);
-        let dst_panel = ip * kc * MR;
-        for r in 0..rows {
-            let src_row = (ic + ip * MR + r) * lda + pc;
-            for kk in 0..kc {
-                buf[dst_panel + kk * MR + r] = a[src_row + kk];
+        let row0 = ic + ip * MR;
+        let panel = &mut buf[ip * kc * MR..(ip + 1) * kc * MR];
+        if a.transposed {
+            for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                let src = (pc + kk) * lda + row0;
+                dst[..rows].copy_from_slice(&a.data[src..src + rows]);
+            }
+        } else {
+            for r in 0..rows {
+                let src_row = (row0 + r) * lda + pc;
+                for (kk, &v) in a.data[src_row..src_row + kc].iter().enumerate() {
+                    panel[kk * MR + r] = v;
+                }
             }
         }
         if rows < MR {
-            for kk in 0..kc {
-                for r in rows..MR {
-                    buf[dst_panel + kk * MR + r] = E::ZERO;
-                }
+            for dst in panel.chunks_exact_mut(MR) {
+                dst[rows..].fill(E::ZERO);
             }
         }
     }
@@ -784,42 +842,11 @@ unsafe fn micro_full<V: SimdVec>(
     }
 }
 
-/// Scalar edge-tile kernel for partial `MR`/`NR` extents, reading the same
-/// packed panels. Identical ascending-`kk` single-chain accumulation with
-/// separate multiply/add roundings, so on bit-exact tiers edge tiles match
-/// full tiles bit-for-bit. (Under the fused tiers the edge tiles keep the
-/// separate roundings — which rows/columns are edges is fixed by the shape
-/// alone, so results stay deterministic.)
-///
-/// # Safety
-///
-/// Same panel/output validity contracts as [`micro_full`], restricted to
-/// `mr_eff` rows and `nr_eff` columns.
-#[allow(clippy::too_many_arguments)]
-unsafe fn micro_edge<E: Elem>(
-    kc: usize,
-    ap: *const E,
-    bp: *const E,
-    nr: usize,
-    c: *mut E,
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    for r in 0..mr_eff {
-        for j in 0..nr_eff {
-            let mut acc = *c.add(r * ldc + j);
-            for kk in 0..kc {
-                acc = E::mul_add_sep(acc, *ap.add(kk * MR + r), *bp.add(kk * nr + j));
-            }
-            *c.add(r * ldc + j) = acc;
-        }
-    }
-}
-
 /// Sweep one packed `A` block against one packed `B` stripe: all row panels
-/// × all column panels, full tiles through [`micro_full`], edges through
-/// [`micro_edge`].
+/// × all column panels through [`micro_full`]. A partial tile at the bottom
+/// or right edge is copied into a zero-padded stack tile, run through the
+/// same microkernel and copied back, so each of its elements keeps the one
+/// ascending chain a full tile gives it (the padded lanes are discarded).
 ///
 /// # Safety
 ///
@@ -837,6 +864,7 @@ unsafe fn block_kernel_v<V: SimdVec>(
     ldc: usize,
 ) {
     let nr = 2 * V::LANES;
+    debug_assert!(nr <= NR_MAX);
     let j_panels = nc.div_ceil(nr);
     let i_panels = mc.div_ceil(MR);
     for jp in 0..j_panels {
@@ -849,7 +877,22 @@ unsafe fn block_kernel_v<V: SimdVec>(
             if mr_eff == MR && nr_eff == nr {
                 micro_full::<V>(kc, apanel, bpanel, ctile, ldc);
             } else {
-                micro_edge::<V::E>(kc, apanel, bpanel, nr, ctile, ldc, mr_eff, nr_eff);
+                let mut tile = [V::E::ZERO; MR * NR_MAX];
+                for r in 0..mr_eff {
+                    std::ptr::copy_nonoverlapping(
+                        ctile.add(r * ldc),
+                        tile.as_mut_ptr().add(r * nr),
+                        nr_eff,
+                    );
+                }
+                micro_full::<V>(kc, apanel, bpanel, tile.as_mut_ptr(), nr);
+                for r in 0..mr_eff {
+                    std::ptr::copy_nonoverlapping(
+                        tile.as_ptr().add(r * nr),
+                        ctile.add(r * ldc),
+                        nr_eff,
+                    );
+                }
             }
         }
     }
@@ -860,7 +903,7 @@ unsafe fn block_kernel_v<V: SimdVec>(
 #[allow(clippy::too_many_arguments)]
 fn process_row_block<E: Elem>(
     tier: SimdTier,
-    a: &[E],
+    a: Operand<'_, E>,
     lda: usize,
     ic: usize,
     mc: usize,
@@ -885,24 +928,29 @@ fn process_row_block<E: Elem>(
 }
 
 /// Cache-blocked packed matmul: accumulate `A (m×k) · B (k×n)` into `out`
-/// (row-major `m×n`, pre-seeded with zeros or a broadcast bias). Row blocks
-/// fan out over the rayon pool when `parallel` is set; every output element
-/// is produced by exactly one task with a fixed accumulation chain, so the
+/// (row-major `m×n`, pre-seeded with zeros or a broadcast bias), where each
+/// operand is read from its row-major buffer as stored or transposed (a
+/// transposed `A` is stored `k×m`, a transposed `B` `n×k`). Row blocks fan
+/// out over the rayon pool when `parallel` is set; every output element is
+/// produced by exactly one task with a fixed accumulation chain, so the
 /// parallel and sequential paths are byte-identical (on every tier — the
-/// fused tiers differ from *scalar*, not from themselves).
+/// fused tiers differ from *scalar*, not from themselves), and so are the
+/// transposed and as-stored reads of the same values.
 pub(crate) fn packed_matmul<E: Elem>(
-    a: &[E],
+    a: Operand<'_, E>,
+    b: Operand<'_, E>,
     m: usize,
     k: usize,
-    b: &[E],
     n: usize,
     out: &mut [E],
     parallel: bool,
 ) {
     use rayon::prelude::*;
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(a.data.len(), m * k);
+    debug_assert_eq!(b.data.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
+    let lda = if a.transposed { m } else { k };
+    let ldb = if b.transposed { k } else { n };
     let tier = active_tier();
     let nr = 2 * E::lanes(tier);
     // Row-block height: `MC` alone would hand a single block (and therefore
@@ -926,7 +974,7 @@ pub(crate) fn packed_matmul<E: Elem>(
         while pc < k {
             let kc = KC.min(k - pc);
             E::with_pack_b(|bpack_buf| {
-                pack_b(b, n, pc, kc, jc, nc, nr, bpack_buf);
+                pack_b(b, ldb, pc, kc, jc, nc, nr, bpack_buf);
                 let live = nc.div_ceil(nr) * kc * nr;
                 let bpack: &[E] = &bpack_buf[..live];
                 if parallel {
@@ -936,14 +984,14 @@ pub(crate) fn packed_matmul<E: Elem>(
                             let ic = blk * block_rows;
                             let mc = block_rows.min(m - ic);
                             process_row_block(
-                                tier, a, k, ic, mc, pc, kc, bpack, nc, c_block, n, jc,
+                                tier, a, lda, ic, mc, pc, kc, bpack, nc, c_block, n, jc,
                             );
                         });
                 } else {
                     for (blk, c_block) in out.chunks_mut(block_rows * n).enumerate() {
                         let ic = blk * block_rows;
                         let mc = block_rows.min(m - ic);
-                        process_row_block(tier, a, k, ic, mc, pc, kc, bpack, nc, c_block, n, jc);
+                        process_row_block(tier, a, lda, ic, mc, pc, kc, bpack, nc, c_block, n, jc);
                     }
                 }
             });

@@ -98,7 +98,8 @@ pub trait Layer {
     /// Forward pass on a batch (rows are samples).
     fn forward(&mut self, input: &Matrix) -> Matrix;
     /// Backward pass: given dL/d(output), accumulate parameter gradients and
-    /// return dL/d(input). Must be called after `forward` on the same batch.
+    /// return dL/d(input). Must be called once after each `forward`, on the
+    /// same batch.
     fn backward(&mut self, grad_output: &Matrix) -> Matrix;
     /// Number of trainable parameters.
     fn n_params(&self) -> usize;
@@ -117,13 +118,18 @@ pub struct LinearLayer {
     pub grad_weights: Matrix,
     /// Accumulated dL/db from the last backward pass.
     pub grad_bias: Vec<f64>,
+    /// Input of the last training forward pass; the backward pass
+    /// overwrites it with `dL/d(input)` once the weight gradient is done.
     #[serde(skip)]
-    cache_input: Option<Matrix>,
+    cache_input: Matrix,
+    /// Pre-activation of the last training forward pass; the backward pass
+    /// overwrites it in place with `dL/d(pre)`.
     #[serde(skip)]
-    cache_pre_activation: Option<Matrix>,
-    /// Scratch for `Wᵀ` in the backward pass, reused across steps.
+    cache_pre_activation: Matrix,
+    /// Whether the caches hold a forward pass that no backward pass has
+    /// consumed yet.
     #[serde(skip)]
-    scratch_weights_t: Matrix,
+    forward_cached: bool,
 }
 
 impl LinearLayer {
@@ -137,9 +143,9 @@ impl LinearLayer {
             activation,
             grad_weights: Matrix::zeros(in_dim, out_dim),
             grad_bias: vec![0.0; out_dim],
-            cache_input: None,
-            cache_pre_activation: None,
-            scratch_weights_t: Matrix::default(),
+            cache_input: Matrix::default(),
+            cache_pre_activation: Matrix::default(),
+            forward_cached: false,
         }
     }
 
@@ -165,44 +171,58 @@ impl LinearLayer {
     /// pre-activation cache and the activation is mapped into `out`, so
     /// repeated steps allocate nothing.
     pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        let mut pre = self.cache_pre_activation.take().unwrap_or_default();
-        input.matmul_bias_into(&self.weights, &self.bias, &mut pre);
+        input.matmul_bias_into(&self.weights, &self.bias, &mut self.cache_pre_activation);
         let act = self.activation;
-        pre.map_into(|v| act.forward(v), out);
-        match &mut self.cache_input {
-            Some(cache) => cache.copy_from(input),
-            None => self.cache_input = Some(input.clone()),
-        }
-        self.cache_pre_activation = Some(pre);
+        self.cache_pre_activation.map_into(|v| act.forward(v), out);
+        self.cache_input.copy_from(input);
+        self.forward_cached = true;
     }
 
     /// Accumulate this layer's parameter gradients (`dL/dW`, `dL/db`) from
-    /// `dL/d(output)` **without** computing `dL/d(input)` — the variant the
-    /// fused discriminator update uses on its first layer, where the input
-    /// gradient would be discarded and its `A·Wᵀ` product (the widest matmul
-    /// of the backward pass) can be skipped entirely.
+    /// `dL/d(output)` **without** computing `dL/d(input)` — the variant an
+    /// MLP's first layer runs when nothing consumes the gradient of the
+    /// network input, so its `A·Wᵀ` product is skipped entirely.
     pub fn backward_params(&mut self, grad_output: &Matrix) {
-        let _ = self.grad_pre_and_params(grad_output);
+        self.grad_pre_and_params(grad_output);
     }
 
-    /// Shared backward head: `dL/d(pre)` plus both parameter gradients.
-    fn grad_pre_and_params(&mut self, grad_output: &Matrix) -> Matrix {
-        let input = self
-            .cache_input
-            .as_ref()
-            .expect("backward called before forward");
-        let pre = self
-            .cache_pre_activation
-            .as_ref()
-            .expect("backward called before forward");
+    /// Full backward pass without allocating: accumulate both parameter
+    /// gradients and return `dL/d(input)`, which is written over the input
+    /// cache (dead once the weight gradient is taken). The result borrows
+    /// the layer and stays valid until its next forward pass.
+    pub fn backward_in_place(&mut self, grad_output: &Matrix) -> &Matrix {
+        self.grad_pre_and_params(grad_output);
+        // dL/d(input) = dL/d(pre) · Wᵀ, read straight from `W`.
+        self.cache_pre_activation
+            .matmul_a_bt_into(&self.weights, &mut self.cache_input);
+        &self.cache_input
+    }
+
+    /// Release the forward caches, whose allocations only training needs.
+    pub(crate) fn release_caches(&mut self) {
+        self.cache_input = Matrix::default();
+        self.cache_pre_activation = Matrix::default();
+        self.forward_cached = false;
+    }
+
+    /// Shared backward head: `dL/d(pre)`, computed in place over the
+    /// pre-activation cache, plus both parameter gradients.
+    fn grad_pre_and_params(&mut self, grad_output: &Matrix) {
+        assert!(
+            self.forward_cached,
+            "backward called before forward: each training forward pass feeds one backward pass"
+        );
+        self.forward_cached = false;
         let act = self.activation;
         // dL/d(pre) = dL/d(out) * act'(pre)
-        let grad_pre = grad_output.zip(pre, |g, p| g * act.derivative(p));
+        self.cache_pre_activation
+            .zip_assign(grad_output, |p, g| g * act.derivative(p));
+        let grad_pre = &self.cache_pre_activation;
         // dL/dW = inputᵀ · dL/d(pre), computed without materializing the
         // transpose and accumulated into the persistent gradient buffers.
-        input.matmul_at_b_into(&grad_pre, &mut self.grad_weights);
+        self.cache_input
+            .matmul_at_b_into(grad_pre, &mut self.grad_weights);
         grad_pre.sum_rows_into(&mut self.grad_bias);
-        grad_pre
     }
 }
 
@@ -245,10 +265,7 @@ impl Layer for LinearLayer {
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let grad_pre = self.grad_pre_and_params(grad_output);
-        // dL/d(input) = dL/d(pre) · Wᵀ; the blocked transpose lands in a
-        // persistent scratch so only the result is allocated.
-        grad_pre.matmul_a_bt_scratch(&self.weights, &mut self.scratch_weights_t)
+        self.backward_in_place(grad_output).clone()
     }
 
     fn n_params(&self) -> usize {

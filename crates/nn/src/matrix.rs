@@ -1,17 +1,19 @@
 //! Dense row-major `f64` matrix with the operations the MLPs need.
 //!
-//! The matmul products run on the two-level kernel architecture in
-//! [`crate::kernels`]: explicitly vectorized microkernels (scalar / SSE2 /
-//! AVX2 `core::arch` lanes, selected once per process by
-//! [`crate::simd::active_tier`]) behind a shape split — small operands go
-//! through direct axpy-shaped row kernels, while shapes whose `B` operand
-//! overflows the L1-resident tile go through a cache-blocked driver that
-//! packs `A` and `B` into register-tile panels held in thread-local,
-//! grow-only buffers. Dedicated [`Matrix::matmul_at_b`] /
-//! [`Matrix::matmul_a_bt`] variants compute `Aᵀ·B` and `A·Bᵀ` directly so
-//! the backward pass never materializes a transposed copy, and `_into`
-//! variants reuse caller-owned buffers so the training loop performs no
-//! per-step allocations on the hot path.
+//! The matmul products run on the crate's two-level kernel architecture:
+//! explicitly vectorized microkernels (scalar / SSE2 / AVX2 `core::arch`
+//! lanes, selected once per process by [`crate::simd::active_tier`]) behind
+//! a shape split — small operands go through direct axpy-shaped row
+//! kernels, while shapes whose `B` operand overflows the L1-resident tile
+//! go through a cache-blocked driver that packs `A` and `B` into
+//! register-tile panels held in thread-local, grow-only buffers. The
+//! backward-pass products [`Matrix::matmul_at_b`] (`Aᵀ·B`) and
+//! [`Matrix::matmul_a_bt`] (`A·Bᵀ`) read their transposed operand in place
+//! wherever the packed driver runs: its packs gather panels straight from
+//! the stored matrix. Below the split, `Aᵀ·B` runs strided row kernels down
+//! the columns of `A`, and `A·Bᵀ` copies `Bᵀ` into a per-thread buffer for
+//! the row kernels. `_into` variants reuse caller-owned buffers, so the
+//! training loop performs no per-step allocations on the hot path.
 //!
 //! Every kernel — any tier, packed or direct — accumulates each output
 //! element along the inner dimension in ascending index order with a single
@@ -24,16 +26,17 @@
 //! parallelised over output rows (or packed row blocks) with rayon once it
 //! is large enough to amortise handing chunks to the pool.
 //!
-//! The seed-state scalar kernels are preserved in [`reference`] as the
-//! oracle for equivalence tests, alongside a frozen copy of the PR 2
+//! The seed-state scalar kernels are preserved in [`mod@reference`] as the
+//! oracle for equivalence tests, alongside a frozen copy of the first
 //! register-tiled kernel ([`reference::tiled_matmul`]) that anchors the
 //! `perf_report` speedup trajectory for the SIMD/packed kernels.
 
-use crate::kernels;
+use crate::kernels::{self, Operand};
 use crate::sample::standard_normal_fill;
 use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Work threshold (output cells × inner dimension) above which matmul runs
 /// in parallel (shared with the `f32` inference matrix in
@@ -42,6 +45,19 @@ pub(crate) const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Square block edge for the cache-blocked transpose.
 const TRANSPOSE_BLOCK: usize = 32;
+
+thread_local! {
+    /// Per-thread, grow-only home of the transposed right operand that
+    /// [`Matrix::matmul_a_bt_into`] hands the direct row kernels on shapes
+    /// below the packed split, so the call allocates nothing once warm.
+    static TRANSPOSED_RHS: RefCell<Matrix> = const {
+        RefCell::new(Matrix {
+            rows: 0,
+            cols: 0,
+            data: Vec::new(),
+        })
+    };
+}
 
 /// Dense row-major matrix.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -340,10 +356,10 @@ impl Matrix {
         let work = m * n * k;
         if kernels::use_packed(m, k, n) {
             kernels::packed_matmul(
-                &self.data,
+                Operand::stored(&self.data),
+                Operand::stored(&other.data),
                 m,
                 k,
-                &other.data,
                 n,
                 &mut out.data,
                 work >= PAR_THRESHOLD,
@@ -356,8 +372,8 @@ impl Matrix {
     }
 
     /// Bench/test hook: run the cache-blocked packed driver unconditionally
-    /// with an explicit `parallel` flag, bypassing the [`kernels::use_packed`]
-    /// shape split and the work threshold. This is how `perf_report` measures
+    /// with an explicit `parallel` flag, bypassing the packed/direct shape
+    /// split and the work threshold. This is how `perf_report` measures
     /// the multi-threaded packed legs against their own single-threaded tier
     /// within one process; it is not part of the stable API.
     #[doc(hidden)]
@@ -369,10 +385,10 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
         kernels::packed_matmul(
-            &self.data,
+            Operand::stored(&self.data),
+            Operand::stored(&other.data),
             self.rows,
             self.cols,
-            &other.data,
             other.cols,
             &mut out.data,
             parallel,
@@ -473,7 +489,10 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::matmul_at_b`] into a caller-owned buffer.
+    /// [`Matrix::matmul_at_b`] into a caller-owned buffer. Above the packed
+    /// split the driver packs its `Aᵀ` panels straight from `self`; below
+    /// it, each output row is a strided row kernel down one column of
+    /// `self`.
     pub fn matmul_at_b_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
@@ -483,37 +502,68 @@ impl Matrix {
         out.reset(self.cols, other.cols);
         let (ka, p, m) = (self.cols, other.cols, self.rows);
         let work = ka * p * m;
-        Self::for_each_out_row(out, work, |i, out_row| {
-            kernels::strided_row(&self.data, i, ka, m, &other.data, p, out_row);
-        });
+        if kernels::use_packed(ka, m, p) {
+            kernels::packed_matmul(
+                Operand::transposed(&self.data),
+                Operand::stored(&other.data),
+                ka,
+                m,
+                p,
+                &mut out.data,
+                work >= PAR_THRESHOLD,
+            );
+        } else {
+            Self::for_each_out_row(out, work, |i, out_row| {
+                kernels::strided_row(&self.data, i, ka, m, &other.data, p, out_row);
+            });
+        }
     }
 
-    /// `self × otherᵀ` (`self` is `m×k`, `other` is `p×k`, result `m×p`).
-    ///
-    /// Implemented as a blocked transpose of `other` feeding the blocked
-    /// `A·B` kernel, because a direct dot-product kernel is latency-bound:
-    /// each output element's fixed ascending-order accumulation chain
-    /// serialises on floating-point add latency, whereas the axpy-shaped
-    /// `A·B` kernel vectorises across output columns. The transpose is
-    /// `O(p·k)` against the product's `O(m·p·k)` and is bit-equivalent to
-    /// `self.matmul(&other.transpose())` by construction. Hot loops that
-    /// need scratch reuse call [`Matrix::matmul_a_bt_scratch`].
+    /// `self × otherᵀ` (`self` is `m×k`, `other` is `p×k`, result `m×p`),
+    /// bit-equivalent to `self.matmul(&other.transpose())`.
     pub fn matmul_a_bt(&self, other: &Matrix) -> Matrix {
-        let mut scratch = Matrix::default();
-        self.matmul_a_bt_scratch(other, &mut scratch)
+        let mut out = Matrix::default();
+        self.matmul_a_bt_into(other, &mut out);
+        out
     }
 
-    /// [`Matrix::matmul_a_bt`] with a caller-owned buffer for the transposed
-    /// right operand, so per-step training calls allocate nothing but the
-    /// result.
-    pub fn matmul_a_bt_scratch(&self, other: &Matrix, scratch: &mut Matrix) -> Matrix {
+    /// [`Matrix::matmul_a_bt`] into a caller-owned buffer. Above the packed
+    /// split the driver packs its `Bᵀ` panels straight from `other`. Below
+    /// it, `other` is transposed into a per-thread buffer that feeds the
+    /// direct `A·B` row kernels: a direct dot-product kernel would be
+    /// latency-bound, since each output element's fixed ascending chain
+    /// serialises on add latency, whereas the row kernels vectorise across
+    /// output columns. Either way nothing is allocated once the buffers are
+    /// warm.
+    pub fn matmul_a_bt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_a_bt dimension mismatch: {}x{} ×ᵀ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        other.transpose_into(scratch);
-        self.matmul(scratch)
+        out.reset(self.rows, other.rows);
+        let (m, k, p) = (self.rows, self.cols, other.rows);
+        let work = m * p * k;
+        if kernels::use_packed(m, k, p) {
+            kernels::packed_matmul(
+                Operand::stored(&self.data),
+                Operand::transposed(&other.data),
+                m,
+                k,
+                p,
+                &mut out.data,
+                work >= PAR_THRESHOLD,
+            );
+        } else {
+            TRANSPOSED_RHS.with(|rhs| {
+                let mut rhs = rhs.borrow_mut();
+                other.transpose_into(&mut rhs);
+                let rhs = &rhs.data;
+                Self::for_each_out_row(out, work, |r, out_row| {
+                    kernels::strided_row(&self.data, r * k, 1, k, rhs, p, out_row);
+                });
+            });
+        }
     }
 
     /// Element-wise map.
@@ -642,7 +692,8 @@ impl Matrix {
 /// Frozen baseline kernels: the seed-state scalar kernels kept verbatim as
 /// (a) the oracle the property tests compare the dispatched kernels against
 /// and (b) the anchor of the `perf_report` speedup trajectory, plus a
-/// verbatim copy of the PR 2 register-tiled kernel ([`tiled_matmul`]) so the
+/// verbatim copy of the first register-tiled kernel
+/// ([`tiled_matmul`](reference::tiled_matmul)) so the
 /// SIMD/packed kernels of this round are measured against their immediate
 /// predecessor rather than only the seed. Nothing here may be optimised:
 /// any change silently drags every recorded speedup along with it.
@@ -900,11 +951,8 @@ mod tests {
         a.matmul_at_b_into(&c, &mut out);
         assert_eq!(out, a.transpose().matmul(&c));
         let d = Matrix::randn(7, 5, 1.0, &mut rng);
-        let mut scratch = Matrix::randn(3, 3, 1.0, &mut rng);
-        assert_eq!(
-            a.matmul_a_bt_scratch(&d, &mut scratch),
-            a.matmul(&d.transpose())
-        );
+        a.matmul_a_bt_into(&d, &mut out);
+        assert_eq!(out, a.matmul(&d.transpose()));
         a.transpose_into(&mut out);
         assert_eq!(out, a.transpose());
     }

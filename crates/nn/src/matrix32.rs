@@ -7,8 +7,8 @@
 //! ([`crate::mlp::Mlp::to_f32`]) and run the whole reverse/decoder pass in
 //! single precision. The products here run on the *same* generic two-level
 //! kernels as the `f64` path — direct row kernels for small shapes, the
-//! cache-blocked packed driver above the [`crate::kernels::use_packed`]
-//! threshold, rayon-parallel over row blocks past the work threshold — just
+//! cache-blocked packed driver above the same shape threshold,
+//! rayon-parallel over row blocks past the work threshold — just
 //! instantiated with `f32` lanes.
 //!
 //! This type is deliberately minimal: it carries exactly the operations the
@@ -22,7 +22,7 @@
 //! validated end-to-end by distribution deltas in the model tests, not
 //! bitwise.
 
-use crate::kernels;
+use crate::kernels::{self, Operand};
 use crate::matrix::{Matrix, PAR_THRESHOLD};
 use rayon::prelude::*;
 
@@ -183,11 +183,11 @@ impl Matrix32 {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix32::zeros(self.rows, other.cols);
-        kernels::packed_matmul::<f32>(
-            &self.data,
+        kernels::packed_matmul(
+            Operand::stored(&self.data),
+            Operand::stored(&other.data),
             self.rows,
             self.cols,
-            &other.data,
             other.cols,
             &mut out.data,
             parallel,
@@ -202,11 +202,11 @@ impl Matrix32 {
         let (m, n, k) = (self.rows, other.cols, self.cols);
         let work = m * n * k;
         if kernels::use_packed(m, k, n) {
-            kernels::packed_matmul::<f32>(
-                &self.data,
+            kernels::packed_matmul(
+                Operand::stored(&self.data),
+                Operand::stored(&other.data),
                 m,
                 k,
-                &other.data,
                 n,
                 &mut out.data,
                 work >= PAR_THRESHOLD,

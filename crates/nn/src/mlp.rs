@@ -155,36 +155,43 @@ impl Mlp {
         }
     }
 
-    /// Backward pass from dL/d(output); returns dL/d(input).
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else {
-            return grad_output.clone();
-        };
-        let mut grad = last.backward(grad_output);
-        for layer in layers {
-            grad = layer.backward(&grad);
+    /// Backward pass from dL/d(output); returns dL/d(input). Allocates
+    /// nothing: each layer computes its gradients in its own forward caches,
+    /// and the returned gradient borrows the first layer's, valid until the
+    /// next forward pass.
+    pub fn backward<'a>(&'a mut self, grad_output: &'a Matrix) -> &'a Matrix {
+        let mut grad = grad_output;
+        for layer in self.layers.iter_mut().rev() {
+            grad = layer.backward_in_place(grad);
         }
         grad
     }
 
     /// Backward pass that accumulates every layer's parameter gradients but
     /// skips the first layer's `dL/d(input)` product — the widest matmul of
-    /// the backward pass, whose result a discriminator update would discard.
-    /// Gradients land in the same buffers as [`Mlp::backward`].
+    /// the backward pass, whose result a caller that never reads the
+    /// gradient of the network input would discard. Gradients land in the
+    /// same buffers as [`Mlp::backward`].
     pub fn backward_params_only(&mut self, grad_output: &Matrix) {
-        let n_layers = self.layers.len();
-        match n_layers {
-            0 => {}
-            1 => self.layers[0].backward_params(grad_output),
-            _ => {
-                let mut grad = self.layers[n_layers - 1].backward(grad_output);
-                for idx in (1..n_layers - 1).rev() {
-                    grad = self.layers[idx].backward(&grad);
-                }
-                self.layers[0].backward_params(&grad);
-            }
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut grad = grad_output;
+        for layer in rest.iter_mut().rev() {
+            grad = layer.backward_in_place(grad);
         }
+        first.backward_params(grad);
+    }
+
+    /// Drop the buffers only training uses (every layer's forward caches
+    /// and the intermediate activations), so a fitted network keeps just
+    /// its parameters and last gradients. The next training step re-grows
+    /// them.
+    pub fn release_training_buffers(&mut self) {
+        for layer in &mut self.layers {
+            layer.release_caches();
+        }
+        self.scratch_acts = Vec::new();
     }
 
     /// Apply one optimisation step using the gradients accumulated by the

@@ -112,6 +112,39 @@ fn dispatched_matmul_matches_reference_on_random_shapes() {
 #[test]
 fn dispatched_backward_products_match_reference_on_random_shapes() {
     let mut rng = StdRng::seed_from_u64(202);
+    // Fixed shapes on the packed side of the split (`m ≥ 8`, `k·n > 8192`
+    // in product terms), where `Aᵀ·B` packs its `A` panels and `A·Bᵀ` its
+    // `B` panels straight from the stored operand: the paper-width TabDDPM
+    // shapes, ragged shapes whose output tiles are partial in both
+    // directions at every lane width, and inner dimensions of 300, above
+    // the 256-deep stripe, so a second stripe accumulates onto the first.
+    // `at_b` pairs are (rows, cols of A, cols of B); `a_bt` triples are
+    // (rows of A, shared cols, rows of B).
+    let at_b_fixed: &[(usize, usize, usize)] = &[
+        (256, 81, 256),
+        (256, 256, 79),
+        (37, 83, 229),
+        (300, 64, 150),
+    ];
+    for &(m, k, p) in at_b_fixed {
+        let a = Matrix::randn(m, k, 1.0, &mut rng);
+        let b = Matrix::randn(m, p, 1.0, &mut rng);
+        assert_kernel_match(
+            &format!("at_b {m}x{k}/{m}x{p}"),
+            &a.matmul_at_b(&b),
+            &reference::matmul(&reference::transpose(&a), &b),
+        );
+    }
+    let a_bt_fixed: &[(usize, usize, usize)] = &[(256, 79, 256), (37, 101, 83), (40, 300, 50)];
+    for &(m, k, p) in a_bt_fixed {
+        let a = Matrix::randn(m, k, 1.0, &mut rng);
+        let c = Matrix::randn(p, k, 1.0, &mut rng);
+        assert_kernel_match(
+            &format!("a_bt {m}x{k}/{p}x{k}"),
+            &a.matmul_a_bt(&c),
+            &reference::matmul(&a, &reference::transpose(&c)),
+        );
+    }
     for round in 0..15 {
         let (m, k, p) = random_shape(&mut rng, 120);
         let a = Matrix::randn(m, k, 1.0, &mut rng);
@@ -169,8 +202,9 @@ fn dispatched_path_is_deterministic_run_to_run() {
     };
     let (first_par, first_seq) = run(7);
     // The packed/parallel product vs the direct sequential kernels: byte
-    // equality on bit-exact tiers, tolerance on fused tiers (the packed
-    // edge tiles keep separate roundings while the direct path fuses).
+    // equality on bit-exact tiers, tolerance on fused tiers (the direct
+    // kernels' scalar column tails keep separate roundings while the packed
+    // tiles fuse).
     assert_kernel_match("packed/parallel vs sequential", &first_par, &first_seq);
     for _ in 0..3 {
         let (par, seq) = run(7);
