@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use bench::cli::{experiment, experiment_options, Command};
-use bench::{fit_all, prepare_data};
+use bench::{fit_all, try_prepare_data};
 use htcsim::{BrokerPolicy, GridSimulator, SimConfig, SimJob, SimReport};
 use serde::Serialize;
 
@@ -33,7 +33,8 @@ struct DownstreamArtifact {
 
 fn main() {
     let options = CLI.check(experiment_options(&CLI.parse()));
-    let data = prepare_data(&options);
+    let data = try_prepare_data(&options)
+        .unwrap_or_else(|e| CLI.fail(format_args!("cannot prepare the dataset: {e}")));
     let fits = fit_all(&data.train, options.budget, options.seed);
     if fits.report_failures() == fits.runs.len() {
         CLI.fail("every surrogate model failed — nothing to compare against GT");

@@ -6,7 +6,7 @@
 //! ```
 
 use bench::cli::{experiment, experiment_options, Command};
-use bench::prepare_data;
+use bench::try_prepare_data;
 use serde::Serialize;
 use tabular::stats::summarize;
 
@@ -23,7 +23,8 @@ struct Fig3Artifact {
 
 fn main() {
     let options = CLI.check(experiment_options(&CLI.parse()));
-    let data = prepare_data(&options);
+    let data = try_prepare_data(&options)
+        .unwrap_or_else(|e| CLI.fail(format_args!("cannot prepare the dataset: {e}")));
 
     println!("== Fig. 3(a): dataset profile ==");
     println!("{:<18} {:>4} {:>10}", "feature", "kind", "# unique");

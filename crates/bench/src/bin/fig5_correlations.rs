@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use bench::cli::{experiment, experiment_options, Command};
-use bench::{fit_all, prepare_data};
+use bench::{fit_all, try_prepare_data};
 use metrics::{association_matrix, AssociationMatrix};
 use serde::Serialize;
 use tabular::Table;
@@ -62,7 +62,8 @@ fn correlate(train: &Table, synthetic: &Table) -> Result<AssociationMatrix, Stri
 
 fn main() {
     let options = CLI.check(experiment_options(&CLI.parse()));
-    let data = prepare_data(&options);
+    let data = try_prepare_data(&options)
+        .unwrap_or_else(|e| CLI.fail(format_args!("cannot prepare the dataset: {e}")));
     if data.train.n_rows() < MIN_ROWS {
         CLI.fail(format!(
             "the training split has {} row(s), fewer than the {MIN_ROWS} an association \

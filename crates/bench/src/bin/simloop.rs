@@ -34,7 +34,7 @@ use htcsim::{BrokerPolicy, GridSimulator, JobArena, SimConfig, SimReport, SimTra
 use pandasim::GeneratorConfig;
 use serde::{Deserialize, Serialize};
 use surrogate::checkpoint::{Checkpoint, CheckpointRegistry};
-use surrogate::experiment::prepare_data_from_config;
+use surrogate::experiment::try_prepare_data_from_config;
 use surrogate::{ModelKind, TrainingBudget};
 
 const SCHEMA_VERSION: u32 = 1;
@@ -239,7 +239,8 @@ fn main() {
     //    on: the data pipeline is a pure function of the generator config.
     config.seed = seed;
     config.gross_records = gross;
-    let data = prepare_data_from_config(&config);
+    let data = try_prepare_data_from_config(&config)
+        .unwrap_or_else(|e| CLI.fail(format_args!("cannot prepare the dataset: {e}")));
     let gt_rows = data.train.n_rows();
 
     // 3. Sample the surrogate workload from the checkpoint.

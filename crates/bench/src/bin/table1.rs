@@ -6,7 +6,7 @@
 //! ```
 
 use bench::cli::{experiment, experiment_options, Command};
-use bench::{fit_all, prepare_data};
+use bench::{fit_all, try_prepare_data};
 use metrics::{evaluate_against, EvaluationConfig, MlefBaseline, SurrogateReport};
 
 const CLI: Command = experiment(
@@ -22,7 +22,8 @@ fn main() {
         options.gross_records, options.days, options.budget
     );
 
-    let data = prepare_data(&options);
+    let data = try_prepare_data(&options)
+        .unwrap_or_else(|e| CLI.fail(format_args!("cannot prepare the dataset: {e}")));
     println!("\nfiltering funnel (Fig. 3b):");
     for line in data.funnel.render() {
         println!("  {line}");

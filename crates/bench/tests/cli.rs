@@ -1,6 +1,8 @@
 //! The command-line contract of all nine binaries, checked at the process
-//! boundary: `--help`/`-h` exit 0 and list exactly the binary's flags, and a
-//! bad command line exits 2 naming what is wrong before any work starts.
+//! boundary: `--help`/`-h` exit 0 and list exactly the binary's flags, a
+//! bad command line exits 2 naming what is wrong before any work starts,
+//! and a runtime failure, such as a dataset too small to split, exits 1
+//! with a `<bin>: …` message instead of a panic.
 //! The flag lists are pinned, so adding, removing or renaming a flag fails
 //! here first.
 
@@ -228,6 +230,87 @@ fn a_two_row_table_is_reported_not_panicked_on() {
         "exit {code:?}: {}",
         String::from_utf8_lossy(&output.stderr)
     );
+}
+
+/// The message every binary reports for a dataset it cannot split.
+const UNSPLITTABLE: &str = "cannot prepare the dataset: train_test_split input has 1 row(s)";
+
+/// Assert a runtime failure: exit 1 with a `<bin>: <message>` line.
+fn assert_runtime_error(name: &str, output: &Output, message: &str) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|line| line.starts_with(&format!("{name}: {message}"))),
+        "{name}: {stderr}"
+    );
+}
+
+#[test]
+fn experiment_binaries_refuse_a_dataset_too_small_to_split() {
+    let dir = workdir("unsplittable");
+    for name in [
+        "table1",
+        "fig3_profile",
+        "fig4_distributions",
+        "fig5_correlations",
+        "downstream",
+    ] {
+        let output = run(name, &["--rows", "1", "--budget", "smoke"], &dir);
+        assert_runtime_error(name, &output, UNSPLITTABLE);
+    }
+}
+
+#[test]
+fn sweep_records_a_dataset_too_small_to_split_as_data_rows() {
+    let dir = workdir("sweep_unsplittable");
+    let output = run(
+        "sweep",
+        &["--quick", "--rows", "1", "--out", "s.json"],
+        &dir,
+    );
+    assert_runtime_error("sweep", &output, "every cell failed");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(&format!("failed [data, 1 attempt(s)]: {UNSPLITTABLE}")),
+        "{stderr}"
+    );
+    let artifact = std::fs::read_to_string(dir.join("s.json")).unwrap();
+    assert_eq!(artifact.matches("\"error_kind\": \"data\"").count(), 8);
+}
+
+#[test]
+fn simloop_refuses_a_ground_truth_too_small_to_split() {
+    let dir = workdir("simloop_unsplittable");
+    let output = run(
+        "sweep",
+        &[
+            "--quick",
+            "--models",
+            "smote",
+            "--seeds",
+            "2025",
+            "--checkpoint-dir",
+            "ck",
+            "--out",
+            "s.json",
+        ],
+        &dir,
+    );
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let output = run(
+        "simloop",
+        &["--checkpoint-dir", "ck", "--gross", "1", "--out", "l.json"],
+        &dir,
+    );
+    assert_runtime_error("simloop", &output, UNSPLITTABLE);
+    assert!(!dir.join("l.json").exists());
 }
 
 #[test]

@@ -25,7 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rayon::prelude::*;
 
 use pandasim::{records_to_table, FilterFunnel, GeneratorConfig, WorkloadGenerator};
-use tabular::{train_test_split, SplitOptions, Table};
+use tabular::{train_test_split, SplitOptions, Table, TabularError};
 
 use crate::fault::panic_message;
 use crate::pipeline::{fit_and_sample, ModelKind, TrainingBudget};
@@ -74,8 +74,19 @@ pub struct PreparedData {
 }
 
 /// Generate, filter and split the synthetic PanDA dataset.
+///
+/// # Panics
+/// If the filtered table is too small to split; [`try_prepare_data`]
+/// returns that as an error instead.
 pub fn prepare_data(options: &ExperimentOptions) -> PreparedData {
-    prepare_data_from_config(&GeneratorConfig {
+    try_prepare_data(options).expect("non-empty modelling table")
+}
+
+/// [`prepare_data`], or [`TabularError::TooFewRows`] when fewer than two
+/// records survive the funnel, so the train/test split has nothing to
+/// split.
+pub fn try_prepare_data(options: &ExperimentOptions) -> Result<PreparedData, TabularError> {
+    try_prepare_data_from_config(&GeneratorConfig {
         gross_records: options.gross_records,
         days: options.days,
         seed: options.seed,
@@ -87,7 +98,19 @@ pub fn prepare_data(options: &ExperimentOptions) -> PreparedData {
 /// sweeps drive this directly with preset variants). The train/test split
 /// derives its seed from the generator seed, so the whole prepared dataset
 /// is a pure function of `config`.
+///
+/// # Panics
+/// If the filtered table is too small to split; see
+/// [`try_prepare_data_from_config`].
 pub fn prepare_data_from_config(config: &GeneratorConfig) -> PreparedData {
+    try_prepare_data_from_config(config).expect("non-empty modelling table")
+}
+
+/// [`prepare_data_from_config`], or [`TabularError::TooFewRows`] when the
+/// filtered table is too small to split.
+pub fn try_prepare_data_from_config(
+    config: &GeneratorConfig,
+) -> Result<PreparedData, TabularError> {
     let generator = WorkloadGenerator::new(config.clone());
     let gross = generator.generate();
     let funnel = FilterFunnel::apply(&gross);
@@ -99,15 +122,14 @@ pub fn prepare_data_from_config(config: &GeneratorConfig) -> PreparedData {
             shuffle: true,
             seed: config.seed,
         },
-    )
-    .expect("non-empty modelling table");
-    PreparedData {
+    )?;
+    Ok(PreparedData {
         generator,
         funnel,
         table,
         train,
         test,
-    }
+    })
 }
 
 /// Whether [`fit_models_with`] fans the model fits out across threads or

@@ -4,16 +4,16 @@
 //! learn the joint distribution of PanDA job records and synthesise new,
 //! realistic rows —
 //!
-//! * [`SmoteSampler`](smote::SmoteSampler) — nearest-neighbour interpolation
+//! * [`SmoteSampler`] — nearest-neighbour interpolation
 //!   (non-learning baseline),
-//! * [`Tvae`](tvae::Tvae) — a variational autoencoder for mixed-type rows,
-//! * [`CtabGan`](ctabgan::CtabGan) — a CTABGAN+-style conditional GAN,
-//! * [`TabDdpm`](tabddpm::TabDdpm) — a denoising-diffusion model with an MLP
+//! * [`Tvae`] — a variational autoencoder for mixed-type rows,
+//! * [`CtabGan`] — a CTABGAN+-style conditional GAN,
+//! * [`TabDdpm`] — a denoising-diffusion model with an MLP
 //!   backbone (the paper's recommended model).
 //!
-//! All models implement the [`TabularGenerator`](traits::TabularGenerator)
+//! All models implement the [`TabularGenerator`]
 //! trait (fit on a [`tabular::Table`], sample any number of synthetic rows)
-//! and share the [`TableCodec`](codec::TableCodec): numerical columns are
+//! and share the [`TableCodec`]: numerical columns are
 //! Gaussian-quantile-transformed, categorical columns are one-hot encoded —
 //! exactly the preprocessing described in §V-A of the paper.
 //!
@@ -57,8 +57,9 @@ pub use checkpoint::{
 pub use codec::{ColumnSpan, TableCodec};
 pub use ctabgan::{CtabGan, CtabGanConfig};
 pub use experiment::{
-    fit_all, fit_models_with, prepare_data, prepare_data_from_config, ExecutionMode,
-    ExperimentOptions, FitReport, ModelRun, PreparedData,
+    fit_all, fit_models_with, prepare_data, prepare_data_from_config, try_prepare_data,
+    try_prepare_data_from_config, ExecutionMode, ExperimentOptions, FitReport, ModelRun,
+    PreparedData,
 };
 pub use fault::{
     derive_attempt_seed, panic_message, CellBudget, Fault, FaultClock, FaultKind, FaultPlan,

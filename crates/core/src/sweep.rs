@@ -71,11 +71,11 @@ use serde::{Deserialize, Serialize};
 
 use metrics::{evaluate_against, EvaluationConfig, MetricError, MlefBaseline, SurrogateReport};
 use pandasim::GeneratorConfig;
-use tabular::Table;
+use tabular::{Table, TabularError};
 
 use crate::artifact_io::{atomic_write, parse_log_rows, Fnv1a, RowError, TailPolicy};
 use crate::checkpoint::Checkpoint;
-use crate::experiment::{prepare_data_from_config, ExecutionMode, PreparedData};
+use crate::experiment::{try_prepare_data_from_config, ExecutionMode, PreparedData};
 use crate::fault::{
     derive_attempt_seed, panic_message, CellBudget, FaultClock, FaultKind, FaultPlan, FitControl,
 };
@@ -403,11 +403,21 @@ pub enum CellError {
     /// The synthetic table could not be evaluated (empty, or sharing no
     /// columns with the reference).
     Metric(MetricError),
+    /// The cell's dataset could not be prepared (too few records survive
+    /// the funnel to split), so no model was fitted.
+    Data(TabularError),
 }
 
 impl CellError {
     /// Every value [`CellError::kind`] can return, for artifact validation.
-    pub const KINDS: [&'static str; 5] = ["fit", "panic", "budget", "non_finite_loss", "metric"];
+    pub const KINDS: [&'static str; 6] = [
+        "fit",
+        "panic",
+        "budget",
+        "non_finite_loss",
+        "metric",
+        "data",
+    ];
 
     /// Stable machine-readable name of this failure mode, written into
     /// [`SweepCellRow::error_kind`].
@@ -418,6 +428,7 @@ impl CellError {
             CellError::BudgetExceeded { .. } => "budget",
             CellError::NonFiniteLoss { .. } => "non_finite_loss",
             CellError::Metric(_) => "metric",
+            CellError::Data(_) => "data",
         }
     }
 }
@@ -456,6 +467,7 @@ impl std::fmt::Display for CellError {
                 write!(f, "non-finite training loss at epoch {epoch}")
             }
             CellError::Metric(e) => write!(f, "metric error: {e}"),
+            CellError::Data(e) => write!(f, "cannot prepare the dataset: {e}"),
         }
     }
 }
@@ -1204,26 +1216,40 @@ where
         })
         .collect();
     let configs: Vec<GeneratorConfig> = keys.into_iter().map(|(_, config)| config).collect();
-    let prepare = |config| Arc::new((prepare_data_from_config(config), MlefBaseline::default()));
-    let datasets: Vec<Arc<Dataset>> = match options.mode {
+    // A dataset too small to split fails every cell on it with a typed
+    // `data` row; the other datasets' cells run as usual.
+    let prepare = |config| {
+        try_prepare_data_from_config(config).map(|data| Arc::new((data, MlefBaseline::default())))
+    };
+    let datasets: Vec<Result<Arc<Dataset>, TabularError>> = match options.mode {
         ExecutionMode::Parallel => configs.par_iter().map(prepare).collect(),
         ExecutionMode::Sequential => configs.iter().map(prepare).collect(),
     };
 
     // One flat (scenario × model) work queue over the shared pool: no
     // nested parallel loops, so the pool balances across the whole grid.
-    let work: Vec<(SweepCell, Arc<Dataset>)> = cells
+    let work: Vec<(SweepCell, Result<Arc<Dataset>, TabularError>)> = cells
         .into_iter()
         .zip(&dataset_of)
-        .map(|(cell, &dataset)| (cell, Arc::clone(&datasets[dataset])))
+        .map(|(cell, &dataset)| (cell, datasets[dataset].clone()))
         .collect();
     // The work items now hold the only long-lived Arcs: dropping this Vec
     // lets each dataset be freed as soon as its last cell completes,
     // bounding peak memory to in-flight cells instead of the whole grid.
     drop(datasets);
-    let run_one = |cell: SweepCell, dataset: Arc<Dataset>| {
-        let (data, baseline) = &*dataset;
-        let run = run_cell_prepared(data, baseline, &cell, options, fitter);
+    let run_one = |cell: SweepCell, dataset: Result<Arc<Dataset>, TabularError>| {
+        let run = match dataset {
+            Ok(dataset) => {
+                let (data, baseline) = &*dataset;
+                run_cell_prepared(data, baseline, &cell, options, fitter)
+            }
+            Err(error) => CellRun {
+                cell,
+                outcome: Err(CellError::Data(error)),
+                wall_ms: 0.0,
+                attempts: 1,
+            },
+        };
         if let Some(journal) = journal {
             if let Err(e) = journal.append(&SweepCellRow::from_run(&run)) {
                 eprintln!("warning: journal append failed: {e}");
