@@ -25,8 +25,8 @@
 //! * [`storage`] — symbol interning, the dataset replica catalogue, and the
 //!   transfer-time model,
 //! * [`broker`] — job-to-site brokerage policies,
-//! * [`sim`] — the [`GridSimulator`](sim::GridSimulator) main loop, its
-//!   summary report, and the time-resolved [`SimTrace`](sim::SimTrace).
+//! * [`sim`] — the [`GridSimulator`] main loop, its summary report, and
+//!   the time-resolved [`SimTrace`].
 
 pub mod arena;
 pub mod broker;

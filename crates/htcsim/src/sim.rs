@@ -265,7 +265,7 @@ impl GridSimulator {
 
     /// Run on an explicit scheduler implementation — the hook the oracle
     /// tests and throughput benches use to pin [`CalendarQueue`] against
-    /// [`HeapQueue`] byte for byte.
+    /// [`HeapQueue`](crate::event::HeapQueue) byte for byte.
     pub fn run_arena_with<Q: EventScheduler>(&mut self, arena: &JobArena) -> SimReport {
         self.run_inner::<Q>(arena, None)
     }

@@ -1,6 +1,6 @@
 //! Runtime SIMD tier selection for the matmul kernels.
 //!
-//! The kernel layer in [`crate::kernels`] has five implementations of every
+//! The crate's private kernel layer has five implementations of every
 //! inner microkernel — portable scalar, SSE2, AVX2, FMA and AVX-512, built
 //! on `core::arch`, each instantiated for both `f64` and `f32` lanes — and
 //! every matrix product dispatches through the tier chosen here. The tier is

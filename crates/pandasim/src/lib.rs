@@ -26,7 +26,7 @@
 //! * [`user`] — the analysis-user population and task-size behaviour,
 //! * [`temporal`] — the submission-intensity model,
 //! * [`record`] — the raw job record,
-//! * [`generator`] — the top-level [`WorkloadGenerator`](generator::WorkloadGenerator),
+//! * [`generator`] — the top-level [`WorkloadGenerator`],
 //! * [`filter`] — the filtering funnel producing the modelling table,
 //! * [`convert`] — conversion into a [`tabular::Table`] with the paper's
 //!   nine features.

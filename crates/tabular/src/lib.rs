@@ -7,7 +7,7 @@
 //! preprocessing steps every other crate in the workspace builds on:
 //!
 //! * [`schema`] — feature kinds and table schemas,
-//! * [`table`] — the columnar [`Table`](table::Table) container,
+//! * [`table`] — the columnar [`Table`] container,
 //! * [`encode`] — one-hot / label encodings for categorical columns,
 //! * [`transform`] — numerical transforms (Gaussian quantile, standard,
 //!   min-max, log1p) mirroring the scikit-learn preprocessing the paper uses,

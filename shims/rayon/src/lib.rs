@@ -4,7 +4,7 @@
 //! the data-parallel API subset the workspace uses — `par_iter`,
 //! `into_par_iter`, `par_chunks_mut`, with `map` / `enumerate` / `for_each` /
 //! `collect` / `sum` — executed on a **persistent work-stealing pool**
-//! (see [`pool`]) instead of rayon's full scheduler.
+//! (the private `pool` module) instead of rayon's full scheduler.
 //!
 //! The pool is lazily initialized on the first parallel call and keeps
 //! `available_parallelism() - 1` worker threads alive for the life of the
