@@ -8,7 +8,12 @@
 //! * **Kernel benches** — the SIMD-dispatched kernels (`matmul`,
 //!   `matmul_at_b`, `matmul_a_bt`, `matmul_bias`, blocked `transpose`)
 //!   against [`nn::matrix::reference`], the scalar kernels every SIMD tier
-//!   is tested against (`baseline_kind: "seed_reference"`).
+//!   is tested against (`baseline_kind: "seed_reference"`). Three of them
+//!   run TabDDPM's paper-width training shapes (batch 256, hidden 256, a
+//!   79-column table), where all three products take the packed driver:
+//!   `matmul_256x256x79` (output layer forward), `at_b_256x256_x_256x79`
+//!   (its weight gradient) and `a_bt_256x79_x_256x79` (its input
+//!   gradient).
 //! * **Large-shape kernel benches** — the packed, cache-blocked driver on
 //!   shapes whose `B` operand overflows L1 (512³ and a tall-skinny
 //!   4096×64×256) against [`reference::tiled_matmul`], the register-tiled
@@ -47,10 +52,14 @@
 //! conventions (these suffixes, and the `normal_fill_` prefix for the
 //! `box_muller` baseline) are validated on read-back.
 //!
-//! The three **epoch entries** (`tabddpm_epoch`, `ctabgan_epoch`,
-//! `tvae_epoch`) time one fast-config training epoch of each neural model's
-//! `fit` through one harness. They have no baseline (schema v4): the
-//! recorded milliseconds per epoch are compared across regenerated reports.
+//! The six **epoch entries** time one training epoch of each neural model's
+//! `fit` through one harness: `tabddpm_epoch`, `ctabgan_epoch` and
+//! `tvae_epoch` at the fast (smoke) configs, whose products all stay on the
+//! direct kernels, and `tabddpm_paper_epoch`, `ctabgan_paper_epoch` and
+//! `tvae_paper_epoch` at the `Default` (standard-budget) widths and batch
+//! sizes, whose hidden-layer products take the packed driver. They have no
+//! baseline (schema v5): the recorded milliseconds per epoch are compared
+//! across regenerated reports.
 //!
 //! After writing the report the binary reads it back through
 //! `serde_json::from_str` and validates the schema, so CI's smoke invocation
@@ -117,6 +126,23 @@ struct Report {
     tabddpm_epoch: EpochBench,
     ctabgan_epoch: EpochBench,
     tvae_epoch: EpochBench,
+    tabddpm_paper_epoch: EpochBench,
+    ctabgan_paper_epoch: EpochBench,
+    tvae_paper_epoch: EpochBench,
+}
+
+impl Report {
+    /// Every epoch entry with its field name, in report order.
+    fn epochs(&self) -> [(&'static str, &EpochBench); 6] {
+        [
+            ("tabddpm_epoch", &self.tabddpm_epoch),
+            ("ctabgan_epoch", &self.ctabgan_epoch),
+            ("tvae_epoch", &self.tvae_epoch),
+            ("tabddpm_paper_epoch", &self.tabddpm_paper_epoch),
+            ("ctabgan_paper_epoch", &self.ctabgan_paper_epoch),
+            ("tvae_paper_epoch", &self.tvae_paper_epoch),
+        ]
+    }
 }
 
 /// Which ladder rungs `--dtype` selects (legacy + epoch benches always run).
@@ -330,6 +356,51 @@ fn kernel_benches(quick: bool) -> Vec<KernelBench> {
         base_ns,
     ));
 
+    // TabDDPM's paper-width output layer: a 256-row batch, 256 hidden
+    // units, a 79-column table. The forward product, the weight gradient
+    // and the input gradient all take the packed driver, and the 79
+    // columns leave a partial tile at every lane width.
+    let (preps, pinner) = if quick { (3, 2) } else { (7, 4) };
+    let hidden = Matrix::randn(256, 256, 1.0, &mut rng);
+    let grad = Matrix::randn(256, 79, 1.0, &mut rng);
+    let weights = Matrix::randn(256, 79, 1.0, &mut rng);
+    let new_ns = time_ns(preps, pinner, || {
+        std::hint::black_box(hidden.matmul(&weights));
+    });
+    let base_ns = time_ns(preps, pinner, || {
+        std::hint::black_box(reference::matmul(&hidden, &weights));
+    });
+    entries.push(kernel_entry(
+        "matmul_256x256x79",
+        "seed_reference",
+        new_ns,
+        base_ns,
+    ));
+    let new_ns = time_ns(preps, pinner, || {
+        std::hint::black_box(hidden.matmul_at_b(&grad));
+    });
+    let base_ns = time_ns(preps, pinner, || {
+        std::hint::black_box(reference::matmul(&reference::transpose(&hidden), &grad));
+    });
+    entries.push(kernel_entry(
+        "at_b_256x256_x_256x79",
+        "seed_reference",
+        new_ns,
+        base_ns,
+    ));
+    let new_ns = time_ns(preps, pinner, || {
+        std::hint::black_box(grad.matmul_a_bt(&weights));
+    });
+    let base_ns = time_ns(preps, pinner, || {
+        std::hint::black_box(reference::matmul(&grad, &reference::transpose(&weights)));
+    });
+    entries.push(kernel_entry(
+        "a_bt_256x79_x_256x79",
+        "seed_reference",
+        new_ns,
+        base_ns,
+    ));
+
     entries
 }
 
@@ -480,9 +551,9 @@ fn differenced_epoch_ms(
     timed_fit(e2, reps) * 1e3 / e2 as f64
 }
 
-/// One fast-config training epoch of a neural model: `model(epochs)`
-/// builds the unfitted model, and [`differenced_epoch_ms`] times its `fit`
-/// on the 512-row (quick) or 2048-row epoch table.
+/// One training epoch of a neural model: `model(epochs)` builds the
+/// unfitted model, and [`differenced_epoch_ms`] times its `fit` on the
+/// 512-row (quick) or 2048-row epoch table.
 fn epoch_bench<M: TabularGenerator>(
     label: &str,
     quick: bool,
@@ -610,11 +681,7 @@ fn validate_text(text: &str) -> Result<Report, String> {
             }
         }
     }
-    for (model, epoch) in [
-        ("tabddpm_epoch", &report.tabddpm_epoch),
-        ("ctabgan_epoch", &report.ctabgan_epoch),
-        ("tvae_epoch", &report.tvae_epoch),
-    ] {
+    for (model, epoch) in report.epochs() {
         if !epoch.new_epoch_ms.is_finite() || epoch.new_epoch_ms <= 0.0 {
             return Err(format!("{model}.new_epoch_ms is not a positive number"));
         }
@@ -797,48 +864,53 @@ fn main() {
         );
     }
 
-    eprintln!("perf_report: timing fast-config training epochs...");
-    let tabddpm_epoch = epoch_bench("tabddpm", quick, |epochs| {
-        TabDdpm::new(TabDdpmConfig {
-            epochs,
-            ..TabDdpmConfig::fast()
-        })
-    });
-    let ctabgan_epoch = epoch_bench("ctabgan", quick, |epochs| {
-        CtabGan::new(CtabGanConfig {
-            epochs,
-            ..CtabGanConfig::fast()
-        })
-    });
-    let tvae_epoch = epoch_bench("tvae", quick, |epochs| {
-        Tvae::new(TvaeConfig {
-            epochs,
-            ..TvaeConfig::fast()
-        })
-    });
-    for (name, epoch) in [
-        ("tabddpm_epoch", &tabddpm_epoch),
-        ("ctabgan_epoch", &ctabgan_epoch),
-        ("tvae_epoch", &tvae_epoch),
-    ] {
-        eprintln!(
-            "  {:<14} ({} rows)  {:>9.1} ms per epoch",
-            name, epoch.rows, epoch.new_epoch_ms
-        );
-    }
-
+    eprintln!("perf_report: timing fast-config and paper-default training epochs...");
+    let tabddpm = |base: TabDdpmConfig| {
+        move |epochs| {
+            TabDdpm::new(TabDdpmConfig {
+                epochs,
+                ..base.clone()
+            })
+        }
+    };
+    let ctabgan = |base: CtabGanConfig| {
+        move |epochs| {
+            CtabGan::new(CtabGanConfig {
+                epochs,
+                ..base.clone()
+            })
+        }
+    };
+    let tvae = |base: TvaeConfig| {
+        move |epochs| {
+            Tvae::new(TvaeConfig {
+                epochs,
+                ..base.clone()
+            })
+        }
+    };
     let report = Report {
-        schema_version: 4,
+        schema_version: 5,
         generated_by: "bench::perf_report".to_string(),
         quick,
         threads: rayon::current_num_threads(),
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         simd_tier: nn::active_tier().name().to_string(),
         kernels,
-        tabddpm_epoch,
-        ctabgan_epoch,
-        tvae_epoch,
+        tabddpm_epoch: epoch_bench("tabddpm", quick, tabddpm(TabDdpmConfig::fast())),
+        ctabgan_epoch: epoch_bench("ctabgan", quick, ctabgan(CtabGanConfig::fast())),
+        tvae_epoch: epoch_bench("tvae", quick, tvae(TvaeConfig::fast())),
+        tabddpm_paper_epoch: epoch_bench("tabddpm_paper", quick, tabddpm(TabDdpmConfig::default())),
+        ctabgan_paper_epoch: epoch_bench("ctabgan_paper", quick, ctabgan(CtabGanConfig::default())),
+        tvae_paper_epoch: epoch_bench("tvae_paper", quick, tvae(TvaeConfig::default())),
     };
+    for (name, epoch) in report.epochs() {
+        eprintln!(
+            "  {:<20} ({} rows)  {:>9.1} ms per epoch",
+            name, epoch.rows, epoch.new_epoch_ms
+        );
+    }
+
     let json = serde_json::to_string_pretty(&report).expect("render report");
     CLI.write(&out_path, json + "\n");
 
@@ -871,7 +943,7 @@ mod tests {
             new_epoch_ms: 10.0,
         };
         Report {
-            schema_version: 4,
+            schema_version: 5,
             generated_by: "bench::perf_report".to_string(),
             quick: true,
             threads: 1,
@@ -888,6 +960,9 @@ mod tests {
             tabddpm_epoch: epoch(),
             ctabgan_epoch: epoch(),
             tvae_epoch: epoch(),
+            tabddpm_paper_epoch: epoch(),
+            ctabgan_paper_epoch: epoch(),
+            tvae_paper_epoch: epoch(),
         }
     }
 
