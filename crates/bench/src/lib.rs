@@ -17,8 +17,8 @@ pub mod cli;
 
 use htcsim::{EventKind, EventScheduler};
 pub use surrogate::experiment::{
-    fit_all, fit_models_with, prepare_data, try_prepare_data, ExecutionMode, ExperimentOptions,
-    FitReport, ModelRun, PreparedData,
+    fit_all, fit_models_with, try_prepare_data, ExecutionMode, ExperimentOptions, FitReport,
+    ModelRun, PreparedData,
 };
 
 /// The classic "hold" benchmark for discrete-event priority queues: prime

@@ -762,7 +762,6 @@ fn pack_b<E: Elem>(
 /// of a panel is one contiguous copy. Rows past `mc` are zero-padded; like
 /// [`pack_b`], the buffer grows monotonically and only padding slots are
 /// zeroed.
-#[allow(clippy::too_many_arguments)]
 fn pack_a<E: Elem>(
     a: Operand<'_, E>,
     lda: usize,
@@ -864,7 +863,8 @@ unsafe fn block_kernel_v<V: SimdVec>(
     ldc: usize,
 ) {
     let nr = 2 * V::LANES;
-    debug_assert!(nr <= NR_MAX);
+    // The padded edge tile below holds `MR × NR_MAX` elements.
+    assert!(nr <= NR_MAX, "register tile wider than the edge tile");
     let j_panels = nc.div_ceil(nr);
     let i_panels = mc.div_ceil(MR);
     for jp in 0..j_panels {
@@ -877,6 +877,10 @@ unsafe fn block_kernel_v<V: SimdVec>(
             if mr_eff == MR && nr_eff == nr {
                 micro_full::<V>(kc, apanel, bpanel, ctile, ldc);
             } else {
+                // The copies stay inside the live `mr_eff × nr_eff` corner
+                // of `c` the caller guarantees and inside the first `MR`
+                // rows of stride `nr ≤ NR_MAX` of `tile`, which is all
+                // `micro_full` touches.
                 let mut tile = [V::E::ZERO; MR * NR_MAX];
                 for r in 0..mr_eff {
                     std::ptr::copy_nonoverlapping(

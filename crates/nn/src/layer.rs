@@ -181,33 +181,9 @@ impl LinearLayer {
     /// Accumulate this layer's parameter gradients (`dL/dW`, `dL/db`) from
     /// `dL/d(output)` **without** computing `dL/d(input)` — the variant an
     /// MLP's first layer runs when nothing consumes the gradient of the
-    /// network input, so its `A·Wᵀ` product is skipped entirely.
+    /// network input, so its `A·Wᵀ` product is skipped entirely. `dL/d(pre)`
+    /// is computed in place over the pre-activation cache.
     pub fn backward_params(&mut self, grad_output: &Matrix) {
-        self.grad_pre_and_params(grad_output);
-    }
-
-    /// Full backward pass without allocating: accumulate both parameter
-    /// gradients and return `dL/d(input)`, which is written over the input
-    /// cache (dead once the weight gradient is taken). The result borrows
-    /// the layer and stays valid until its next forward pass.
-    pub fn backward_in_place(&mut self, grad_output: &Matrix) -> &Matrix {
-        self.grad_pre_and_params(grad_output);
-        // dL/d(input) = dL/d(pre) · Wᵀ, read straight from `W`.
-        self.cache_pre_activation
-            .matmul_a_bt_into(&self.weights, &mut self.cache_input);
-        &self.cache_input
-    }
-
-    /// Release the forward caches, whose allocations only training needs.
-    pub(crate) fn release_caches(&mut self) {
-        self.cache_input = Matrix::default();
-        self.cache_pre_activation = Matrix::default();
-        self.forward_cached = false;
-    }
-
-    /// Shared backward head: `dL/d(pre)`, computed in place over the
-    /// pre-activation cache, plus both parameter gradients.
-    fn grad_pre_and_params(&mut self, grad_output: &Matrix) {
         assert!(
             self.forward_cached,
             "backward called before forward: each training forward pass feeds one backward pass"
@@ -223,6 +199,25 @@ impl LinearLayer {
         self.cache_input
             .matmul_at_b_into(grad_pre, &mut self.grad_weights);
         grad_pre.sum_rows_into(&mut self.grad_bias);
+    }
+
+    /// Full backward pass without allocating: accumulate both parameter
+    /// gradients and return `dL/d(input)`, which is written over the input
+    /// cache (dead once the weight gradient is taken). The result borrows
+    /// the layer and stays valid until its next forward pass.
+    pub fn backward_in_place(&mut self, grad_output: &Matrix) -> &Matrix {
+        self.backward_params(grad_output);
+        // dL/d(input) = dL/d(pre) · Wᵀ, read straight from `W`.
+        self.cache_pre_activation
+            .matmul_a_bt_into(&self.weights, &mut self.cache_input);
+        &self.cache_input
+    }
+
+    /// Release the forward caches, whose allocations only training needs.
+    pub(crate) fn release_caches(&mut self) {
+        self.cache_input = Matrix::default();
+        self.cache_pre_activation = Matrix::default();
+        self.forward_cached = false;
     }
 }
 
@@ -436,6 +431,19 @@ mod tests {
         layer.bias[1] = orig;
         let numeric = (lp - lm) / (2.0 * eps);
         assert!((numeric - layer.grad_bias[1]).abs() < 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn a_backward_pass_consumes_its_forward_caches() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut layer = LinearLayer::new(3, 2, Activation::Tanh, &mut rng);
+        let x = Matrix::randn(4, 3, 1.0, &mut rng);
+        let grad = Matrix::randn(4, 2, 1.0, &mut rng);
+        layer.forward(&x);
+        layer.backward(&grad);
+        // The caches now hold gradients, not the forward pass.
+        let _ = layer.backward(&grad);
     }
 
     #[test]

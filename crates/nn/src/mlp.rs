@@ -455,6 +455,28 @@ mod tests {
     }
 
     #[test]
+    fn released_training_buffers_regrow_with_the_same_results() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let cfg = MlpConfig::relu(5, vec![9, 7], 3);
+        let mut kept = Mlp::new(&cfg, &mut rng);
+        let x = Matrix::randn(6, 5, 1.0, &mut rng);
+        let grad_out = Matrix::randn(6, 3, 1.0, &mut rng);
+        kept.forward(&x);
+        kept.backward(&grad_out);
+        let mut released = kept.clone();
+        released.release_training_buffers();
+        assert!(released.scratch_acts.is_empty());
+        let a = kept.forward(&x);
+        let b = released.forward(&x);
+        assert_eq!(a, b);
+        assert_eq!(kept.backward(&grad_out), released.backward(&grad_out));
+        for (lk, lr) in kept.layers.iter().zip(&released.layers) {
+            assert_eq!(lk.grad_weights, lr.grad_weights);
+            assert_eq!(lk.grad_bias, lr.grad_bias);
+        }
+    }
+
+    #[test]
     fn gradient_clipping_bounds_norm() {
         let mut rng = StdRng::seed_from_u64(3);
         let cfg = MlpConfig::relu(3, vec![8], 2);
