@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::matrix::reference;
-use nn::{Activation, Layer, LinearLayer, Matrix};
+use nn::{Activation, LinearLayer, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use surrogate::{

@@ -19,21 +19,12 @@
 //!   4096×64×256) against [`reference::tiled_matmul`], the register-tiled
 //!   kernel the packed driver is tested against (`baseline_kind:
 //!   "pr2_tiled"`).
-//! * **Throughput-ladder benches** — the multi-threaded and `f32` rungs of
-//!   the packed driver, each gated against its *own* tier so `--check`
-//!   always compares like-for-like:
-//!   * `matmul_packed_<shape>_t<N>` — the packed driver fanned over the
-//!     rayon pool vs the same packed path run sequentially in the same
-//!     process (`baseline_kind: "seq_own_dtype"`). Emitted only when the
-//!     pool has more than one executor; exempt from the `--check` gate on
-//!     single-core hosts, where a parallel fan-out cannot win.
-//!   * `matmul_packed_<shape>_f32` — the `f32` instantiation (double SIMD
-//!     lanes, half the memory traffic) vs the `f64` packed path
-//!     (`baseline_kind: "packed_f64"`).
-//!   * `matmul_packed_<shape>_t<N>_f32` — `f32` parallel vs `f32`
-//!     sequential (`baseline_kind: "seq_own_dtype"`).
-//!   * `mlp_infer_<shape>_f32` — `Mlp32` inference vs the `f64` `Mlp`
-//!     (`baseline_kind: "mlp_infer_f64"`).
+//! * **Throughput-ladder benches** — `matmul_packed_<shape>_t<N>`: the
+//!   packed driver fanned over the rayon pool vs the same packed path run
+//!   sequentially in the same process (`baseline_kind: "seq_own_dtype"`), so
+//!   `--check` always compares like-for-like. Emitted only when the pool
+//!   has more than one executor; exempt from the `--check` gate on
+//!   single-core hosts, where a parallel fan-out cannot win.
 //! * **Simulator queue bench** — `htcsim_throughput_queue_<N>`: the
 //!   calendar event queue vs the `HeapQueue` it is pinned against
 //!   (`baseline_kind: "binary_heap"`), driven by [`bench::hold_model`].
@@ -46,10 +37,10 @@
 //!   sample vs the `rand_distr` shim's per-element Box–Muller `Normal`, which
 //!   `pandasim` still draws with (`baseline_kind: "box_muller"`).
 //!
-//! Every kernel entry carries `threads` and `dtype` fields, and entry
-//! *names* encode both (`_t4`, `_f32` suffixes), so a regenerated report
-//! never gates a new tier against an old baseline kind — the name↔kind
-//! conventions (these suffixes, and the `normal_fill_` prefix for the
+//! Every kernel entry carries a `threads` field, and a ladder entry's
+//! *name* encodes it (the `_tN` suffix), so a regenerated report never
+//! gates a new tier against an old baseline kind — the name↔kind
+//! conventions (this suffix, and the `normal_fill_` prefix for the
 //! `box_muller` baseline) are validated on read-back.
 //!
 //! The six **epoch entries** time one training epoch of each neural model's
@@ -69,9 +60,7 @@
 //!
 //! `perf_report --help` lists the flags (the default output is
 //! `BENCH_nn.json`). `--threads N` sets `RAYON_NUM_THREADS` before the pool
-//! spins up, so one flag controls the fan-out width; `--dtype` restricts
-//! which ladder rungs are measured (legacy kernels and epoch benches always
-//! run — the schema requires them).
+//! spins up, so one flag controls the fan-out width.
 
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -79,7 +68,7 @@ use std::time::Instant;
 use bench::cli::{Args, Command};
 use bench::hold_model;
 use nn::matrix::reference;
-use nn::{Matrix, Matrix32, Mlp, MlpConfig};
+use nn::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -97,8 +86,6 @@ struct KernelBench {
     /// forced-sequential measurements record 1; unsuffixed dispatched
     /// entries record the pool width they could opportunistically use.
     threads: usize,
-    /// Element type of the new measurement: `"f64"` or `"f32"`.
-    dtype: String,
     new_ns: f64,
     baseline_ns: f64,
     speedup: f64,
@@ -145,24 +132,6 @@ impl Report {
     }
 }
 
-/// Which ladder rungs `--dtype` selects (legacy + epoch benches always run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DtypeFilter {
-    Both,
-    F64,
-    F32,
-}
-
-impl DtypeFilter {
-    fn includes_f64(self) -> bool {
-        self != DtypeFilter::F32
-    }
-
-    fn includes_f32(self) -> bool {
-        self != DtypeFilter::F64
-    }
-}
-
 const CLI: Command = Command {
     name: "perf_report",
     about: "time the live kernels, epochs, event queue and batched serving into BENCH_nn.json",
@@ -172,7 +141,6 @@ flags:
   --check                exit 1 if a gated kernel entry is slower than its baseline
   --out PATH             report path (default BENCH_nn.json)
   --threads N            pool executors, N >= 1 (sets RAYON_NUM_THREADS)
-  --dtype f32|f64        measure only that dtype's ladder rungs (default both)
 ",
     operands: false,
 };
@@ -184,23 +152,14 @@ struct Options {
     check: bool,
     out: String,
     threads: Option<usize>,
-    dtype: DtypeFilter,
 }
 
 fn options(args: &Args) -> Result<Options, String> {
-    let dtype = |text: &str| match text {
-        "f32" => Ok(DtypeFilter::F32),
-        "f64" => Ok(DtypeFilter::F64),
-        _ => Err(""),
-    };
     Ok(Options {
         quick: args.switch("--quick"),
         check: args.switch("--check"),
         out: args.text("--out").unwrap_or("BENCH_nn.json").to_string(),
         threads: args.value("--threads")?.map(NonZeroUsize::get),
-        dtype: args
-            .value_with("--dtype", dtype)?
-            .unwrap_or(DtypeFilter::Both),
     })
 }
 
@@ -224,7 +183,6 @@ fn kernel_entry(name: &str, baseline_kind: &str, new_ns: f64, baseline_ns: f64) 
         name,
         baseline_kind,
         rayon::current_num_threads(),
-        "f64",
         new_ns,
         baseline_ns,
     )
@@ -234,7 +192,6 @@ fn kernel_entry_tiered(
     name: &str,
     baseline_kind: &str,
     threads: usize,
-    dtype: &str,
     new_ns: f64,
     baseline_ns: f64,
 ) -> KernelBench {
@@ -242,7 +199,6 @@ fn kernel_entry_tiered(
         name: name.to_string(),
         baseline_kind: baseline_kind.to_string(),
         threads,
-        dtype: dtype.to_string(),
         new_ns,
         baseline_ns,
         speedup: baseline_ns / new_ns.max(1e-9),
@@ -404,92 +360,34 @@ fn kernel_benches(quick: bool) -> Vec<KernelBench> {
     entries
 }
 
-/// The throughput-ladder rungs (schema v3): multi-threaded packed entries
-/// gated against their own sequential tier in the same process, and `f32`
-/// entries gated against the `f64` packed path. Every comparison is
-/// like-for-like by construction — the names say exactly which tier the
-/// entry measures.
-fn ladder_benches(quick: bool, dtype: DtypeFilter) -> Vec<KernelBench> {
-    let (reps, inner) = if quick { (3, 1) } else { (5, 2) };
+/// The throughput-ladder rungs: the packed driver fanned over the pool,
+/// gated against the identical packed path forced sequential in this very
+/// process. A one-executor pool has no fan-out to time, so it emits none.
+fn ladder_benches(quick: bool) -> Vec<KernelBench> {
     let threads = rayon::current_num_threads();
+    if threads == 1 {
+        return Vec::new();
+    }
+    let (reps, inner) = if quick { (3, 1) } else { (5, 2) };
     let mut rng = StdRng::seed_from_u64(77);
     let mut entries = Vec::new();
-
     for &(m, k, n) in &[(512usize, 512usize, 512usize), (4096, 64, 256)] {
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let b = Matrix::randn(k, n, 1.0, &mut rng);
-        // Own-tier sequential reference: the identical packed path, forced
-        // sequential, measured in this very process.
-        let seq64_ns = time_ns(reps, inner, || {
+        let seq_ns = time_ns(reps, inner, || {
             std::hint::black_box(a.matmul_packed_with(&b, false));
         });
-        if dtype.includes_f64() && threads > 1 {
-            let par_ns = time_ns(reps, inner, || {
-                std::hint::black_box(a.matmul_packed_with(&b, true));
-            });
-            entries.push(kernel_entry_tiered(
-                &format!("matmul_packed_{m}x{k}x{n}_t{threads}"),
-                "seq_own_dtype",
-                threads,
-                "f64",
-                par_ns,
-                seq64_ns,
-            ));
-        }
-        if dtype.includes_f32() {
-            let a32 = Matrix32::from_f64(&a);
-            let b32 = Matrix32::from_f64(&b);
-            let seq32_ns = time_ns(reps, inner, || {
-                std::hint::black_box(a32.matmul_packed_with(&b32, false));
-            });
-            entries.push(kernel_entry_tiered(
-                &format!("matmul_packed_{m}x{k}x{n}_f32"),
-                "packed_f64",
-                1,
-                "f32",
-                seq32_ns,
-                seq64_ns,
-            ));
-            if threads > 1 {
-                let par32_ns = time_ns(reps, inner, || {
-                    std::hint::black_box(a32.matmul_packed_with(&b32, true));
-                });
-                entries.push(kernel_entry_tiered(
-                    &format!("matmul_packed_{m}x{k}x{n}_t{threads}_f32"),
-                    "seq_own_dtype",
-                    threads,
-                    "f32",
-                    par32_ns,
-                    seq32_ns,
-                ));
-            }
-        }
-    }
-
-    if dtype.includes_f32() {
-        // End-to-end f32 inference: a fitted-shape MLP down-converted once,
-        // then timed against the f64 forward pass on the same batch.
-        let (mreps, minner) = if quick { (5, 4) } else { (7, 8) };
-        let mlp = Mlp::new(&MlpConfig::relu(128, vec![256, 256], 64), &mut rng);
-        let mlp32 = mlp.to_f32();
-        let x = Matrix::randn(512, 128, 1.0, &mut rng);
-        let x32 = Matrix32::from_f64(&x);
-        let new_ns = time_ns(mreps, minner, || {
-            std::hint::black_box(mlp32.infer(&x32));
-        });
-        let base_ns = time_ns(mreps, minner, || {
-            std::hint::black_box(mlp.infer(&x));
+        let par_ns = time_ns(reps, inner, || {
+            std::hint::black_box(a.matmul_packed_with(&b, true));
         });
         entries.push(kernel_entry_tiered(
-            "mlp_infer_512x128x256x256x64_f32",
-            "mlp_infer_f64",
-            1,
-            "f32",
-            new_ns,
-            base_ns,
+            &format!("matmul_packed_{m}x{k}x{n}_t{threads}"),
+            "seq_own_dtype",
+            threads,
+            par_ns,
+            seq_ns,
         ));
     }
-
     entries
 }
 
@@ -585,28 +483,19 @@ fn epoch_bench<M: TabularGenerator>(
 // Report emission, validation and the CI regression guard.
 // ---------------------------------------------------------------------------
 
-/// The explicit thread-count suffix of a ladder entry name (`_t4`,
-/// `_t4_f32`), if present.
+/// The explicit thread-count suffix of a ladder entry name (`_t4`), if
+/// present.
 fn name_thread_suffix(name: &str) -> Option<usize> {
-    let base = name.strip_suffix("_f32").unwrap_or(name);
-    let idx = base.rfind("_t")?;
-    base[idx + 2..].parse().ok()
+    let idx = name.rfind("_t")?;
+    name[idx + 2..].parse().ok()
 }
 
 /// Enforce the name↔field conventions that keep `--check` like-for-like:
-/// a `_f32` suffix if and only if `dtype == "f32"`; a `_tN` suffix if and
-/// only if the entry is gated against its own sequential tier
-/// (`seq_own_dtype`), with `N` equal to the recorded thread count. A
-/// regenerated report can therefore never compare a new tier's timing
-/// against a baseline of a different kind under the same name.
+/// a `_tN` suffix if and only if the entry is gated against its own
+/// sequential tier (`seq_own_dtype`), with `N` equal to the recorded thread
+/// count. A regenerated report can therefore never compare a new tier's
+/// timing against a baseline of a different kind under the same name.
 fn check_name_conventions(entry: &KernelBench) -> Result<(), String> {
-    let is_f32_name = entry.name.ends_with("_f32");
-    if is_f32_name != (entry.dtype == "f32") {
-        return Err(format!(
-            "kernel '{}': name/dtype mismatch (dtype '{}')",
-            entry.name, entry.dtype
-        ));
-    }
     if entry.name.starts_with("normal_fill_") != (entry.baseline_kind == "box_muller") {
         return Err(format!(
             "kernel '{}': the normal_fill_ entries, and only they, gate against \
@@ -660,12 +549,6 @@ fn validate_text(text: &str) -> Result<Report, String> {
         }
         if entry.threads == 0 {
             return Err(format!("kernel '{}' has zero threads", entry.name));
-        }
-        if entry.dtype != "f64" && entry.dtype != "f32" {
-            return Err(format!(
-                "kernel '{}' has unknown dtype '{}'",
-                entry.name, entry.dtype
-            ));
         }
         check_name_conventions(entry)?;
         for (field, v) in [
@@ -723,8 +606,8 @@ fn kernel_regressions(kernels: &[KernelBench], host_cores: usize) -> Vec<String>
 /// (`baseline_kind: "binary_heap"`). Deep queues are where the calendar's
 /// flat cost structurally beats the heap's `O(log n)` (the margin at
 /// shallow sizes is noise-level), so the queue holds hundreds of thousands
-/// of in-flight events. A single-threaded f64 entry, gated at 1.0x like
-/// every unsuffixed entry.
+/// of in-flight events. A single-threaded entry, gated at 1.0x like every
+/// unsuffixed entry.
 fn htcsim_queue_bench(quick: bool) -> KernelBench {
     use htcsim::{CalendarQueue, HeapQueue};
 
@@ -744,7 +627,6 @@ fn htcsim_queue_bench(quick: bool) -> KernelBench {
         &format!("htcsim_throughput_queue_{transitions}"),
         "binary_heap",
         1,
-        "f64",
         new_ns,
         base_ns,
     )
@@ -790,7 +672,6 @@ fn serve_batching_bench(quick: bool) -> KernelBench {
         "serve_batching_64x4",
         "unbatched_sample_calls",
         1,
-        "f64",
         new_ns,
         base_ns,
     )
@@ -802,7 +683,7 @@ fn serve_batching_bench(quick: bool) -> KernelBench {
 /// through the `rand_distr` shim's `Normal`, the per-element Box–Muller
 /// (two uniforms, `ln`, `sqrt` and `cos` per draw) that `nn` used before
 /// its ziggurat and `pandasim` still uses (`baseline_kind: "box_muller"`).
-/// A single-threaded f64 entry, gated at 1.0x like every unsuffixed entry.
+/// A single-threaded entry, gated at 1.0x like every unsuffixed entry.
 fn normal_fill_bench(quick: bool) -> KernelBench {
     use rand_distr::{Distribution, Normal};
 
@@ -826,7 +707,6 @@ fn normal_fill_bench(quick: bool) -> KernelBench {
         &format!("normal_fill_{ROWS}x{COLS}"),
         "box_muller",
         1,
-        "f64",
         new_ns,
         base_ns,
     )
@@ -850,7 +730,7 @@ fn main() {
         rayon::current_num_threads(),
     );
     let mut kernels = kernel_benches(quick);
-    kernels.extend(ladder_benches(quick, opts.dtype));
+    kernels.extend(ladder_benches(quick));
     eprintln!("perf_report: timing htcsim calendar queue vs binary heap...");
     kernels.push(htcsim_queue_bench(quick));
     eprintln!("perf_report: timing micro-batched serving (64 x 4-row TVAE sample requests)...");
@@ -859,8 +739,8 @@ fn main() {
     kernels.push(normal_fill_bench(quick));
     for k in &kernels {
         eprintln!(
-            "  {:<36} new {:>12.0} ns   {:<16} {:>12.0} ns   speedup {:.2}x  [t{} {}]",
-            k.name, k.new_ns, k.baseline_kind, k.baseline_ns, k.speedup, k.threads, k.dtype
+            "  {:<36} new {:>12.0} ns   {:<16} {:>12.0} ns   speedup {:.2}x  [t{}]",
+            k.name, k.new_ns, k.baseline_kind, k.baseline_ns, k.speedup, k.threads
         );
     }
 
@@ -890,7 +770,7 @@ fn main() {
         }
     };
     let report = Report {
-        schema_version: 5,
+        schema_version: 6,
         generated_by: "bench::perf_report".to_string(),
         quick,
         threads: rayon::current_num_threads(),
@@ -943,7 +823,7 @@ mod tests {
             new_epoch_ms: 10.0,
         };
         Report {
-            schema_version: 5,
+            schema_version: 6,
             generated_by: "bench::perf_report".to_string(),
             quick: true,
             threads: 1,
@@ -953,7 +833,6 @@ mod tests {
                 "matmul_64x64x64",
                 "seed_reference",
                 1,
-                "f64",
                 100.0,
                 250.0,
             )],
@@ -1018,8 +897,8 @@ mod tests {
     #[test]
     fn kernel_regressions_flags_only_sub_one_speedups() {
         let kernels = vec![
-            kernel_entry_tiered("fast", "seed_reference", 1, "f64", 100.0, 250.0),
-            kernel_entry_tiered("slow", "seed_reference", 1, "f64", 300.0, 250.0),
+            kernel_entry_tiered("fast", "seed_reference", 1, 100.0, 250.0),
+            kernel_entry_tiered("slow", "seed_reference", 1, 300.0, 250.0),
         ];
         let offending = kernel_regressions(&kernels, 4);
         assert_eq!(offending.len(), 1);
@@ -1035,23 +914,17 @@ mod tests {
                 "matmul_packed_512x512x512_t4",
                 "seq_own_dtype",
                 4,
-                "f64",
                 300.0,
                 250.0,
             ),
-            // A slow f32 rung is never exempt — it is a sequential tier.
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_f32",
-                "packed_f64",
-                1,
-                "f32",
-                300.0,
-                250.0,
-            ),
+            // A slow dispatched entry is never exempt, whatever pool width
+            // it could use: its baseline is a frozen kernel, not its own
+            // sequential tier.
+            kernel_entry_tiered("matmul_packed_512x512x512", "pr2_tiled", 4, 300.0, 250.0),
         ];
         let on_one_core = kernel_regressions(&kernels, 1);
         assert_eq!(on_one_core.len(), 1, "{on_one_core:?}");
-        assert!(on_one_core[0].contains("_f32"));
+        assert!(on_one_core[0].starts_with("matmul_packed_512x512x512 "));
         let on_many = kernel_regressions(&kernels, 8);
         assert_eq!(on_many.len(), 2, "{on_many:?}");
     }
@@ -1060,79 +933,19 @@ mod tests {
     fn name_conventions_pin_tier_suffixes_to_fields() {
         // The committed-artifact shapes all pass.
         for entry in [
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_t4",
-                "seq_own_dtype",
-                4,
-                "f64",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_t4_f32",
-                "seq_own_dtype",
-                4,
-                "f32",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_f32",
-                "packed_f64",
-                1,
-                "f32",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "mlp_infer_512x128x256x256x64_f32",
-                "mlp_infer_f64",
-                1,
-                "f32",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered("matmul_64x64x64", "seed_reference", 1, "f64", 1.0, 2.0),
-            kernel_entry_tiered("matmul_packed_512x512x512", "pr2_tiled", 4, "f64", 1.0, 2.0),
+            kernel_entry_tiered("matmul_packed_512x512x512_t4", "seq_own_dtype", 4, 1.0, 2.0),
+            kernel_entry_tiered("matmul_64x64x64", "seed_reference", 1, 1.0, 2.0),
+            kernel_entry_tiered("matmul_packed_512x512x512", "pr2_tiled", 4, 1.0, 2.0),
         ] {
             check_name_conventions(&entry).unwrap_or_else(|e| panic!("{e}"));
         }
-        // Mismatches are rejected: f32 name with f64 dtype, _tN against a
-        // frozen baseline, thread-count disagreement, and a seq_own_dtype
-        // entry hiding under an unsuffixed name.
+        // Mismatches are rejected: _tN against a frozen baseline,
+        // thread-count disagreement, and a seq_own_dtype entry hiding under
+        // an unsuffixed name.
         for bad in [
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_f32",
-                "packed_f64",
-                1,
-                "f64",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_t4",
-                "pr2_tiled",
-                4,
-                "f64",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_t4",
-                "seq_own_dtype",
-                2,
-                "f64",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512",
-                "seq_own_dtype",
-                4,
-                "f64",
-                1.0,
-                2.0,
-            ),
+            kernel_entry_tiered("matmul_packed_512x512x512_t4", "pr2_tiled", 4, 1.0, 2.0),
+            kernel_entry_tiered("matmul_packed_512x512x512_t4", "seq_own_dtype", 2, 1.0, 2.0),
+            kernel_entry_tiered("matmul_packed_512x512x512", "seq_own_dtype", 4, 1.0, 2.0),
         ] {
             assert!(check_name_conventions(&bad).is_err(), "{}", bad.name);
         }
@@ -1140,7 +953,7 @@ mod tests {
 
     #[test]
     fn normal_fill_entries_and_only_they_gate_against_box_muller() {
-        let entry = |name: &str, kind: &str| kernel_entry_tiered(name, kind, 1, "f64", 1.0, 2.0);
+        let entry = |name: &str, kind: &str| kernel_entry_tiered(name, kind, 1, 1.0, 2.0);
         check_name_conventions(&entry("normal_fill_19424x51", "box_muller"))
             .unwrap_or_else(|e| panic!("{e}"));
         for bad in [
@@ -1155,11 +968,10 @@ mod tests {
     fn thread_suffix_parses_ladder_names_only() {
         assert_eq!(name_thread_suffix("matmul_packed_512x512x512_t4"), Some(4));
         assert_eq!(
-            name_thread_suffix("matmul_packed_4096x64x256_t16_f32"),
+            name_thread_suffix("matmul_packed_4096x64x256_t16"),
             Some(16)
         );
         assert_eq!(name_thread_suffix("matmul_packed_512x512x512"), None);
-        assert_eq!(name_thread_suffix("matmul_packed_512x512x512_f32"), None);
         assert_eq!(name_thread_suffix("at_b_256x128_x_256x64"), None);
         assert_eq!(name_thread_suffix("transpose_512x384"), None);
     }
@@ -1173,28 +985,15 @@ mod tests {
 
     #[test]
     fn parse_args_accepts_the_documented_flags() {
-        let opts = parse(&[
-            "--quick",
-            "--check",
-            "--out",
-            "x.json",
-            "--threads",
-            "4",
-            "--dtype",
-            "f32",
-        ])
-        .unwrap();
+        let opts = parse(&["--quick", "--check", "--out", "x.json", "--threads", "4"]).unwrap();
         assert!(opts.quick && opts.check);
         assert_eq!(opts.out, "x.json");
         assert_eq!(opts.threads, Some(4));
-        assert_eq!(opts.dtype, DtypeFilter::F32);
         // Defaults.
         let opts = parse(&[]).unwrap();
         assert!(!opts.quick && !opts.check);
         assert_eq!(opts.out, "BENCH_nn.json");
         assert_eq!(opts.threads, None);
-        assert_eq!(opts.dtype, DtypeFilter::Both);
-        assert!(opts.dtype.includes_f32() && opts.dtype.includes_f64());
     }
 
     #[test]
@@ -1204,8 +1003,7 @@ mod tests {
             &["--threads", "zero"][..],
             &["--threads", "0"][..],
             &["--threads", "-2"][..],
-            &["--dtype"][..],
-            &["--dtype", "f16"][..],
+            &["--dtype", "f32"][..],
             &["--out"][..],
             &["--frobnicate"][..],
         ] {

@@ -97,7 +97,7 @@ const BINARIES: &[(&str, &str, &[&str])] = &[
     (
         "perf_report",
         env!("CARGO_BIN_EXE_perf_report"),
-        &["--quick", "--check", "--out", "--threads", "--dtype"],
+        &["--quick", "--check", "--out", "--threads"],
     ),
 ];
 
@@ -167,6 +167,15 @@ fn unknown_flags_exit_2_naming_the_flag() {
 fn sweep_refuses_a_misspelt_flag_and_writes_nothing() {
     let dir = workdir("seed");
     assert_usage_error("sweep", &["--quick", "--seed", "9"], &dir, &["'--seed'"]);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+}
+
+#[test]
+fn perf_report_refuses_the_removed_dtype_flag() {
+    // Every product runs in `f64`, so there is no element type to choose:
+    // the flag is unknown and nothing is timed or written.
+    let dir = workdir("dtype");
+    assert_usage_error("perf_report", &["--dtype", "f32"], &dir, &["'--dtype'"]);
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
 }
 

@@ -19,10 +19,7 @@
 //! skips it too, since nothing reads the gradient of the generator's noise
 //! and condition input.
 
-use nn::{
-    bce_with_logits, standard_normal_fill, Adam, AdamConfig, CosineDecay, LrSchedule, Matrix, Mlp,
-    MlpConfig,
-};
+use nn::{bce_with_logits, standard_normal_fill, Adam, CosineDecay, Matrix, Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -30,9 +27,8 @@ use tabular::{FeatureKind, Table};
 
 use crate::codec::TableCodec;
 use crate::fault::FitControl;
-use crate::forward::{Forward, Precision};
 use crate::mixed::{mixed_activation_assign, mixed_activation_backward, mixed_activation_into};
-use crate::traits::{single_table, SampleSpec, SurrogateError, TabularGenerator};
+use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
 
 /// CTABGAN+ hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -170,41 +166,6 @@ impl CtabGan {
             .zip(self.generator.as_ref())
             .ok_or(SurrogateError::NotFitted("CTABGAN+"))
     }
-
-    /// The one sampling loop. Per spec, noise then condition come from that
-    /// spec's own RNG — the draw order of a standalone `sample` — straight
-    /// into its rows of one `[z | cond]` generator input, so the whole batch
-    /// is a single packed forward pass (at `precision`). The mixed
-    /// activation (per-row block softmax) runs in place and each spec's row
-    /// range decodes in place; both are row-wise, so every spec keeps its
-    /// bytes.
-    fn sample_specs(
-        &self,
-        specs: &[SampleSpec],
-        precision: Precision,
-    ) -> Result<Vec<Table>, SurrogateError> {
-        let (codec, generator) = self.fitted()?;
-        let latent = self.config.latent_dim;
-        let mut g_in = Matrix::zeros(
-            SampleSpec::total_rows(specs),
-            latent + self.cond_width(codec),
-        );
-        let mut cond = Matrix::default();
-        for (spec, rows) in specs.iter().zip(SampleSpec::row_ranges(specs)) {
-            let mut rng = StdRng::seed_from_u64(spec.seed);
-            for r in rows.clone() {
-                standard_normal_fill(&mut rng, &mut g_in.row_mut(r)[..latent]);
-            }
-            self.sample_condition_into(codec, spec.rows, &mut rng, &mut cond);
-            g_in.paste(rows.start, latent, &cond);
-        }
-        let mut raw = Matrix::default();
-        Forward::new(generator, precision).infer_into(&g_in, &mut raw);
-        mixed_activation_assign(codec.spans(), &mut raw);
-        SampleSpec::row_ranges(specs)
-            .map(|rows| codec.decode_rows(&raw, rows))
-            .collect()
-    }
 }
 
 impl TabularGenerator for CtabGan {
@@ -263,7 +224,7 @@ impl TabularGenerator for CtabGan {
             &MlpConfig::relu(width + cond_width, cfg.discriminator_hidden.clone(), 1),
             &mut rng,
         );
-        let mut adam = Adam::new(AdamConfig::default());
+        let mut adam = Adam::default();
 
         let n = data.rows();
         let batch = cfg.batch_size.min(n).max(1);
@@ -272,7 +233,6 @@ impl TabularGenerator for CtabGan {
             base_lr: cfg.learning_rate,
             min_lr: cfg.learning_rate * 0.01,
             total_steps: cfg.epochs * steps_per_epoch,
-            warmup_steps: 0,
         };
 
         let mut step = 0usize;
@@ -393,13 +353,34 @@ impl TabularGenerator for CtabGan {
         Ok(())
     }
 
+    /// The one sampling loop. Per spec, noise then condition come from that
+    /// spec's own RNG — the draw order of a standalone `sample` — straight
+    /// into its rows of one `[z | cond]` generator input, so the whole batch
+    /// is a single packed forward pass. The mixed activation (per-row block
+    /// softmax) runs in place and each spec's row range decodes in place;
+    /// both are row-wise, so every spec keeps its bytes.
     fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
-        self.sample_specs(specs, Precision::F64)
-    }
-
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        self.sample_specs(&[SampleSpec::new(n, seed)], Precision::F32)
-            .map(single_table)
+        let (codec, generator) = self.fitted()?;
+        let latent = self.config.latent_dim;
+        let mut g_in = Matrix::zeros(
+            SampleSpec::total_rows(specs),
+            latent + self.cond_width(codec),
+        );
+        let mut cond = Matrix::default();
+        for (spec, rows) in specs.iter().zip(SampleSpec::row_ranges(specs)) {
+            let mut rng = StdRng::seed_from_u64(spec.seed);
+            for r in rows.clone() {
+                standard_normal_fill(&mut rng, &mut g_in.row_mut(r)[..latent]);
+            }
+            self.sample_condition_into(codec, spec.rows, &mut rng, &mut cond);
+            g_in.paste(rows.start, latent, &cond);
+        }
+        let mut raw = Matrix::default();
+        generator.infer_into(&g_in, &mut raw, &mut Matrix::default());
+        mixed_activation_assign(codec.spans(), &mut raw);
+        SampleSpec::row_ranges(specs)
+            .map(|rows| codec.decode_rows(&raw, rows))
+            .collect()
     }
 }
 

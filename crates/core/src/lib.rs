@@ -40,7 +40,6 @@ pub mod codec;
 pub mod ctabgan;
 pub mod experiment;
 pub mod fault;
-mod forward;
 pub mod mixed;
 pub mod pipeline;
 pub mod smote;

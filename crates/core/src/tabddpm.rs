@@ -14,10 +14,7 @@
 //! treatment preserves the model's qualitative behaviour (high fidelity,
 //! non-trivial distance from training records).
 
-use nn::{
-    mse_loss, standard_normal_fill, Adam, AdamConfig, CosineDecay, LrSchedule, Matrix, Mlp,
-    MlpConfig,
-};
+use nn::{mse_loss, standard_normal_fill, Adam, CosineDecay, Matrix, Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -27,8 +24,7 @@ use tabular::FeatureKind;
 
 use crate::codec::{ColumnSpan, TableCodec};
 use crate::fault::FitControl;
-use crate::forward::{Forward, Precision};
-use crate::traits::{single_table, SampleSpec, SurrogateError, TabularGenerator};
+use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
 
 /// TabDDPM hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -159,88 +155,6 @@ impl TabDdpm {
             .zip(self.denoiser.as_ref())
             .ok_or(SurrogateError::NotFitted("TabDDPM"))
     }
-
-    /// The one sampling loop: the ancestral reverse process for every spec
-    /// at once. Each spec's RNG stream draws, in a standalone `sample`'s
-    /// order, its initial latents and then its noise block at every reverse
-    /// step, straight into its rows of one stacked state, so each of the
-    /// `T` denoiser forward passes is a single packed-kernel call (at
-    /// `precision`) for the whole batch over reused buffers. The
-    /// posterior-mean update is per element, so every spec's rows stay the
-    /// bytes of sampling it alone; the state stays `f64` between steps on
-    /// both tiers.
-    fn sample_specs(
-        &self,
-        specs: &[SampleSpec],
-        precision: Precision,
-    ) -> Result<Vec<Table>, SurrogateError> {
-        let (codec, denoiser) = self.fitted()?;
-        let width = codec.encoded_width();
-        let timesteps = self.config.timesteps;
-        let total = SampleSpec::total_rows(specs);
-
-        // Reconstruct the per-step α from ᾱ.
-        let mut alphas = Vec::with_capacity(timesteps);
-        for t in 0..timesteps {
-            let prev = if t == 0 { 1.0 } else { self.alpha_bar[t - 1] };
-            alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
-        }
-
-        let mut rngs: Vec<StdRng> = specs
-            .iter()
-            .map(|s| StdRng::seed_from_u64(s.seed))
-            .collect();
-        // The state lives in the first `width` columns of the denoiser
-        // input, beside the two timestep-embedding columns, so no step
-        // copies it.
-        let mut input = Matrix::zeros(total, width + 2);
-        for (rng, rows) in rngs.iter_mut().zip(SampleSpec::row_ranges(specs)) {
-            for r in rows {
-                standard_normal_fill(rng, &mut input.row_mut(r)[..width]);
-            }
-        }
-        let mut eps_hat = Matrix::default();
-        let mut noise = vec![0.0; width];
-        let mut forward = Forward::new(denoiser, precision);
-        for t in (0..timesteps).rev() {
-            let mut emb = [0.0f64; 2];
-            Self::write_time_embedding((t + 1) as f64 / timesteps as f64, &mut emb);
-            for r in 0..total {
-                input.row_mut(r)[width..].copy_from_slice(&emb);
-            }
-            forward.infer_into(&input, &mut eps_hat);
-
-            // Posterior mean, then (before the last step) the spec's next
-            // noise row, drawn into a scratch row while the state row is hot.
-            let alpha = alphas[t];
-            let alpha_bar = self.alpha_bar[t];
-            let coef = (1.0 - alpha) / (1.0 - alpha_bar).sqrt();
-            let sqrt_alpha = alpha.sqrt();
-            let sigma = (t > 0).then(|| {
-                ((1.0 - alphas[t]) * (1.0 - self.alpha_bar[t - 1]) / (1.0 - alpha_bar))
-                    .max(0.0)
-                    .sqrt()
-            });
-            for (rng, rows) in rngs.iter_mut().zip(SampleSpec::row_ranges(specs)) {
-                for r in rows {
-                    let state = &mut input.row_mut(r)[..width];
-                    for (xv, &e) in state.iter_mut().zip(eps_hat.row(r)) {
-                        *xv = (*xv - coef * e) / sqrt_alpha;
-                    }
-                    if let Some(sigma) = sigma {
-                        standard_normal_fill(rng, &mut noise);
-                        for (xv, &z) in state.iter_mut().zip(&noise) {
-                            *xv += z * sigma;
-                        }
-                    }
-                }
-            }
-        }
-        let x = input.slice_cols(0, width);
-        SampleSpec::row_ranges(specs)
-            .map(|rows| codec.decode_rows(&x, rows))
-            .collect()
-    }
 }
 
 impl TabularGenerator for TabDdpm {
@@ -265,7 +179,7 @@ impl TabularGenerator for TabDdpm {
             &MlpConfig::relu(width + 2, cfg.hidden.clone(), width),
             &mut rng,
         );
-        let mut adam = Adam::new(AdamConfig::default());
+        let mut adam = Adam::default();
 
         let n = data.rows();
         let batch = cfg.batch_size.min(n).max(1);
@@ -274,7 +188,6 @@ impl TabularGenerator for TabDdpm {
             base_lr: cfg.learning_rate,
             min_lr: cfg.learning_rate * 0.01,
             total_steps: cfg.epochs * steps_per_epoch,
-            warmup_steps: 0,
         };
 
         let mut step = 0usize;
@@ -344,13 +257,80 @@ impl TabularGenerator for TabDdpm {
         Ok(())
     }
 
+    /// The one sampling loop: the ancestral reverse process for every spec
+    /// at once. Each spec's RNG stream draws, in a standalone `sample`'s
+    /// order, its initial latents and then its noise block at every reverse
+    /// step, straight into its rows of one stacked state, so each of the
+    /// `T` denoiser forward passes is a single packed-kernel call for the
+    /// whole batch over reused buffers. The posterior-mean update is per
+    /// element, so every spec's rows stay the bytes of sampling it alone.
     fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
-        self.sample_specs(specs, Precision::F64)
-    }
+        let (codec, denoiser) = self.fitted()?;
+        let width = codec.encoded_width();
+        let timesteps = self.config.timesteps;
+        let total = SampleSpec::total_rows(specs);
 
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        self.sample_specs(&[SampleSpec::new(n, seed)], Precision::F32)
-            .map(single_table)
+        // Reconstruct the per-step α from ᾱ.
+        let mut alphas = Vec::with_capacity(timesteps);
+        for t in 0..timesteps {
+            let prev = if t == 0 { 1.0 } else { self.alpha_bar[t - 1] };
+            alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
+        }
+
+        let mut rngs: Vec<StdRng> = specs
+            .iter()
+            .map(|s| StdRng::seed_from_u64(s.seed))
+            .collect();
+        // The state lives in the first `width` columns of the denoiser
+        // input, beside the two timestep-embedding columns, so no step
+        // copies it.
+        let mut input = Matrix::zeros(total, width + 2);
+        for (rng, rows) in rngs.iter_mut().zip(SampleSpec::row_ranges(specs)) {
+            for r in rows {
+                standard_normal_fill(rng, &mut input.row_mut(r)[..width]);
+            }
+        }
+        let mut eps_hat = Matrix::default();
+        let mut scratch = Matrix::default();
+        let mut noise = vec![0.0; width];
+        for t in (0..timesteps).rev() {
+            let mut emb = [0.0f64; 2];
+            Self::write_time_embedding((t + 1) as f64 / timesteps as f64, &mut emb);
+            for r in 0..total {
+                input.row_mut(r)[width..].copy_from_slice(&emb);
+            }
+            denoiser.infer_into(&input, &mut eps_hat, &mut scratch);
+
+            // Posterior mean, then (before the last step) the spec's next
+            // noise row, drawn into a scratch row while the state row is hot.
+            let alpha = alphas[t];
+            let alpha_bar = self.alpha_bar[t];
+            let coef = (1.0 - alpha) / (1.0 - alpha_bar).sqrt();
+            let sqrt_alpha = alpha.sqrt();
+            let sigma = (t > 0).then(|| {
+                ((1.0 - alphas[t]) * (1.0 - self.alpha_bar[t - 1]) / (1.0 - alpha_bar))
+                    .max(0.0)
+                    .sqrt()
+            });
+            for (rng, rows) in rngs.iter_mut().zip(SampleSpec::row_ranges(specs)) {
+                for r in rows {
+                    let state = &mut input.row_mut(r)[..width];
+                    for (xv, &e) in state.iter_mut().zip(eps_hat.row(r)) {
+                        *xv = (*xv - coef * e) / sqrt_alpha;
+                    }
+                    if let Some(sigma) = sigma {
+                        standard_normal_fill(rng, &mut noise);
+                        for (xv, &z) in state.iter_mut().zip(&noise) {
+                            *xv += z * sigma;
+                        }
+                    }
+                }
+            }
+        }
+        let x = input.slice_cols(0, width);
+        SampleSpec::row_ranges(specs)
+            .map(|rows| codec.decode_rows(&x, rows))
+            .collect()
     }
 }
 

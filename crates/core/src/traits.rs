@@ -1,4 +1,6 @@
-//! The common interface of all surrogate models.
+//! The common interface of all surrogate models. Every model samples
+//! through one path, [`TabularGenerator::sample_batch`], whose network
+//! forward passes run in `f64`.
 
 use std::fmt;
 use std::ops::Range;
@@ -101,7 +103,7 @@ impl SampleSpec {
 
 /// The table of a one-spec batch. Every sampler answers a batch with one
 /// table per spec, so the batch of one holds exactly one.
-pub(crate) fn single_table(mut tables: Vec<Table>) -> Table {
+fn single_table(mut tables: Vec<Table>) -> Table {
     tables.swap_remove(0)
 }
 
@@ -152,20 +154,5 @@ pub trait TabularGenerator {
     fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
         self.sample_batch(&[SampleSpec::new(n, seed)])
             .map(single_table)
-    }
-
-    /// Sample `n` rows on the reduced-precision `f32` inference tier.
-    ///
-    /// MLP-backed models override this to run their one sampling loop with
-    /// the network forward passes in `f32` (double the SIMD lanes of the
-    /// packed kernels), drawing the *same* RNG stream as
-    /// [`TabularGenerator::sample`] and keeping every other step in `f64`,
-    /// so the two paths differ only by the precision of the forward passes.
-    /// Results are still fully deterministic given the seed, but are **not**
-    /// bit-identical to the `f64` path — the end-to-end tests bound the
-    /// distributional deltas (Wasserstein/JSD) instead. The default is the
-    /// `f64` path, so every generator supports the call.
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        self.sample(n, seed)
     }
 }

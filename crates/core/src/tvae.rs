@@ -6,10 +6,7 @@
 //! KL divergence to the standard normal prior (§IV-A of the paper). Sampling
 //! draws latents from the prior and decodes them.
 
-use nn::{
-    gaussian_kl, standard_normal_fill, Adam, AdamConfig, CosineDecay, LrSchedule, Matrix, Mlp,
-    MlpConfig,
-};
+use nn::{gaussian_kl, standard_normal_fill, Adam, CosineDecay, Matrix, Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -18,9 +15,8 @@ use tabular::Table;
 
 use crate::codec::TableCodec;
 use crate::fault::FitControl;
-use crate::forward::{Forward, Precision};
 use crate::mixed::mixed_reconstruction_loss;
-use crate::traits::{single_table, SampleSpec, SurrogateError, TabularGenerator};
+use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
 
 /// TVAE hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -110,30 +106,6 @@ impl Tvae {
             .zip(self.decoder.as_ref())
             .ok_or(SurrogateError::NotFitted("TVAE"))
     }
-
-    /// The one sampling loop. Each spec's latents come from its own RNG
-    /// stream, drawn straight into its rows of one stacked block, so the
-    /// decoder runs a single packed forward pass (at `precision`) for the
-    /// whole batch; each spec's row range then decodes in place.
-    /// Row-independent kernels make the stacking invisible to every spec.
-    fn sample_specs(
-        &self,
-        specs: &[SampleSpec],
-        precision: Precision,
-    ) -> Result<Vec<Table>, SurrogateError> {
-        let (codec, decoder) = self.fitted()?;
-        let latent = self.config.latent_dim;
-        let mut z = Matrix::zeros(SampleSpec::total_rows(specs), latent);
-        for (spec, rows) in specs.iter().zip(SampleSpec::row_ranges(specs)) {
-            let block = &mut z.data_mut()[rows.start * latent..rows.end * latent];
-            standard_normal_fill(&mut StdRng::seed_from_u64(spec.seed), block);
-        }
-        let mut raw = Matrix::default();
-        Forward::new(decoder, precision).infer_into(&z, &mut raw);
-        SampleSpec::row_ranges(specs)
-            .map(|rows| codec.decode_rows(&raw, rows))
-            .collect()
-    }
 }
 
 impl TabularGenerator for Tvae {
@@ -160,7 +132,7 @@ impl TabularGenerator for Tvae {
             &MlpConfig::relu(cfg.latent_dim, cfg.hidden.clone(), width),
             &mut rng,
         );
-        let mut adam = Adam::new(AdamConfig::default());
+        let mut adam = Adam::default();
 
         let n = data.rows();
         let batch = cfg.batch_size.min(n).max(1);
@@ -169,7 +141,6 @@ impl TabularGenerator for Tvae {
             base_lr: cfg.learning_rate,
             min_lr: cfg.learning_rate * 0.01,
             total_steps: cfg.epochs * steps_per_epoch,
-            warmup_steps: 0,
         };
 
         let mut indices: Vec<usize> = (0..n).collect();
@@ -245,13 +216,24 @@ impl TabularGenerator for Tvae {
         Ok(())
     }
 
+    /// The one sampling loop. Each spec's latents come from its own RNG
+    /// stream, drawn straight into its rows of one stacked block, so the
+    /// decoder runs a single packed forward pass for the whole batch; each
+    /// spec's row range then decodes in place. Row-independent kernels make
+    /// the stacking invisible to every spec.
     fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
-        self.sample_specs(specs, Precision::F64)
-    }
-
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        self.sample_specs(&[SampleSpec::new(n, seed)], Precision::F32)
-            .map(single_table)
+        let (codec, decoder) = self.fitted()?;
+        let latent = self.config.latent_dim;
+        let mut z = Matrix::zeros(SampleSpec::total_rows(specs), latent);
+        for (spec, rows) in specs.iter().zip(SampleSpec::row_ranges(specs)) {
+            let block = &mut z.data_mut()[rows.start * latent..rows.end * latent];
+            standard_normal_fill(&mut StdRng::seed_from_u64(spec.seed), block);
+        }
+        let mut raw = Matrix::default();
+        decoder.infer_into(&z, &mut raw, &mut Matrix::default());
+        SampleSpec::row_ranges(specs)
+            .map(|rows| codec.decode_rows(&raw, rows))
+            .collect()
     }
 }
 

@@ -28,6 +28,11 @@ pub enum MetricError {
         /// Name of the training column.
         name: String,
     },
+    /// The synthetic table has a column the training table lacks.
+    ExtraColumn {
+        /// Name of the synthetic column.
+        name: String,
+    },
     /// A synthetic column is numerical where the training column is
     /// categorical, or the other way round.
     ColumnKindMismatch {
@@ -67,6 +72,9 @@ impl fmt::Display for MetricError {
             }
             MetricError::MissingColumn { name } => {
                 write!(f, "synthetic table lacks training column '{name}'")
+            }
+            MetricError::ExtraColumn { name } => {
+                write!(f, "synthetic column '{name}' is not a training column")
             }
             MetricError::ColumnKindMismatch { name } => {
                 write!(

@@ -150,9 +150,10 @@ pub fn evaluate_surrogate(
 /// Evaluate a synthetic table against the real train/test split, taking
 /// MLEF(train → test) from `baseline`, which must only ever be used with
 /// this `train`, `test` and `config.mlef`. A degenerate synthetic table
-/// (empty, too short, or lacking a training column or its kind) comes back
-/// as a typed [`MetricError`] instead of a panic, so callers like the sweep
-/// runtime can confine the failure to the cell that produced it.
+/// (empty, too short, lacking a training column or its kind, or holding a
+/// column the training table lacks) comes back as a typed [`MetricError`]
+/// instead of a panic, so callers like the sweep runtime can confine the
+/// failure to the cell that produced it.
 pub fn evaluate_against(
     model_name: &str,
     train: &Table,
@@ -182,10 +183,12 @@ pub fn evaluate_against(
 }
 
 /// What diff-CORR, DCR and MLEF assume of a synthetic table: every training
-/// column, with the training column's kind, the two rows a Pearson
-/// correlation needs, and a label for every categorical code (DCR and MLEF
-/// match categories by label). The code check comes last, so a table that
-/// fails an earlier check reports that one.
+/// column, with the training column's kind, no column the training table
+/// lacks (MLEF fits on the synthetic table's columns and then reads them
+/// from the test table), the two rows a Pearson correlation needs, and a
+/// label for every categorical code (DCR and MLEF match categories by
+/// label). The code check comes last, so a table that fails an earlier
+/// check reports that one.
 fn check_scorable(train: &Table, synthetic: &Table) -> Result<(), MetricError> {
     for feature in train.schema().features() {
         let name = || feature.name.clone();
@@ -196,6 +199,16 @@ fn check_scorable(train: &Table, synthetic: &Table) -> Result<(), MetricError> {
             }
             Ok(_) => {}
         }
+    }
+    if let Some(extra) = synthetic
+        .schema()
+        .features()
+        .iter()
+        .find(|feature| train.schema().index_of(&feature.name).is_err())
+    {
+        return Err(MetricError::ExtraColumn {
+            name: extra.name.clone(),
+        });
     }
     if synthetic.n_rows() < 2 {
         return Err(MetricError::TooFewRows {
@@ -390,6 +403,31 @@ mod tests {
             }
         );
         assert!(error.to_string().contains("'ninputdatafiles'"));
+    }
+
+    #[test]
+    fn extra_synthetic_column_yields_typed_error() {
+        let train = toy(100, 27);
+        let test = toy(40, 28);
+        let cfg = EvaluationConfig::fast();
+        // MLEF would fit on the synthetic table's columns and then find the
+        // extra one missing from the test table; the check names it first,
+        // whichever kind it is.
+        for (name, extra) in [
+            ("cpu_hours", Column::Numerical(vec![1.5; 100])),
+            ("queue", Column::from_labels(&vec!["short"; 100])),
+        ] {
+            let mut wider = toy(100, 29);
+            wider.push_column(name, extra).unwrap();
+            let error = evaluate_surrogate("wider", &train, &test, &wider, &cfg).unwrap_err();
+            assert_eq!(
+                error,
+                MetricError::ExtraColumn {
+                    name: name.to_string()
+                }
+            );
+            assert!(error.to_string().contains(&format!("'{name}'")), "{error}");
+        }
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Two-level matmul kernel architecture behind [`crate::matrix::Matrix`]
-//! and [`crate::matrix32::Matrix32`].
+//! Two-level `f64` matmul kernel architecture behind
+//! [`crate::matrix::Matrix`].
 //!
 //! **Level 1 — vectorized microkernels.** Every inner kernel is written once,
-//! generically, over a tiny lane abstraction ([`SimdVec`]) whose
-//! implementations cover the full tier × element matrix: portable scalar,
-//! SSE2, AVX2, FMA and AVX-512 registers, each instantiated for `f64` and
-//! `f32` lanes (the `f32` instantiations double the lane count for the
-//! inference tier). The concrete instantiations live behind
+//! generically, over a tiny lane abstraction ([`SimdVec`]) with one
+//! implementation per tier: portable scalar, SSE2, AVX2, FMA and AVX-512
+//! registers of `f64` lanes. The concrete instantiations live behind
 //! `#[target_feature]` wrappers and the generic bodies are
 //! `#[inline(always)]`, so each monomorphization compiles as one fully
 //! vectorized function; the tier to run is picked once per process by
@@ -60,9 +58,9 @@ const KC: usize = 256;
 const MC: usize = 128;
 /// Column-block width packed per `B` panel sweep.
 const NC: usize = 512;
-/// Widest register tile any lane type uses (`2 × 16` `f32` lanes on
-/// AVX-512): the column capacity of the padded edge tile.
-const NR_MAX: usize = 32;
+/// Widest register tile any lane type uses (`2 × 8` lanes on AVX-512):
+/// the column capacity of the padded edge tile.
+const NR_MAX: usize = 16;
 
 /// Shapes whose `B` operand overflows the L1-resident tile go through the
 /// packed driver; small training shapes stay on the direct row kernels.
@@ -70,203 +68,68 @@ pub(crate) fn use_packed(m: usize, k: usize, n: usize) -> bool {
     m >= 2 * MR && k * n > 8 * 1024
 }
 
-// ---------------------------------------------------------------------------
-// Element abstraction: the scalar type the kernels are generic over.
-// ---------------------------------------------------------------------------
-
 thread_local! {
     /// Per-thread `A`/`B` pack buffers, grow-only, keyed by owning thread
-    /// via thread-local storage (one pair per element type).
-    static PACK_A_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    static PACK_B_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    static PACK_A_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static PACK_B_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// via thread-local storage.
+    static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Scalar element type the kernels are generic over: `f64` for the training
-/// path, `f32` for the inference tier. Besides arithmetic, an element type
-/// knows its lane count per tier, owns its thread-local pack buffers, and
-/// dispatches the concrete `#[target_feature]` kernel instantiations for
-/// the active tier.
-pub(crate) trait Elem: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
-    const ZERO: Self;
-
-    /// Vector lanes per register for this element type on `tier`.
-    fn lanes(tier: SimdTier) -> usize;
-
-    /// `acc + a·b` with separate multiply and add roundings — the direct
-    /// row kernels' scalar column tails use this on every tier.
-    fn mul_add_sep(acc: Self, a: Self, b: Self) -> Self;
-
-    fn with_pack_a<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
-    fn with_pack_b<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
-
-    /// Dispatch one strided row-kernel call on `tier`.
-    ///
-    /// # Safety
-    ///
-    /// Same pointer-validity contracts as [`row_kernel_v`]; `tier` must not
-    /// exceed what the host CPU supports.
-    unsafe fn row_kernel(
-        tier: SimdTier,
-        a_base: *const Self,
-        a_stride: usize,
-        depth: usize,
-        b: *const Self,
-        n: usize,
-        out_row: *mut Self,
-    );
-
-    /// Dispatch one packed block-kernel call on `tier`.
-    ///
-    /// # Safety
-    ///
-    /// Same panel/output contracts as [`block_kernel_v`]; `tier` must not
-    /// exceed what the host CPU supports.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn block_kernel(
-        tier: SimdTier,
-        apack: &[Self],
-        bpack: &[Self],
-        kc: usize,
-        mc: usize,
-        nc: usize,
-        c: *mut Self,
-        ldc: usize,
-    );
-}
-
-impl Elem for f64 {
-    const ZERO: Self = 0.0;
-
-    #[inline(always)]
-    fn lanes(tier: SimdTier) -> usize {
-        tier.lanes()
-    }
-
-    #[inline(always)]
-    fn mul_add_sep(acc: Self, a: Self, b: Self) -> Self {
-        acc + a * b
-    }
-
-    fn with_pack_a<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
-        PACK_A_F64.with(|buf| f(&mut buf.borrow_mut()))
-    }
-
-    fn with_pack_b<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
-        PACK_B_F64.with(|buf| f(&mut buf.borrow_mut()))
-    }
-
-    unsafe fn row_kernel(
-        tier: SimdTier,
-        a_base: *const Self,
-        a_stride: usize,
-        depth: usize,
-        b: *const Self,
-        n: usize,
-        out_row: *mut Self,
-    ) {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => row_kernel_avx512_f64(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Fma => row_kernel_fma_f64(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => row_kernel_avx2_f64(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => row_kernel_v::<x86::Sse2F64>(a_base, a_stride, depth, b, n, out_row),
-            _ => row_kernel_v::<Scalar1<f64>>(a_base, a_stride, depth, b, n, out_row),
-        }
-    }
-
-    unsafe fn block_kernel(
-        tier: SimdTier,
-        apack: &[Self],
-        bpack: &[Self],
-        kc: usize,
-        mc: usize,
-        nc: usize,
-        c: *mut Self,
-        ldc: usize,
-    ) {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => block_kernel_avx512_f64(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Fma => block_kernel_fma_f64(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => block_kernel_avx2_f64(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => block_kernel_v::<x86::Sse2F64>(apack, bpack, kc, mc, nc, c, ldc),
-            _ => block_kernel_v::<Scalar1<f64>>(apack, bpack, kc, mc, nc, c, ldc),
-        }
+/// Dispatch one strided row-kernel call on `tier`.
+///
+/// # Safety
+///
+/// Same pointer-validity contracts as [`row_kernel_v`]; `tier` must not
+/// exceed what the host CPU supports.
+unsafe fn row_kernel(
+    tier: SimdTier,
+    a_base: *const f64,
+    a_stride: usize,
+    depth: usize,
+    b: *const f64,
+    n: usize,
+    out_row: *mut f64,
+) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => row_kernel_avx512(a_base, a_stride, depth, b, n, out_row),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Fma => row_kernel_fma(a_base, a_stride, depth, b, n, out_row),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => row_kernel_avx2(a_base, a_stride, depth, b, n, out_row),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Sse2 => row_kernel_v::<x86::Sse2F64>(a_base, a_stride, depth, b, n, out_row),
+        _ => row_kernel_v::<Scalar1>(a_base, a_stride, depth, b, n, out_row),
     }
 }
 
-impl Elem for f32 {
-    const ZERO: Self = 0.0;
-
-    #[inline(always)]
-    fn lanes(tier: SimdTier) -> usize {
-        tier.lanes_f32()
-    }
-
-    #[inline(always)]
-    fn mul_add_sep(acc: Self, a: Self, b: Self) -> Self {
-        acc + a * b
-    }
-
-    fn with_pack_a<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
-        PACK_A_F32.with(|buf| f(&mut buf.borrow_mut()))
-    }
-
-    fn with_pack_b<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
-        PACK_B_F32.with(|buf| f(&mut buf.borrow_mut()))
-    }
-
-    unsafe fn row_kernel(
-        tier: SimdTier,
-        a_base: *const Self,
-        a_stride: usize,
-        depth: usize,
-        b: *const Self,
-        n: usize,
-        out_row: *mut Self,
-    ) {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => row_kernel_avx512_f32(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Fma => row_kernel_fma_f32(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => row_kernel_avx2_f32(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => row_kernel_v::<x86::Sse2F32>(a_base, a_stride, depth, b, n, out_row),
-            _ => row_kernel_v::<Scalar1<f32>>(a_base, a_stride, depth, b, n, out_row),
-        }
-    }
-
-    unsafe fn block_kernel(
-        tier: SimdTier,
-        apack: &[Self],
-        bpack: &[Self],
-        kc: usize,
-        mc: usize,
-        nc: usize,
-        c: *mut Self,
-        ldc: usize,
-    ) {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => block_kernel_avx512_f32(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Fma => block_kernel_fma_f32(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => block_kernel_avx2_f32(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => block_kernel_v::<x86::Sse2F32>(apack, bpack, kc, mc, nc, c, ldc),
-            _ => block_kernel_v::<Scalar1<f32>>(apack, bpack, kc, mc, nc, c, ldc),
-        }
+/// Dispatch one packed block-kernel call on `tier`.
+///
+/// # Safety
+///
+/// Same panel/output contracts as [`block_kernel_v`]; `tier` must not
+/// exceed what the host CPU supports.
+#[allow(clippy::too_many_arguments)]
+unsafe fn block_kernel(
+    tier: SimdTier,
+    apack: &[f64],
+    bpack: &[f64],
+    kc: usize,
+    mc: usize,
+    nc: usize,
+    c: *mut f64,
+    ldc: usize,
+) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => block_kernel_avx512(apack, bpack, kc, mc, nc, c, ldc),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Fma => block_kernel_fma(apack, bpack, kc, mc, nc, c, ldc),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => block_kernel_avx2(apack, bpack, kc, mc, nc, c, ldc),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Sse2 => block_kernel_v::<x86::Sse2F64>(apack, bpack, kc, mc, nc, c, ldc),
+        _ => block_kernel_v::<Scalar1>(apack, bpack, kc, mc, nc, c, ldc),
     }
 }
 
@@ -274,7 +137,7 @@ impl Elem for f32 {
 // Lane abstraction.
 // ---------------------------------------------------------------------------
 
-/// A small fixed number of element lanes with broadcast/load/store and a
+/// A small fixed number of `f64` lanes with broadcast/load/store and a
 /// multiply-accumulate.
 ///
 /// # Safety
@@ -285,15 +148,14 @@ impl Elem for f32 {
 /// feature; instantiations are only reachable through the runtime-detected
 /// tier dispatch.
 trait SimdVec: Copy {
-    type E: Elem;
     /// Lanes per register.
     const LANES: usize;
     /// Broadcast one value to all lanes.
-    unsafe fn splat(v: Self::E) -> Self;
+    unsafe fn splat(v: f64) -> Self;
     /// Unaligned load of `LANES` values.
-    unsafe fn load(ptr: *const Self::E) -> Self;
+    unsafe fn load(ptr: *const f64) -> Self;
     /// Unaligned store of `LANES` values.
-    unsafe fn store(self, ptr: *mut Self::E);
+    unsafe fn store(self, ptr: *mut f64);
     /// `self + a·b` lane-wise. Bit-exact tiers round the multiply and the
     /// add separately; the FMA/AVX-512 tiers fuse them into one rounding.
     unsafe fn mul_acc(self, a: Self, b: Self) -> Self;
@@ -301,35 +163,27 @@ trait SimdVec: Copy {
 
 /// Portable one-lane fallback.
 #[derive(Clone, Copy)]
-struct Scalar1<E>(E);
+struct Scalar1(f64);
 
-macro_rules! impl_scalar_lane {
-    ($elem:ty) => {
-        impl SimdVec for Scalar1<$elem> {
-            type E = $elem;
-            const LANES: usize = 1;
-            #[inline(always)]
-            unsafe fn splat(v: $elem) -> Self {
-                Scalar1(v)
-            }
-            #[inline(always)]
-            unsafe fn load(ptr: *const $elem) -> Self {
-                Scalar1(*ptr)
-            }
-            #[inline(always)]
-            unsafe fn store(self, ptr: *mut $elem) {
-                *ptr = self.0;
-            }
-            #[inline(always)]
-            unsafe fn mul_acc(self, a: Self, b: Self) -> Self {
-                Scalar1(self.0 + a.0 * b.0)
-            }
-        }
-    };
+impl SimdVec for Scalar1 {
+    const LANES: usize = 1;
+    #[inline(always)]
+    unsafe fn splat(v: f64) -> Self {
+        Scalar1(v)
+    }
+    #[inline(always)]
+    unsafe fn load(ptr: *const f64) -> Self {
+        Scalar1(*ptr)
+    }
+    #[inline(always)]
+    unsafe fn store(self, ptr: *mut f64) {
+        *ptr = self.0;
+    }
+    #[inline(always)]
+    unsafe fn mul_acc(self, a: Self, b: Self) -> Self {
+        Scalar1(self.0 + a.0 * b.0)
+    }
 }
-
-impl_scalar_lane!(f64);
-impl_scalar_lane!(f32);
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -340,24 +194,23 @@ mod x86 {
     /// the accumulation flavour: `sep` keeps the bit-exact separate
     /// multiply/add pair, `fused` uses the FMA intrinsic.
     macro_rules! impl_x86_lane {
-        ($name:ident, $elem:ty, $reg:ty, $lanes:expr, $set1:ident, $loadu:ident,
-         $storeu:ident, sep($mul:ident, $add:ident)) => {
+        ($name:ident, $reg:ty, $lanes:expr, $set1:ident, $loadu:ident, $storeu:ident,
+         sep($mul:ident, $add:ident)) => {
             #[derive(Clone, Copy)]
             pub(super) struct $name($reg);
 
             impl SimdVec for $name {
-                type E = $elem;
                 const LANES: usize = $lanes;
                 #[inline(always)]
-                unsafe fn splat(v: $elem) -> Self {
+                unsafe fn splat(v: f64) -> Self {
                     $name($set1(v))
                 }
                 #[inline(always)]
-                unsafe fn load(ptr: *const $elem) -> Self {
+                unsafe fn load(ptr: *const f64) -> Self {
                     $name($loadu(ptr))
                 }
                 #[inline(always)]
-                unsafe fn store(self, ptr: *mut $elem) {
+                unsafe fn store(self, ptr: *mut f64) {
                     $storeu(ptr, self.0);
                 }
                 #[inline(always)]
@@ -366,24 +219,23 @@ mod x86 {
                 }
             }
         };
-        ($name:ident, $elem:ty, $reg:ty, $lanes:expr, $set1:ident, $loadu:ident,
-         $storeu:ident, fused($fmadd:ident)) => {
+        ($name:ident, $reg:ty, $lanes:expr, $set1:ident, $loadu:ident, $storeu:ident,
+         fused($fmadd:ident)) => {
             #[derive(Clone, Copy)]
             pub(super) struct $name($reg);
 
             impl SimdVec for $name {
-                type E = $elem;
                 const LANES: usize = $lanes;
                 #[inline(always)]
-                unsafe fn splat(v: $elem) -> Self {
+                unsafe fn splat(v: f64) -> Self {
                     $name($set1(v))
                 }
                 #[inline(always)]
-                unsafe fn load(ptr: *const $elem) -> Self {
+                unsafe fn load(ptr: *const f64) -> Self {
                     $name($loadu(ptr))
                 }
                 #[inline(always)]
-                unsafe fn store(self, ptr: *mut $elem) {
+                unsafe fn store(self, ptr: *mut f64) {
                     $storeu(ptr, self.0);
                 }
                 #[inline(always)]
@@ -394,11 +246,10 @@ mod x86 {
         };
     }
 
-    // f64 lanes: two (SSE2, baseline), four (AVX2 mul+add / FMA fused),
-    // eight (AVX-512 fused).
+    // Two lanes (SSE2, baseline), four (AVX2 mul+add / FMA fused), eight
+    // (AVX-512 fused).
     impl_x86_lane!(
         Sse2F64,
-        f64,
         __m128d,
         2,
         _mm_set1_pd,
@@ -408,7 +259,6 @@ mod x86 {
     );
     impl_x86_lane!(
         Avx2F64,
-        f64,
         __m256d,
         4,
         _mm256_set1_pd,
@@ -418,7 +268,6 @@ mod x86 {
     );
     impl_x86_lane!(
         FmaF64,
-        f64,
         __m256d,
         4,
         _mm256_set1_pd,
@@ -428,56 +277,12 @@ mod x86 {
     );
     impl_x86_lane!(
         Avx512F64,
-        f64,
         __m512d,
         8,
         _mm512_set1_pd,
         _mm512_loadu_pd,
         _mm512_storeu_pd,
         fused(_mm512_fmadd_pd)
-    );
-
-    // f32 lanes double every width: four (SSE, baseline), eight (AVX mul+add
-    // / FMA fused), sixteen (AVX-512 fused).
-    impl_x86_lane!(
-        Sse2F32,
-        f32,
-        __m128,
-        4,
-        _mm_set1_ps,
-        _mm_loadu_ps,
-        _mm_storeu_ps,
-        sep(_mm_mul_ps, _mm_add_ps)
-    );
-    impl_x86_lane!(
-        Avx2F32,
-        f32,
-        __m256,
-        8,
-        _mm256_set1_ps,
-        _mm256_loadu_ps,
-        _mm256_storeu_ps,
-        sep(_mm256_mul_ps, _mm256_add_ps)
-    );
-    impl_x86_lane!(
-        FmaF32,
-        f32,
-        __m256,
-        8,
-        _mm256_set1_ps,
-        _mm256_loadu_ps,
-        _mm256_storeu_ps,
-        fused(_mm256_fmadd_ps)
-    );
-    impl_x86_lane!(
-        Avx512F32,
-        f32,
-        __m512,
-        16,
-        _mm512_set1_ps,
-        _mm512_loadu_ps,
-        _mm512_storeu_ps,
-        fused(_mm512_fmadd_ps)
     );
 }
 
@@ -500,12 +305,12 @@ mod x86 {
 /// type's CPU feature.
 #[inline(always)]
 unsafe fn row_kernel_v<V: SimdVec>(
-    a_base: *const V::E,
+    a_base: *const f64,
     a_stride: usize,
     depth: usize,
-    b: *const V::E,
+    b: *const f64,
     n: usize,
-    out_row: *mut V::E,
+    out_row: *mut f64,
 ) {
     let lanes = V::LANES;
     let tile = 4 * lanes;
@@ -538,29 +343,30 @@ unsafe fn row_kernel_v<V: SimdVec>(
         acc.store(out_row.add(j));
         j += lanes;
     }
+    // Scalar column tail: separate multiply and add roundings on every tier.
     while j < n {
         let mut acc = *out_row.add(j);
         for kk in 0..depth {
-            acc = V::E::mul_add_sep(acc, *a_base.add(kk * a_stride), *b.add(kk * n + j));
+            acc += *a_base.add(kk * a_stride) * *b.add(kk * n + j);
         }
         *out_row.add(j) = acc;
         j += 1;
     }
 }
 
-/// Generate the `#[target_feature]` wrappers for one (tier, element)
-/// instantiation of the row and block kernels.
+/// Generate the `#[target_feature]` wrappers for one tier's instantiation
+/// of the row and block kernels.
 macro_rules! kernel_wrappers {
-    ($feature:literal, $lane:ty, $elem:ty, $row:ident, $block:ident) => {
+    ($feature:literal, $lane:ty, $row:ident, $block:ident) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $feature)]
         unsafe fn $row(
-            a_base: *const $elem,
+            a_base: *const f64,
             a_stride: usize,
             depth: usize,
-            b: *const $elem,
+            b: *const f64,
             n: usize,
-            out_row: *mut $elem,
+            out_row: *mut f64,
         ) {
             row_kernel_v::<$lane>(a_base, a_stride, depth, b, n, out_row);
         }
@@ -568,12 +374,12 @@ macro_rules! kernel_wrappers {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $feature)]
         unsafe fn $block(
-            apack: &[$elem],
-            bpack: &[$elem],
+            apack: &[f64],
+            bpack: &[f64],
             kc: usize,
             mc: usize,
             nc: usize,
-            c: *mut $elem,
+            c: *mut f64,
             ldc: usize,
         ) {
             block_kernel_v::<$lane>(apack, bpack, kc, mc, nc, c, ldc);
@@ -581,47 +387,13 @@ macro_rules! kernel_wrappers {
     };
 }
 
-kernel_wrappers!(
-    "avx2",
-    x86::Avx2F64,
-    f64,
-    row_kernel_avx2_f64,
-    block_kernel_avx2_f64
-);
-kernel_wrappers!(
-    "avx2,fma",
-    x86::FmaF64,
-    f64,
-    row_kernel_fma_f64,
-    block_kernel_fma_f64
-);
+kernel_wrappers!("avx2", x86::Avx2F64, row_kernel_avx2, block_kernel_avx2);
+kernel_wrappers!("avx2,fma", x86::FmaF64, row_kernel_fma, block_kernel_fma);
 kernel_wrappers!(
     "avx512f",
     x86::Avx512F64,
-    f64,
-    row_kernel_avx512_f64,
-    block_kernel_avx512_f64
-);
-kernel_wrappers!(
-    "avx2",
-    x86::Avx2F32,
-    f32,
-    row_kernel_avx2_f32,
-    block_kernel_avx2_f32
-);
-kernel_wrappers!(
-    "avx2,fma",
-    x86::FmaF32,
-    f32,
-    row_kernel_fma_f32,
-    block_kernel_fma_f32
-);
-kernel_wrappers!(
-    "avx512f",
-    x86::Avx512F32,
-    f32,
-    row_kernel_avx512_f32,
-    block_kernel_avx512_f32
+    row_kernel_avx512,
+    block_kernel_avx512
 );
 
 /// Dispatch one strided row-kernel call through the active tier.
@@ -630,23 +402,25 @@ kernel_wrappers!(
 /// `a_offset` with stride `a_stride`; `b` is the row-major right operand
 /// with `n` columns and `depth` rows; `out_row` is accumulated in place.
 #[inline]
-pub(crate) fn strided_row_elem<E: Elem>(
-    a: &[E],
+pub(crate) fn strided_row(
+    a: &[f64],
     a_offset: usize,
     a_stride: usize,
     depth: usize,
-    b: &[E],
+    b: &[f64],
     n: usize,
-    out_row: &mut [E],
+    out_row: &mut [f64],
 ) {
     debug_assert_eq!(out_row.len(), n);
     debug_assert!(depth == 0 || a_offset + (depth - 1) * a_stride < a.len());
     debug_assert!(b.len() >= depth * n);
+    // SAFETY: every caller passes an `a_offset` inside `a` (a row start or
+    // a column index of the stored matrix), so the pointer stays in bounds.
     let a_base = unsafe { a.as_ptr().add(a_offset) };
     // SAFETY: slice extents checked above; the tier is runtime-detected (or
     // clamped to) a supported feature set.
     unsafe {
-        E::row_kernel(
+        row_kernel(
             active_tier(),
             a_base,
             a_stride,
@@ -658,20 +432,6 @@ pub(crate) fn strided_row_elem<E: Elem>(
     }
 }
 
-/// `f64` alias of [`strided_row_elem`] (the training-path call sites).
-#[inline]
-pub(crate) fn strided_row(
-    a: &[f64],
-    a_offset: usize,
-    a_stride: usize,
-    depth: usize,
-    b: &[f64],
-    n: usize,
-    out_row: &mut [f64],
-) {
-    strided_row_elem::<f64>(a, a_offset, a_stride, depth, b, n, out_row);
-}
-
 // ---------------------------------------------------------------------------
 // Level 2: cache-blocked panel packing.
 // ---------------------------------------------------------------------------
@@ -679,14 +439,14 @@ pub(crate) fn strided_row(
 /// One operand of [`packed_matmul`]: a row-major buffer, read either as
 /// the matrix it stores or as that matrix's transpose.
 #[derive(Clone, Copy)]
-pub(crate) struct Operand<'a, E> {
-    data: &'a [E],
+pub(crate) struct Operand<'a> {
+    data: &'a [f64],
     transposed: bool,
 }
 
-impl<'a, E> Operand<'a, E> {
+impl<'a> Operand<'a> {
     /// The stored matrix itself.
-    pub(crate) fn stored(data: &'a [E]) -> Self {
+    pub(crate) fn stored(data: &'a [f64]) -> Self {
         Self {
             data,
             transposed: false,
@@ -694,7 +454,7 @@ impl<'a, E> Operand<'a, E> {
     }
 
     /// The transpose of the stored matrix.
-    pub(crate) fn transposed(data: &'a [E]) -> Self {
+    pub(crate) fn transposed(data: &'a [f64]) -> Self {
         Self {
             data,
             transposed: true,
@@ -715,20 +475,20 @@ impl<'a, E> Operand<'a, E> {
 /// written with the padding zero, so stale bytes from a previous (larger)
 /// call can never leak into this product.
 #[allow(clippy::too_many_arguments)]
-fn pack_b<E: Elem>(
-    b: Operand<'_, E>,
+fn pack_b(
+    b: Operand<'_>,
     ldb: usize,
     pc: usize,
     kc: usize,
     jc: usize,
     nc: usize,
     nr: usize,
-    buf: &mut Vec<E>,
+    buf: &mut Vec<f64>,
 ) {
     let panels = nc.div_ceil(nr);
     let need = panels * kc * nr;
     if buf.len() < need {
-        buf.resize(need, E::ZERO);
+        buf.resize(need, 0.0);
     }
     for jp in 0..panels {
         let cols = nr.min(nc - jp * nr);
@@ -749,7 +509,7 @@ fn pack_b<E: Elem>(
         }
         if cols < nr {
             for dst in panel.chunks_exact_mut(nr) {
-                dst[cols..].fill(E::ZERO);
+                dst[cols..].fill(0.0);
             }
         }
     }
@@ -762,19 +522,19 @@ fn pack_b<E: Elem>(
 /// of a panel is one contiguous copy. Rows past `mc` are zero-padded; like
 /// [`pack_b`], the buffer grows monotonically and only padding slots are
 /// zeroed.
-fn pack_a<E: Elem>(
-    a: Operand<'_, E>,
+fn pack_a(
+    a: Operand<'_>,
     lda: usize,
     ic: usize,
     mc: usize,
     pc: usize,
     kc: usize,
-    buf: &mut Vec<E>,
+    buf: &mut Vec<f64>,
 ) {
     let panels = mc.div_ceil(MR);
     let need = panels * kc * MR;
     if buf.len() < need {
-        buf.resize(need, E::ZERO);
+        buf.resize(need, 0.0);
     }
     for ip in 0..panels {
         let rows = MR.min(mc - ip * MR);
@@ -795,7 +555,7 @@ fn pack_a<E: Elem>(
         }
         if rows < MR {
             for dst in panel.chunks_exact_mut(MR) {
-                dst[rows..].fill(E::ZERO);
+                dst[rows..].fill(0.0);
             }
         }
     }
@@ -813,15 +573,15 @@ fn pack_a<E: Elem>(
 #[inline(always)]
 unsafe fn micro_full<V: SimdVec>(
     kc: usize,
-    ap: *const V::E,
-    bp: *const V::E,
-    c: *mut V::E,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
     ldc: usize,
 ) {
     let lanes = V::LANES;
     let nr = 2 * lanes;
-    let mut acc0 = [V::splat(V::E::ZERO); MR];
-    let mut acc1 = [V::splat(V::E::ZERO); MR];
+    let mut acc0 = [V::splat(0.0); MR];
+    let mut acc1 = [V::splat(0.0); MR];
     for r in 0..MR {
         acc0[r] = V::load(c.add(r * ldc));
         acc1[r] = V::load(c.add(r * ldc + lanes));
@@ -854,12 +614,12 @@ unsafe fn micro_full<V: SimdVec>(
 /// this block; lane intrinsics require the matching CPU feature.
 #[inline(always)]
 unsafe fn block_kernel_v<V: SimdVec>(
-    apack: &[V::E],
-    bpack: &[V::E],
+    apack: &[f64],
+    bpack: &[f64],
     kc: usize,
     mc: usize,
     nc: usize,
-    c: *mut V::E,
+    c: *mut f64,
     ldc: usize,
 ) {
     let nr = 2 * V::LANES;
@@ -881,7 +641,7 @@ unsafe fn block_kernel_v<V: SimdVec>(
                 // of `c` the caller guarantees and inside the first `MR`
                 // rows of stride `nr ≤ NR_MAX` of `tile`, which is all
                 // `micro_full` touches.
-                let mut tile = [V::E::ZERO; MR * NR_MAX];
+                let mut tile = [0.0; MR * NR_MAX];
                 for r in 0..mr_eff {
                     std::ptr::copy_nonoverlapping(
                         ctile.add(r * ldc),
@@ -905,21 +665,22 @@ unsafe fn block_kernel_v<V: SimdVec>(
 /// Pack one `A` block into the calling thread's buffer and run the tier's
 /// block kernel over the packed `B` stripe.
 #[allow(clippy::too_many_arguments)]
-fn process_row_block<E: Elem>(
+fn process_row_block(
     tier: SimdTier,
-    a: Operand<'_, E>,
+    a: Operand<'_>,
     lda: usize,
     ic: usize,
     mc: usize,
     pc: usize,
     kc: usize,
-    bpack: &[E],
+    bpack: &[f64],
     nc: usize,
-    c_block: &mut [E],
+    c_block: &mut [f64],
     ldc: usize,
     c_col: usize,
 ) {
-    E::with_pack_a(|apack| {
+    PACK_A.with(|buf| {
+        let apack = &mut *buf.borrow_mut();
         pack_a(a, lda, ic, mc, pc, kc, apack);
         let live = mc.div_ceil(MR) * kc * MR;
         let c = unsafe { c_block.as_mut_ptr().add(c_col) };
@@ -927,7 +688,7 @@ fn process_row_block<E: Elem>(
         // panels were packed for exactly this block (the buffer may be
         // larger; only the live prefix is passed), and the tier was
         // runtime-detected (or clamped to) a supported feature set.
-        unsafe { E::block_kernel(tier, &apack[..live], bpack, kc, mc, nc, c, ldc) }
+        unsafe { block_kernel(tier, &apack[..live], bpack, kc, mc, nc, c, ldc) }
     });
 }
 
@@ -940,13 +701,13 @@ fn process_row_block<E: Elem>(
 /// parallel and sequential paths are byte-identical (on every tier — the
 /// fused tiers differ from *scalar*, not from themselves), and so are the
 /// transposed and as-stored reads of the same values.
-pub(crate) fn packed_matmul<E: Elem>(
-    a: Operand<'_, E>,
-    b: Operand<'_, E>,
+pub(crate) fn packed_matmul(
+    a: Operand<'_>,
+    b: Operand<'_>,
     m: usize,
     k: usize,
     n: usize,
-    out: &mut [E],
+    out: &mut [f64],
     parallel: bool,
 ) {
     use rayon::prelude::*;
@@ -956,7 +717,7 @@ pub(crate) fn packed_matmul<E: Elem>(
     let lda = if a.transposed { m } else { k };
     let ldb = if b.transposed { k } else { n };
     let tier = active_tier();
-    let nr = 2 * E::lanes(tier);
+    let nr = 2 * tier.lanes();
     // Row-block height: `MC` alone would hand a single block (and therefore
     // a single thread) any product with `m <= MC`, so when parallel, shrink
     // blocks until every executor gets a few to steal. The height is derived
@@ -977,10 +738,11 @@ pub(crate) fn packed_matmul<E: Elem>(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            E::with_pack_b(|bpack_buf| {
+            PACK_B.with(|buf| {
+                let bpack_buf = &mut *buf.borrow_mut();
                 pack_b(b, ldb, pc, kc, jc, nc, nr, bpack_buf);
                 let live = nc.div_ceil(nr) * kc * nr;
-                let bpack: &[E] = &bpack_buf[..live];
+                let bpack: &[f64] = &bpack_buf[..live];
                 if parallel {
                     out.par_chunks_mut(block_rows * n)
                         .enumerate()

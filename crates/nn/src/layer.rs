@@ -1,12 +1,9 @@
-//! Linear layers and activations with manual forward/backward passes,
-//! plus the forward-only `f32` mirror ([`LinearLayer32`]) the inference
-//! tier runs on.
+//! Linear layers and activations with manual forward/backward passes.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
-use crate::matrix32::Matrix32;
 
 /// Activation applied element-wise after a linear layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,26 +24,6 @@ pub enum Activation {
 impl Activation {
     /// Apply the activation.
     pub fn forward(self, x: f64) -> f64 {
-        match self {
-            Activation::Identity => x,
-            Activation::Relu => x.max(0.0),
-            Activation::LeakyRelu => {
-                if x >= 0.0 {
-                    x
-                } else {
-                    0.2 * x
-                }
-            }
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-
-    /// Apply the activation in `f32` (native single-precision transcendental
-    /// ops — not a cast round-trip through [`Activation::forward`], so the
-    /// inference tier never pays `f64` tanh/exp latency). Agreement with the
-    /// `f64` path is covered by the end-to-end distribution-delta tests.
-    pub fn forward_f32(self, x: f32) -> f32 {
         match self {
             Activation::Identity => x,
             Activation::Relu => x.max(0.0),
@@ -93,18 +70,6 @@ impl Activation {
     }
 }
 
-/// Interface shared by trainable layers.
-pub trait Layer {
-    /// Forward pass on a batch (rows are samples).
-    fn forward(&mut self, input: &Matrix) -> Matrix;
-    /// Backward pass: given dL/d(output), accumulate parameter gradients and
-    /// return dL/d(input). Must be called once after each `forward`, on the
-    /// same batch.
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix;
-    /// Number of trainable parameters.
-    fn n_params(&self) -> usize;
-}
-
 /// Fully connected layer `y = act(x·W + b)`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinearLayer {
@@ -120,8 +85,10 @@ pub struct LinearLayer {
     pub grad_bias: Vec<f64>,
     /// Input of the last training forward pass; the backward pass
     /// overwrites it with `dL/d(input)` once the weight gradient is done.
+    /// [`crate::mlp::Mlp`] writes each hidden activation straight into the
+    /// next layer's cache.
     #[serde(skip)]
-    cache_input: Matrix,
+    pub(crate) cache_input: Matrix,
     /// Pre-activation of the last training forward pass; the backward pass
     /// overwrites it in place with `dL/d(pre)`.
     #[serde(skip)]
@@ -166,15 +133,37 @@ impl LinearLayer {
         input.matmul_bias_act_into(&self.weights, &self.bias, |v| act.forward(v), out);
     }
 
+    /// Number of trainable parameters.
+    pub fn n_params(&self) -> usize {
+        self.weights.len() + self.bias.len()
+    }
+
+    /// Training forward pass (caches stored for a subsequent backward).
+    pub fn forward(&mut self, input: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.forward_into(input, &mut out);
+        out
+    }
+
     /// Training forward pass into a caller-owned buffer (caches stored for
-    /// a subsequent backward): the fused affine lands in the persistent
-    /// pre-activation cache and the activation is mapped into `out`, so
-    /// repeated steps allocate nothing.
+    /// a subsequent backward): the input is copied into the input cache and
+    /// the forward pass runs from there, so repeated steps allocate nothing.
     pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        input.matmul_bias_into(&self.weights, &self.bias, &mut self.cache_pre_activation);
+        self.cache_input.copy_from(input);
+        self.forward_from_cache(out);
+    }
+
+    /// Training forward pass over the input already in the input cache: the
+    /// fused affine lands in the persistent pre-activation cache and the
+    /// activation is mapped into `out`.
+    pub(crate) fn forward_from_cache(&mut self, out: &mut Matrix) {
+        self.cache_input.matmul_bias_into(
+            &self.weights,
+            &self.bias,
+            &mut self.cache_pre_activation,
+        );
         let act = self.activation;
         self.cache_pre_activation.map_into(|v| act.forward(v), out);
-        self.cache_input.copy_from(input);
         self.forward_cached = true;
     }
 
@@ -213,58 +202,18 @@ impl LinearLayer {
         &self.cache_input
     }
 
+    /// Backward pass: given `dL/d(output)`, accumulate parameter gradients
+    /// and return `dL/d(input)`. Must be called once after each `forward`,
+    /// on the same batch.
+    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+        self.backward_in_place(grad_output).clone()
+    }
+
     /// Release the forward caches, whose allocations only training needs.
     pub(crate) fn release_caches(&mut self) {
         self.cache_input = Matrix::default();
         self.cache_pre_activation = Matrix::default();
         self.forward_cached = false;
-    }
-}
-
-/// Forward-only `f32` mirror of a fitted [`LinearLayer`] — the inference
-/// tier. Built once from the trained `f64` weights
-/// ([`LinearLayer32::from_f64`]); carries no gradients, caches or serde.
-#[derive(Debug, Clone)]
-pub struct LinearLayer32 {
-    /// Weight matrix, shape (in_dim × out_dim), down-converted once.
-    pub(crate) weights: Matrix32,
-    /// Bias vector, length out_dim.
-    bias: Vec<f32>,
-    /// Activation applied after the affine map.
-    activation: Activation,
-}
-
-impl LinearLayer32 {
-    /// Down-convert a fitted layer (round-to-nearest per parameter).
-    pub fn from_f64(layer: &LinearLayer) -> Self {
-        Self {
-            weights: Matrix32::from_f64(&layer.weights),
-            bias: layer.bias.iter().map(|&b| b as f32).collect(),
-            activation: layer.activation,
-        }
-    }
-
-    /// Inference forward pass into a caller-owned buffer: affine map, bias
-    /// and activation fused into one `f32` kernel pass.
-    pub fn infer_into(&self, input: &Matrix32, out: &mut Matrix32) {
-        let act = self.activation;
-        input.matmul_bias_act_into(&self.weights, &self.bias, |v| act.forward_f32(v), out);
-    }
-}
-
-impl Layer for LinearLayer {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(input, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        self.backward_in_place(grad_output).clone()
-    }
-
-    fn n_params(&self) -> usize {
-        self.weights.len() + self.bias.len()
     }
 }
 
@@ -330,35 +279,6 @@ mod tests {
             // And reuse of the cache buffers on a second batch must be clean.
             let x2 = Matrix::randn(3, 6, 1.0, &mut rng);
             assert_eq!(layer.forward(&x2), layer.infer(&x2));
-        }
-    }
-
-    #[test]
-    fn f32_layer_tracks_f64_within_single_precision() {
-        let mut rng = StdRng::seed_from_u64(77);
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::LeakyRelu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-        ] {
-            let mut layer = LinearLayer::new(12, 9, act, &mut rng);
-            for (i, b) in layer.bias.iter_mut().enumerate() {
-                *b = (i as f64 * 0.3).sin();
-            }
-            let layer32 = LinearLayer32::from_f64(&layer);
-            assert_eq!((layer32.weights.rows(), layer32.weights.cols()), (12, 9));
-            let x = Matrix::randn(6, 12, 1.0, &mut rng);
-            let want = layer.infer(&x);
-            let mut got = Matrix32::default();
-            layer32.infer_into(&Matrix32::from_f64(&x), &mut got);
-            for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
-                assert!(
-                    (g as f64 - w).abs() <= 1e-4 * (1.0 + w.abs()),
-                    "{act:?} element {i}: f32 {g} vs f64 {w}"
-                );
-            }
         }
     }
 

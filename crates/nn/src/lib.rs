@@ -9,15 +9,14 @@
 //! * [`matrix`] — a dense row-major `f64` matrix whose matmuls run on
 //!   SIMD-dispatched (scalar/SSE2/AVX2, plus opt-in FMA/AVX-512),
 //!   cache-blocked packed kernels with rayon parallelism (see [`simd`] for
-//!   the once-per-process tier choice),
-//! * [`matrix32`] — the forward-only `f32` twin for the inference/sampling
-//!   tier (same kernels, double the SIMD lanes; see [`mlp::Mlp::to_f32`]),
+//!   the once-per-process tier choice); `f64` is the one element type, for
+//!   training and sampling alike,
 //! * [`layer`] — linear layers and activation functions with manual
 //!   forward/backward passes,
 //! * [`mlp`] — a composable feed-forward network,
 //! * [`loss`] — MSE, binary/softmax cross-entropy and the Gaussian KL term
 //!   used by the VAE,
-//! * [`optim`] — SGD and Adam,
+//! * [`optim`] — Adam, the one optimizer,
 //! * [`schedule`] — cosine learning-rate decay (the schedule the paper
 //!   trains with),
 //! * [`sample`] — the one standard-normal generator (a ziggurat) behind
@@ -30,21 +29,19 @@ mod kernels;
 pub mod layer;
 pub mod loss;
 pub mod matrix;
-pub mod matrix32;
 pub mod mlp;
 pub mod optim;
 pub mod sample;
 pub mod schedule;
 pub mod simd;
 
-pub use layer::{Activation, Layer, LinearLayer, LinearLayer32};
+pub use layer::{Activation, LinearLayer};
 pub use loss::{
     bce_with_logits, gaussian_kl, mse_loss, softmax_cross_entropy, softmax_rows, softmax_slice,
 };
 pub use matrix::Matrix;
-pub use matrix32::Matrix32;
-pub use mlp::{Mlp, Mlp32, MlpConfig};
-pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
+pub use mlp::{Mlp, MlpConfig};
+pub use optim::Adam;
 pub use sample::standard_normal_fill;
-pub use schedule::{ConstantLr, CosineDecay, LrSchedule};
+pub use schedule::CosineDecay;
 pub use simd::{active_tier, SimdTier};

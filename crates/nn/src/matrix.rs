@@ -15,10 +15,11 @@
 //! the row kernels. `_into` variants reuse caller-owned buffers, so the
 //! training loop performs no per-step allocations on the hot path.
 //!
-//! Every kernel — any tier, packed or direct — accumulates each output
-//! element along the inner dimension in ascending index order with a single
-//! accumulation chain (multiply then add, never FMA), so the parallel and
-//! sequential paths, every SIMD tier, and the `_at_b`/`_a_bt` shortcuts
+//! `f64` is the crate's one element type. Every kernel on the bit-exact
+//! tiers, packed or direct, accumulates each output element along the inner
+//! dimension in ascending index order with a single accumulation chain
+//! (multiply then add, never FMA), so the parallel and sequential paths,
+//! the scalar, SSE2 and AVX2 tiers, and the `_at_b`/`_a_bt` shortcuts
 //! versus their transpose-then-multiply equivalents produce byte-identical
 //! results on finite inputs free of signed zeros (the branchless kernels
 //! add `0 · b` terms the scalar reference skips, which only diverges when
@@ -39,9 +40,8 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Work threshold (output cells × inner dimension) above which matmul runs
-/// in parallel (shared with the `f32` inference matrix in
-/// [`crate::matrix32`]).
-pub(crate) const PAR_THRESHOLD: usize = 64 * 64 * 64;
+/// in parallel.
+const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Square block edge for the cache-blocked transpose.
 const TRANSPOSE_BLOCK: usize = 32;
@@ -207,16 +207,6 @@ impl Matrix {
         self.cols = src.cols;
         self.data.clear();
         self.data.extend_from_slice(&src.data);
-    }
-
-    /// Reshape to `rows × cols` holding `values` in row-major order,
-    /// reusing the allocation without zero-filling it first.
-    pub(crate) fn assign(&mut self, rows: usize, cols: usize, values: impl Iterator<Item = f64>) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.extend(values);
-        assert_eq!(self.data.len(), rows * cols, "assigned length mismatch");
     }
 
     /// Select a subset of rows by index (indices may repeat).
@@ -682,11 +672,6 @@ impl Matrix {
         }
         self.data.iter().sum::<f64>() / self.data.len() as f64
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 /// Frozen baseline kernels: the seed-state scalar kernels kept verbatim as
@@ -1116,7 +1101,6 @@ mod tests {
         a.sum_rows_into(&mut sums);
         assert_eq!(sums, vec![4.0, 6.0]);
         assert!((a.mean() - 2.5).abs() < 1e-12);
-        assert!((a.frobenius_norm() - 30f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Composable feed-forward networks (multi-layer perceptrons), plus the
-//! forward-only `f32` mirror ([`Mlp32`]) the sampling paths run on.
+//! Composable feed-forward networks (multi-layer perceptrons): one stack
+//! of [`LinearLayer`]s serves training (forward with caches, backward,
+//! [`Adam`] steps) and sampling (cache-free inference into reused buffers).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::layer::{Activation, Layer, LinearLayer, LinearLayer32};
+use crate::layer::{Activation, LinearLayer};
 use crate::matrix::Matrix;
-use crate::matrix32::Matrix32;
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 
 /// Architecture description of an MLP.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,10 +41,6 @@ impl MlpConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<LinearLayer>,
-    /// Intermediate activation buffers reused by [`Mlp::forward_into`] /
-    /// [`Mlp::forward`] across steps (one per hidden boundary).
-    #[serde(skip)]
-    scratch_acts: Vec<Matrix>,
 }
 
 impl Mlp {
@@ -62,10 +58,7 @@ impl Mlp {
             };
             layers.push(LinearLayer::new(dims[i], dims[i + 1], activation, rng));
         }
-        Self {
-            layers,
-            scratch_acts: Vec::new(),
-        }
+        Self { layers }
     }
 
     /// Input width.
@@ -80,7 +73,7 @@ impl Mlp {
 
     /// Total trainable parameter count.
     pub fn n_params(&self) -> usize {
-        self.layers.iter().map(Layer::n_params).sum()
+        self.layers.iter().map(LinearLayer::n_params).sum()
     }
 
     /// Forward pass storing caches for a subsequent [`Mlp::backward`].
@@ -90,28 +83,24 @@ impl Mlp {
         out
     }
 
-    /// [`Mlp::forward`] into a caller-owned output buffer: intermediate
-    /// activations land in persistent per-boundary scratch buffers and the
-    /// final activation in `out`, so a training step that reuses `out`
-    /// allocates nothing anywhere in the forward pass.
+    /// [`Mlp::forward`] into a caller-owned output buffer: the input is
+    /// copied into the first layer's input cache, each layer writes its
+    /// activation straight into the next layer's input cache, and the last
+    /// writes into `out`, so every hidden activation is written once and a
+    /// training step that reuses `out` allocates nothing.
     pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        let n_layers = self.layers.len();
-        if n_layers == 0 {
+        let Some(first) = self.layers.first_mut() else {
             out.copy_from(input);
             return;
-        }
-        self.scratch_acts
-            .resize_with(n_layers.saturating_sub(1), Matrix::default);
-        for i in 0..n_layers {
-            match (i == 0, i == n_layers - 1) {
-                (true, true) => self.layers[0].forward_into(input, out),
-                (true, false) => self.layers[0].forward_into(input, &mut self.scratch_acts[0]),
-                (false, true) => self.layers[i].forward_into(&self.scratch_acts[i - 1], out),
-                (false, false) => {
-                    let (prev, rest) = self.scratch_acts.split_at_mut(i);
-                    self.layers[i].forward_into(&prev[i - 1], &mut rest[0]);
-                }
+        };
+        first.cache_input.copy_from(input);
+        let mut rest = self.layers.as_mut_slice();
+        while let Some((layer, tail)) = rest.split_first_mut() {
+            match tail.first_mut() {
+                Some(next) => layer.forward_from_cache(&mut next.cache_input),
+                None => layer.forward_from_cache(out),
             }
+            rest = tail;
         }
     }
 
@@ -146,15 +135,6 @@ impl Mlp {
         }
     }
 
-    /// Down-convert the fitted network to the `f32` inference tier — done
-    /// **once** per fitted model, after which sampling runs entirely in
-    /// single precision through [`Mlp32::infer_into`].
-    pub fn to_f32(&self) -> Mlp32 {
-        Mlp32 {
-            layers: self.layers.iter().map(LinearLayer32::from_f64).collect(),
-        }
-    }
-
     /// Backward pass from dL/d(output); returns dL/d(input). Allocates
     /// nothing: each layer computes its gradients in its own forward caches,
     /// and the returned gradient borrows the first layer's, valid until the
@@ -183,26 +163,19 @@ impl Mlp {
         first.backward_params(grad);
     }
 
-    /// Drop the buffers only training uses (every layer's forward caches
-    /// and the intermediate activations), so a fitted network keeps just
-    /// its parameters and last gradients. The next training step re-grows
-    /// them.
+    /// Drop the buffers only training uses (every layer's forward caches),
+    /// so a fitted network keeps just its parameters and last gradients.
+    /// The next training step re-grows them.
     pub fn release_training_buffers(&mut self) {
         for layer in &mut self.layers {
             layer.release_caches();
         }
-        self.scratch_acts = Vec::new();
     }
 
     /// Apply one optimisation step using the gradients accumulated by the
     /// last backward pass. `param_group` namespaces the optimizer state so
     /// several networks can share one optimizer without clobbering moments.
-    pub fn apply_gradients<O: Optimizer>(
-        &mut self,
-        optimizer: &mut O,
-        param_group: usize,
-        lr: f64,
-    ) {
+    pub fn apply_gradients(&mut self, optimizer: &mut Adam, param_group: usize, lr: f64) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let wkey = param_group * 1000 + i * 2;
             let bkey = wkey + 1;
@@ -264,64 +237,11 @@ impl Mlp {
     }
 }
 
-/// Forward-only `f32` mirror of a fitted [`Mlp`]: the weights were
-/// down-converted once by [`Mlp::to_f32`], and every layer runs the fused
-/// `f32` affine+activation kernels (double the SIMD lanes of the `f64`
-/// path). Carries no training state.
-#[derive(Debug, Clone)]
-pub struct Mlp32 {
-    layers: Vec<LinearLayer32>,
-}
-
-impl Mlp32 {
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.weights.rows())
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.weights.cols())
-    }
-
-    /// Inference-only forward pass (no buffer reuse).
-    pub fn infer(&self, input: &Matrix32) -> Matrix32 {
-        let mut out = Matrix32::default();
-        let mut scratch = Matrix32::default();
-        self.infer_into(input, &mut out, &mut scratch);
-        out
-    }
-
-    /// [`Mlp32::infer`] ping-ponging between two caller-owned buffers (the
-    /// `f32` twin of [`Mlp::infer_into`]): a sampling loop that reuses them
-    /// allocates nothing. The result always lands in `out`; `scratch` holds
-    /// a stale intermediate afterwards.
-    pub fn infer_into(&self, input: &Matrix32, out: &mut Matrix32, scratch: &mut Matrix32) {
-        let n_layers = self.layers.len();
-        if n_layers == 0 {
-            out.resize_zeroed(input.rows(), input.cols());
-            out.data_mut().copy_from_slice(input.data());
-            return;
-        }
-        for (i, layer) in self.layers.iter().enumerate() {
-            // Alternate buffers backwards from the last layer, which must
-            // write `out`.
-            let to_out = (n_layers - 1 - i).is_multiple_of(2);
-            match (i == 0, to_out) {
-                (true, true) => layer.infer_into(input, out),
-                (true, false) => layer.infer_into(input, scratch),
-                (false, true) => layer.infer_into(scratch, out),
-                (false, false) => layer.infer_into(out, scratch),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loss::mse_loss;
-    use crate::optim::{Adam, AdamConfig};
+    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -352,7 +272,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let cfg = MlpConfig::relu(2, vec![16], 1);
         let mut mlp = Mlp::new(&cfg, &mut rng);
-        let mut adam = Adam::new(AdamConfig::default());
+        let mut adam = Adam::default();
 
         // y = 3 x0 - 2 x1 + 1
         let x = Matrix::randn(256, 2, 1.0, &mut rng);
@@ -406,34 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_mlp_tracks_f64_and_is_deterministic() {
-        let mut rng = StdRng::seed_from_u64(21);
-        for hidden in [vec![], vec![16], vec![32, 24]] {
-            let cfg = MlpConfig::relu(10, hidden, 6);
-            let mlp = Mlp::new(&cfg, &mut rng);
-            let mlp32 = mlp.to_f32();
-            assert_eq!(mlp32.input_dim(), 10);
-            assert_eq!(mlp32.output_dim(), 6);
-            let x = Matrix::randn(9, 10, 1.0, &mut rng);
-            let x32 = Matrix32::from_f64(&x);
-            let want = mlp.infer(&x);
-            let got = mlp32.infer(&x32);
-            for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
-                assert!(
-                    (g as f64 - w).abs() <= 1e-3 * (1.0 + w.abs()),
-                    "element {i}: f32 {g} vs f64 {w}"
-                );
-            }
-            // Dirty, wrong-shaped buffers must be fixed up by infer_into,
-            // and the f32 path must be byte-deterministic.
-            let mut out = Matrix32::zeros(2, 3);
-            let mut scratch = Matrix32::zeros(1, 1);
-            mlp32.infer_into(&x32, &mut out, &mut scratch);
-            assert_eq!(out, got);
-        }
-    }
-
-    #[test]
     fn backward_params_only_matches_full_backward_gradients() {
         let mut rng = StdRng::seed_from_u64(12);
         let cfg = MlpConfig::relu(5, vec![9, 7], 2);
@@ -465,7 +357,7 @@ mod tests {
         kept.backward(&grad_out);
         let mut released = kept.clone();
         released.release_training_buffers();
-        assert!(released.scratch_acts.is_empty());
+        assert!(released.layers.iter().all(|l| l.cache_input.is_empty()));
         let a = kept.forward(&x);
         let b = released.forward(&x);
         assert_eq!(a, b);

@@ -1,4 +1,4 @@
-//! First-order optimizers.
+//! Adam, the one optimizer every model trains with.
 //!
 //! Optimizer state is keyed by an opaque `usize` so several parameter tensors
 //! (and several networks) can share one optimizer instance; the MLP assigns
@@ -6,100 +6,21 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+/// Exponential decay of the first moment.
+const BETA1: f64 = 0.9;
+/// Exponential decay of the second moment.
+const BETA2: f64 = 0.999;
+/// Numerical stabiliser added to the denominator.
+const EPS: f64 = 1e-8;
 
-/// Interface of a stateful first-order optimizer.
-pub trait Optimizer {
-    /// Update `params` in place given `grads`, using per-key internal state.
-    fn update(&mut self, key: usize, params: &mut [f64], grads: &[f64], lr: f64);
-    /// Reset all internal state (moments, step counters).
-    fn reset(&mut self);
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Momentum coefficient in `[0, 1)`; zero disables momentum.
-    pub momentum: f64,
-    velocity: HashMap<usize, Vec<f64>>,
-}
-
-impl Sgd {
-    /// SGD without momentum.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(momentum: f64) -> Self {
-        Self {
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, key: usize, params: &mut [f64], grads: &[f64], lr: f64) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.momentum == 0.0 {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= lr * g;
-            }
-            return;
-        }
-        let velocity = self
-            .velocity
-            .entry(key)
-            .or_insert_with(|| vec![0.0; params.len()]);
-        assert_eq!(
-            velocity.len(),
-            params.len(),
-            "stale optimizer state for key"
-        );
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(velocity.iter_mut()) {
-            *v = self.momentum * *v + g;
-            *p -= lr * *v;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
-
-/// Configuration of the [`Adam`] optimizer.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct AdamConfig {
-    /// Exponential decay of the first moment.
-    pub beta1: f64,
-    /// Exponential decay of the second moment.
-    pub beta2: f64,
-    /// Numerical stabiliser added to the denominator.
-    pub eps: f64,
-    /// Decoupled weight decay (AdamW style); zero disables it.
-    pub weight_decay: f64,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        Self {
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-        }
-    }
-}
-
-/// Adam / AdamW.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Adam with the standard hyper-parameters (β₁ = 0.9, β₂ = 0.999,
+/// ε = 1e-8) and no weight decay.
+#[derive(Debug, Clone, Default)]
 pub struct Adam {
-    config: AdamConfig,
     state: HashMap<usize, AdamState>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct AdamState {
     m: Vec<f64>,
     v: Vec<f64>,
@@ -107,30 +28,10 @@ struct AdamState {
 }
 
 impl Adam {
-    /// New optimizer with the given hyper-parameters.
-    pub fn new(config: AdamConfig) -> Self {
-        Self {
-            config,
-            state: HashMap::new(),
-        }
-    }
-
-    /// The hyper-parameters in use.
-    pub fn config(&self) -> AdamConfig {
-        self.config
-    }
-}
-
-impl Default for Adam {
-    fn default() -> Self {
-        Self::new(AdamConfig::default())
-    }
-}
-
-impl Optimizer for Adam {
-    fn update(&mut self, key: usize, params: &mut [f64], grads: &[f64], lr: f64) {
+    /// Update `params` in place given `grads`, using the moments kept for
+    /// `key`.
+    pub fn update(&mut self, key: usize, params: &mut [f64], grads: &[f64], lr: f64) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        let cfg = self.config;
         let state = self.state.entry(key).or_insert_with(|| AdamState {
             m: vec![0.0; params.len()],
             v: vec![0.0; params.len()],
@@ -139,29 +40,20 @@ impl Optimizer for Adam {
         assert_eq!(state.m.len(), params.len(), "stale optimizer state for key");
         state.t += 1;
         let t = state.t as f64;
-        let bias1 = 1.0 - cfg.beta1.powf(t);
-        let bias2 = 1.0 - cfg.beta2.powf(t);
-        let decay = lr * cfg.weight_decay;
-        // Fused single pass over zipped slices: no per-element bounds checks
-        // and the weight-decay branch hoisted to a precomputed factor.
+        let bias1 = 1.0 - BETA1.powf(t);
+        let bias2 = 1.0 - BETA2.powf(t);
+        // Fused single pass over zipped slices: no per-element bounds checks.
         for ((p, &g), (m, v)) in params
             .iter_mut()
             .zip(grads.iter())
             .zip(state.m.iter_mut().zip(state.v.iter_mut()))
         {
-            *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * g;
-            *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * g * g;
+            *m = BETA1 * *m + (1.0 - BETA1) * g;
+            *v = BETA2 * *v + (1.0 - BETA2) * g * g;
             let m_hat = *m / bias1;
             let v_hat = *v / bias2;
-            if cfg.weight_decay > 0.0 {
-                *p -= decay * *p;
-            }
-            *p -= lr * m_hat / (v_hat.sqrt() + cfg.eps);
+            *p -= lr * m_hat / (v_hat.sqrt() + EPS);
         }
-    }
-
-    fn reset(&mut self) {
-        self.state.clear();
     }
 }
 
@@ -169,28 +61,14 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimise f(x) = (x - 3)^2 with each optimizer and check convergence.
-    fn run<O: Optimizer>(opt: &mut O, lr: f64, steps: usize) -> f64 {
+    /// Minimise f(x) = (x - 3)^2 and check convergence.
+    fn run(opt: &mut Adam, lr: f64, steps: usize) -> f64 {
         let mut x = vec![10.0];
         for _ in 0..steps {
             let grad = vec![2.0 * (x[0] - 3.0)];
             opt.update(0, &mut x, &grad, lr);
         }
         x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new();
-        let x = run(&mut sgd, 0.1, 200);
-        assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut sgd = Sgd::with_momentum(0.9);
-        let x = run(&mut sgd, 0.02, 400);
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
     }
 
     #[test]
@@ -209,22 +87,13 @@ mod tests {
         adam.update(2, &mut b, &[1.0], 0.1);
         // Both start from fresh moments so the first step must be identical.
         assert!((a[0] - b[0]).abs() < 1e-12);
-        adam.reset();
-        let mut c = vec![0.0];
-        adam.update(1, &mut c, &[1.0], 0.1);
-        assert!((c[0] - a[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adamw_weight_decay_shrinks_params() {
-        let mut adam = Adam::new(AdamConfig {
-            weight_decay: 0.1,
-            ..Default::default()
-        });
-        let mut x = vec![5.0];
-        // Zero gradient: only the decoupled decay acts.
-        adam.update(0, &mut x, &[0.0], 0.1);
-        assert!(x[0] < 5.0);
+        // Key 1 keeps its moments: its second step, on a gradient of the
+        // opposite sign, is far smaller than a fresh first step on it.
+        let mut fresh = vec![0.0];
+        Adam::default().update(1, &mut fresh, &[-1.0], 0.1);
+        let before = a[0];
+        adam.update(1, &mut a, &[-1.0], 0.1);
+        assert!((a[0] - before - fresh[0]).abs() > 1e-3);
     }
 
     #[test]

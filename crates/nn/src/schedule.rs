@@ -1,33 +1,11 @@
-//! Learning-rate schedules.
+//! The learning-rate schedule.
 //!
 //! The paper trains every surrogate model "with a learning rate of 0.0002,
 //! which decays following a cosine scheduler"; [`CosineDecay`] implements
 //! exactly that schedule.
 
-use serde::{Deserialize, Serialize};
-
-/// A learning-rate schedule mapping a step index to a learning rate.
-pub trait LrSchedule {
-    /// Learning rate at `step` (0-based) out of the schedule's horizon.
-    fn lr_at(&self, step: usize) -> f64;
-}
-
-/// Constant learning rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConstantLr {
-    /// The constant value returned for every step.
-    pub lr: f64,
-}
-
-impl LrSchedule for ConstantLr {
-    fn lr_at(&self, _step: usize) -> f64 {
-        self.lr
-    }
-}
-
-/// Cosine decay from `base_lr` down to `min_lr` over `total_steps`, with an
-/// optional linear warm-up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Cosine decay from `base_lr` down to `min_lr` over `total_steps`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosineDecay {
     /// Initial (peak) learning rate.
     pub base_lr: f64,
@@ -35,30 +13,14 @@ pub struct CosineDecay {
     pub min_lr: f64,
     /// Total number of steps over which to decay.
     pub total_steps: usize,
-    /// Number of initial steps spent linearly warming up from zero.
-    pub warmup_steps: usize,
 }
 
 impl CosineDecay {
-    /// The paper's schedule: base LR 2e-4, cosine to zero, no warm-up.
-    pub fn paper_default(total_steps: usize) -> Self {
-        Self {
-            base_lr: 2e-4,
-            min_lr: 0.0,
-            total_steps: total_steps.max(1),
-            warmup_steps: 0,
-        }
-    }
-}
-
-impl LrSchedule for CosineDecay {
-    fn lr_at(&self, step: usize) -> f64 {
-        if self.warmup_steps > 0 && step < self.warmup_steps {
-            return self.base_lr * (step as f64 + 1.0) / self.warmup_steps as f64;
-        }
-        let effective = (step - self.warmup_steps)
-            .min(self.total_steps - self.warmup_steps.min(self.total_steps));
-        let horizon = (self.total_steps.saturating_sub(self.warmup_steps)).max(1);
+    /// Learning rate at `step` (0-based); steps past `total_steps` stay at
+    /// `min_lr`.
+    pub fn lr_at(&self, step: usize) -> f64 {
+        let effective = step.min(self.total_steps);
+        let horizon = self.total_steps.max(1);
         let progress = (effective as f64 / horizon as f64).clamp(0.0, 1.0);
         let cosine = 0.5 * (1.0 + (std::f64::consts::PI * progress).cos());
         self.min_lr + (self.base_lr - self.min_lr) * cosine
@@ -69,16 +31,18 @@ impl LrSchedule for CosineDecay {
 mod tests {
     use super::*;
 
-    #[test]
-    fn constant_schedule_is_constant() {
-        let s = ConstantLr { lr: 0.01 };
-        assert_eq!(s.lr_at(0), 0.01);
-        assert_eq!(s.lr_at(10_000), 0.01);
+    /// The paper's schedule: base LR 2e-4, cosine to zero.
+    fn paper(total_steps: usize) -> CosineDecay {
+        CosineDecay {
+            base_lr: 2e-4,
+            min_lr: 0.0,
+            total_steps,
+        }
     }
 
     #[test]
     fn cosine_starts_at_base_and_ends_at_min() {
-        let s = CosineDecay::paper_default(1000);
+        let s = paper(1000);
         assert!((s.lr_at(0) - 2e-4).abs() < 1e-12);
         assert!(s.lr_at(1000) < 1e-9);
         assert!(s.lr_at(2000) < 1e-9, "stays at min past the horizon");
@@ -86,7 +50,7 @@ mod tests {
 
     #[test]
     fn cosine_is_monotone_decreasing_without_warmup() {
-        let s = CosineDecay::paper_default(500);
+        let s = paper(500);
         let mut prev = f64::INFINITY;
         for step in 0..=500 {
             let lr = s.lr_at(step);
@@ -101,22 +65,7 @@ mod tests {
             base_lr: 1.0,
             min_lr: 0.0,
             total_steps: 100,
-            warmup_steps: 0,
         };
         assert!((s.lr_at(50) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warmup_ramps_linearly() {
-        let s = CosineDecay {
-            base_lr: 1.0,
-            min_lr: 0.0,
-            total_steps: 110,
-            warmup_steps: 10,
-        };
-        assert!(s.lr_at(0) < s.lr_at(5));
-        assert!(s.lr_at(5) < s.lr_at(9));
-        assert!((s.lr_at(9) - 1.0).abs() < 1e-9);
-        assert!(s.lr_at(60) < 1.0);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The crate's private kernel layer has five implementations of every
 //! inner microkernel — portable scalar, SSE2, AVX2, FMA and AVX-512, built
-//! on `core::arch`, each instantiated for both `f64` and `f32` lanes — and
-//! every matrix product dispatches through the tier chosen here. The tier is
+//! on `core::arch` over `f64` lanes — and every matrix product dispatches
+//! through the tier chosen here. The tier is
 //! decided **once per process** (first use) from CPUID feature detection, so
 //! the hot training loop pays one cached atomic load per kernel call and the
 //! selected path is fixed for the life of the process: repeated runs with
@@ -56,17 +56,6 @@ impl SimdTier {
             SimdTier::Sse2 => 2,
             SimdTier::Avx2 | SimdTier::Fma => 4,
             SimdTier::Avx512 => 8,
-        }
-    }
-
-    /// Number of `f32` lanes per vector register on this tier (double the
-    /// `f64` width everywhere except the scalar fallback).
-    pub fn lanes_f32(self) -> usize {
-        match self {
-            SimdTier::Scalar => 1,
-            SimdTier::Sse2 => 4,
-            SimdTier::Avx2 | SimdTier::Fma => 8,
-            SimdTier::Avx512 => 16,
         }
     }
 
@@ -191,16 +180,6 @@ mod tests {
         assert_eq!(SimdTier::Avx2.lanes(), 4);
         assert_eq!(SimdTier::Fma.lanes(), 4);
         assert_eq!(SimdTier::Avx512.lanes(), 8);
-        // The f32 instantiation doubles every vector width.
-        for tier in [
-            SimdTier::Sse2,
-            SimdTier::Avx2,
-            SimdTier::Fma,
-            SimdTier::Avx512,
-        ] {
-            assert_eq!(tier.lanes_f32(), 2 * tier.lanes(), "{tier:?}");
-        }
-        assert_eq!(SimdTier::Scalar.lanes_f32(), 1);
     }
 
     #[test]

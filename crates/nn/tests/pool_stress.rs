@@ -13,7 +13,7 @@
 //! fused ones: the kernels are deterministic per tier and tile assignment
 //! is shape-only.
 
-use nn::{Matrix, Matrix32};
+use nn::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -79,41 +79,6 @@ fn concurrent_packed_matmuls_match_their_uncontended_oracles() {
                 rayon::current_num_threads()
             );
         }
-    }
-}
-
-#[test]
-fn concurrent_f32_and_f64_products_do_not_cross_talk() {
-    // f32 and f64 pack buffers are separate thread-locals; interleave both
-    // element types across concurrent tasks to prove neither corrupts the
-    // other's panels.
-    let mut rng = StdRng::seed_from_u64(77);
-    let cases: Vec<(Matrix, Matrix, Matrix, Matrix32)> = SHAPES
-        .iter()
-        .cycle()
-        .take(12)
-        .map(|&(m, k, n)| {
-            let a = Matrix::randn(m, k, 1.0, &mut rng);
-            let b = Matrix::randn(k, n, 1.0, &mut rng);
-            let want64 = a.matmul(&b);
-            let want32 = Matrix32::from_f64(&a).matmul(&Matrix32::from_f64(&b));
-            (a, b, want64, want32)
-        })
-        .collect();
-
-    let results: Vec<(usize, Matrix, Matrix32)> = cases
-        .par_iter()
-        .enumerate()
-        .map(|(i, (a, b, _, _))| {
-            let got64 = a.matmul(b);
-            let got32 = Matrix32::from_f64(a).matmul(&Matrix32::from_f64(b));
-            (i, got64, got32)
-        })
-        .collect();
-    for (i, got64, got32) in results {
-        let (_, _, want64, want32) = &cases[i];
-        assert_eq!(got64.data(), want64.data(), "f64 case {i} diverged");
-        assert_eq!(&got32, want32, "f32 case {i} diverged");
     }
 }
 

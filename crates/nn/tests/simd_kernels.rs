@@ -9,12 +9,10 @@
 //! from the scalar reference, never from themselves.
 //!
 //! Randomized shapes include ragged edges that straddle every lane and
-//! panel boundary, for both the `f64` training kernels and the `f32`
-//! inference instantiation (which doubles the lane count and therefore has
-//! its own seams).
+//! panel boundary.
 
 use nn::matrix::reference;
-use nn::{Matrix, Matrix32};
+use nn::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,7 +72,7 @@ fn random_shape(rng: &mut StdRng, max: usize) -> (usize, usize, usize) {
 #[test]
 fn dispatched_matmul_matches_reference_on_random_shapes() {
     let mut rng = StdRng::seed_from_u64(101);
-    // Fixed ragged shapes that straddle lane (up to 8 f64 / 16 f32), tile,
+    // Fixed ragged shapes that straddle lane (up to 8), tile,
     // panel (MR=4, NR=2·lanes) and stripe (KC=256, MC=128, NC=512)
     // boundaries, plus the packed large shapes the bench tracks.
     let fixed: &[(usize, usize, usize)] = &[
@@ -244,55 +242,11 @@ fn packed_parallel_is_byte_identical_to_packed_sequential() {
 }
 
 #[test]
-fn f32_dispatched_matmul_tracks_the_f64_reference() {
-    // The f32 instantiation doubles the lane count, so its seams sit at
-    // different column offsets; sweep ragged shapes and compare against the
-    // f64 reference of the rounded operands within single-precision
-    // accumulation error.
-    let mut rng = StdRng::seed_from_u64(606);
-    let fixed: &[(usize, usize, usize)] = &[
-        (97, 61, 113),
-        (1, 1, 1),
-        (3, 5, 2),
-        (8, 257, 33),
-        (16, 300, 515),
-        (130, 520, 17),
-    ];
-    for &(m, k, n) in fixed {
-        let a64 = Matrix::randn(m, k, 1.0, &mut rng);
-        let b64 = Matrix::randn(k, n, 1.0, &mut rng);
-        let a32 = Matrix32::from_f64(&a64);
-        let b32 = Matrix32::from_f64(&b64);
-        let want = reference::matmul(&a32.to_f64(), &b32.to_f64());
-        let got = a32.matmul(&b32);
-        let tol = 1e-6 * (k as f64).max(1.0);
-        for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
-            assert!(
-                (g as f64 - w).abs() <= tol * (1.0 + w.abs()),
-                "f32 matmul {m}x{k}x{n} element {i}: {g} vs {w}"
-            );
-        }
-    }
-}
-
-#[test]
-fn f32_packed_parallel_is_byte_identical_to_sequential() {
-    let mut rng = StdRng::seed_from_u64(707);
-    let a = Matrix32::from_f64(&Matrix::randn(301, 200, 1.0, &mut rng));
-    let b = Matrix32::from_f64(&Matrix::randn(200, 261, 1.0, &mut rng));
-    let seq = a.matmul_packed_with(&b, false);
-    let par = a.matmul_packed_with(&b, true);
-    assert_eq!(seq, par, "f32 packed parallel vs sequential drifted");
-    // Run-to-run determinism of the dispatched f32 path.
-    assert_eq!(a.matmul(&b), a.matmul(&b));
-}
-
-#[test]
 fn buffer_reuse_across_shape_changes_is_clean() {
     // The packed driver's per-thread pack buffers are grow-only, reused
     // across calls, and — since the no-re-zero change — only their padding
-    // lanes are cleared; interleaving shapes (and element types, which use
-    // separate buffers) must never leak state between calls.
+    // lanes are cleared; interleaving shapes must never leak state between
+    // calls.
     let mut rng = StdRng::seed_from_u64(404);
     let shapes = [(64, 200, 80), (9, 3, 7), (128, 130, 520), (33, 65, 17)];
     for &(m, k, n) in shapes.iter().chain(shapes.iter().rev()) {
@@ -303,18 +257,14 @@ fn buffer_reuse_across_shape_changes_is_clean() {
             &a.matmul(&b),
             &reference::matmul(&a, &b),
         );
-        // Interleave an f32 product of a *different* ragged shape so both
-        // buffer families see mismatched panel extents back-to-back.
-        let a32 = Matrix32::from_f64(&Matrix::randn(n, m, 1.0, &mut rng));
-        let b32 = Matrix32::from_f64(&Matrix::randn(m, k, 1.0, &mut rng));
-        let got = a32.matmul(&b32);
-        let want = reference::matmul(&a32.to_f64(), &b32.to_f64());
-        let tol = 1e-6 * (m as f64).max(1.0);
-        for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
-            assert!(
-                (g as f64 - w).abs() <= tol * (1.0 + w.abs()),
-                "interleaved f32 {n}x{m}x{k} element {i}: {g} vs {w}"
-            );
-        }
+        // Interleave a product of a *different* ragged shape so the pack
+        // buffers see mismatched panel extents back-to-back.
+        let a = Matrix::randn(n, m, 1.0, &mut rng);
+        let b = Matrix::randn(m, k, 1.0, &mut rng);
+        assert_kernel_match(
+            &format!("interleaved {n}x{m}x{k}"),
+            &a.matmul(&b),
+            &reference::matmul(&a, &b),
+        );
     }
 }

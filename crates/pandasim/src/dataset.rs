@@ -104,21 +104,6 @@ impl DaodCatalog {
         }
     }
 
-    /// Distinct project labels.
-    pub fn project_labels(&self) -> Vec<&str> {
-        self.projects.iter().map(|(p, _)| p.as_str()).collect()
-    }
-
-    /// Distinct production-step labels.
-    pub fn prodstep_labels(&self) -> Vec<&str> {
-        self.prodsteps.iter().map(|(p, _)| p.as_str()).collect()
-    }
-
-    /// Distinct DAOD data-type labels.
-    pub fn daod_type_labels(&self) -> Vec<&str> {
-        self.daod_types.iter().map(|(p, _)| p.as_str()).collect()
-    }
-
     fn pick<'a, R: Rng>(items: &'a [(String, f64)], rng: &mut R) -> &'a str {
         let dist = WeightedIndex::new(items.iter().map(|(_, w)| *w)).expect("positive weights");
         items[dist.sample(rng)].0.as_str()

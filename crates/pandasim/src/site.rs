@@ -113,11 +113,6 @@ impl SiteCatalog {
         let dist = WeightedIndex::new(&self.weights).expect("non-empty positive weights");
         dist.sample(rng)
     }
-
-    /// Total capacity weight (normalisation constant of the site popularity).
-    pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
-    }
 }
 
 impl Default for SiteCatalog {

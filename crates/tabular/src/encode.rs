@@ -32,11 +32,6 @@ impl LabelEncoder {
         }
     }
 
-    /// Build directly from an existing vocabulary.
-    pub fn from_vocab(vocab: Vec<String>) -> Self {
-        Self { vocab }
-    }
-
     /// Vocabulary size.
     pub fn cardinality(&self) -> usize {
         self.vocab.len()

@@ -34,15 +34,6 @@ pub enum TabularError {
     },
     /// A transform was used before being fitted.
     NotFitted(&'static str),
-    /// Parsing a CSV cell failed.
-    Parse {
-        /// 1-based row number in the file.
-        row: usize,
-        /// Column name.
-        column: String,
-        /// The offending cell contents.
-        value: String,
-    },
     /// An empty table or column where data was required.
     Empty(&'static str),
     /// A table with fewer rows than the operation needs.
@@ -87,12 +78,6 @@ impl fmt::Display for TabularError {
                 "code {code} out of range for column `{column}` (cardinality {cardinality})"
             ),
             TabularError::NotFitted(what) => write!(f, "{what} used before fit"),
-            TabularError::Parse { row, column, value } => {
-                write!(
-                    f,
-                    "failed to parse `{value}` in column `{column}` at row {row}"
-                )
-            }
             TabularError::Empty(what) => write!(f, "{what} is empty"),
             TabularError::TooFewRows {
                 context,

@@ -12,12 +12,10 @@
 //! * [`transform`] — numerical transforms (Gaussian quantile, standard,
 //!   min-max, log1p) mirroring the scikit-learn preprocessing the paper uses,
 //! * [`split`] — deterministic train/test splitting,
-//! * [`stats`] — histograms, value counts and per-column summaries,
-//! * [`io`] — a small CSV reader/writer for interchange.
+//! * [`stats`] — histograms, value counts and per-column summaries.
 
 pub mod encode;
 pub mod error;
-pub mod io;
 pub mod schema;
 pub mod split;
 pub mod stats;

@@ -24,19 +24,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Bin width.
-    pub fn bin_width(&self) -> f64 {
-        (self.max - self.min) / self.counts.len() as f64
-    }
-
-    /// Bin centres, useful for plotting/serialising series.
-    pub fn centers(&self) -> Vec<f64> {
-        let w = self.bin_width();
-        (0..self.counts.len())
-            .map(|i| self.min + (i as f64 + 0.5) * w)
-            .collect()
-    }
-
     /// Counts normalised to a probability mass function (sums to 1 when any
     /// samples were binned).
     pub fn pmf(&self) -> Vec<f64> {
