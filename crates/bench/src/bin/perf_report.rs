@@ -1,6 +1,7 @@
-//! Time the live `nn` kernels, training epochs, simulator event queue and
+//! Time the live `nn` kernels, training epochs, metrics, simulator and
 //! micro-batched serving, and emit `BENCH_nn.json` so the performance
-//! trajectory is recorded across changes.
+//! trajectory is recorded across changes. It is the workspace's one timing
+//! harness.
 //!
 //! Every entry of `kernels` is a ratio of live code over a baseline that is
 //! itself either a live alternative path of the program or a test oracle:
@@ -27,7 +28,7 @@
 //!   single-core hosts, where a parallel fan-out cannot win.
 //! * **Simulator queue bench** — `htcsim_throughput_queue_<N>`: the
 //!   calendar event queue vs the `HeapQueue` it is pinned against
-//!   (`baseline_kind: "binary_heap"`), driven by [`bench::hold_model`].
+//!   (`baseline_kind: "binary_heap"`), driven by [`hold_model`].
 //! * **Serving bench** — `serve_batching_64x4`: sixty-four 4-row sample
 //!   requests answered by one coalesced `sample_batch` pass (the serve
 //!   loop's micro-batch scheduler) vs sixty-four sequential `sample` calls
@@ -43,14 +44,24 @@
 //! conventions (this suffix, and the `normal_fill_` prefix for the
 //! `box_muller` baseline) are validated on read-back.
 //!
-//! The six **epoch entries** time one training epoch of each neural model's
-//! `fit` through one harness: `tabddpm_epoch`, `ctabgan_epoch` and
-//! `tvae_epoch` at the fast (smoke) configs, whose products all stay on the
-//! direct kernels, and `tabddpm_paper_epoch`, `ctabgan_paper_epoch` and
-//! `tvae_paper_epoch` at the `Default` (standard-budget) widths and batch
-//! sizes, whose hidden-layer products take the packed driver. They have no
-//! baseline (schema v5): the recorded milliseconds per epoch are compared
-//! across regenerated reports.
+//! Every entry of `timings` is a `{name, rows, ms}` record with no baseline
+//! and no gate (schema v7): the milliseconds are compared across
+//! regenerated reports.
+//!
+//! * **Epoch timings** — one training epoch of each neural model's `fit`:
+//!   `tabddpm_epoch`, `ctabgan_epoch` and `tvae_epoch` at the fast (smoke)
+//!   configs, whose products all stay on the direct kernels, and
+//!   `tabddpm_paper_epoch`, `ctabgan_paper_epoch` and `tvae_paper_epoch` at
+//!   the `Default` (standard-budget) widths and batch sizes, whose
+//!   hidden-layer products take the packed driver.
+//! * **Metric timings** — `paper_mlef`, one paper-config
+//!   [`metrics::mlef_mse`]`(train, test)`, and `smote_fit`, one
+//!   [`SmoteSampler`] fit, on the split [`prepare_data_from_config`] builds
+//!   from 12,000 gross records; `rows` is the training split's size.
+//! * **Simulator timings** — `htcsim_sim_run_<queue>_<slot fraction>`: one
+//!   [`GridSimulator::run_arena_with`] per event queue (`calendar`, `heap`)
+//!   on a 50,000-job synthetic arena, at slot fraction 0.02 (every job
+//!   starts on arrival) and 0.001 (a backlog parks).
 //!
 //! After writing the report the binary reads it back through
 //! `serde_json::from_str` and validates the schema, so CI's smoke invocation
@@ -62,18 +73,26 @@
 //! `BENCH_nn.json`). `--threads N` sets `RAYON_NUM_THREADS` before the pool
 //! spins up, so one flag controls the fan-out width.
 
+use std::collections::HashSet;
+use std::hint::black_box;
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use bench::cli::{Args, Command};
-use bench::hold_model;
+use htcsim::{
+    CalendarQueue, EventKind, EventScheduler, GridSimulator, HeapQueue, JobArena, SimConfig,
+    SimReport,
+};
+use metrics::{mlef_mse, MlefConfig};
 use nn::matrix::reference;
 use nn::Matrix;
+use pandasim::{GeneratorConfig, SiteCatalog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use surrogate::{
-    CtabGan, CtabGanConfig, SampleSpec, TabDdpm, TabDdpmConfig, TabularGenerator, Tvae, TvaeConfig,
+    prepare_data_from_config, CtabGan, CtabGanConfig, SampleSpec, SmoteConfig, SmoteSampler,
+    TabDdpm, TabDdpmConfig, TabularGenerator, Tvae, TvaeConfig,
 };
 use tabular::{Column, Table};
 
@@ -91,12 +110,13 @@ struct KernelBench {
     speedup: f64,
 }
 
-/// Milliseconds per training epoch of today's `fit`; no baseline.
+/// Milliseconds of one run of a program path over `rows` input rows; no
+/// baseline and no gate.
 #[derive(Debug, Serialize, Deserialize)]
-struct EpochBench {
+struct Timing {
+    name: String,
     rows: usize,
-    epochs_timed: usize,
-    new_epoch_ms: f64,
+    ms: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -110,31 +130,12 @@ struct Report {
     host_cores: usize,
     simd_tier: String,
     kernels: Vec<KernelBench>,
-    tabddpm_epoch: EpochBench,
-    ctabgan_epoch: EpochBench,
-    tvae_epoch: EpochBench,
-    tabddpm_paper_epoch: EpochBench,
-    ctabgan_paper_epoch: EpochBench,
-    tvae_paper_epoch: EpochBench,
-}
-
-impl Report {
-    /// Every epoch entry with its field name, in report order.
-    fn epochs(&self) -> [(&'static str, &EpochBench); 6] {
-        [
-            ("tabddpm_epoch", &self.tabddpm_epoch),
-            ("ctabgan_epoch", &self.ctabgan_epoch),
-            ("tvae_epoch", &self.tvae_epoch),
-            ("tabddpm_paper_epoch", &self.tabddpm_paper_epoch),
-            ("ctabgan_paper_epoch", &self.ctabgan_paper_epoch),
-            ("tvae_paper_epoch", &self.tvae_paper_epoch),
-        ]
-    }
+    timings: Vec<Timing>,
 }
 
 const CLI: Command = Command {
     name: "perf_report",
-    about: "time the live kernels, epochs, event queue and batched serving into BENCH_nn.json",
+    about: "time kernels, epochs, metrics, the simulator and batched serving into BENCH_nn.json",
     flags: "
 flags:
   --quick                small shapes and few repetitions (the CI smoke)
@@ -443,7 +444,7 @@ fn differenced_epoch_ms(
         if t2 > t1 {
             return ((t2 - t1) * 1e3) / (e2 - e1) as f64;
         }
-        eprintln!("perf_report: noisy {label} epoch timing (t1 {t1:.4}s >= t2 {t2:.4}s), retrying");
+        eprintln!("perf_report: noisy {label} timing (t1 {t1:.4}s >= t2 {t2:.4}s), retrying");
     }
     eprintln!("perf_report: {label} differencing failed; using whole-fit upper bound");
     timed_fit(e2, reps) * 1e3 / e2 as f64
@@ -452,31 +453,126 @@ fn differenced_epoch_ms(
 /// One training epoch of a neural model: `model(epochs)` builds the
 /// unfitted model, and [`differenced_epoch_ms`] times its `fit` on the
 /// 512-row (quick) or 2048-row epoch table.
-fn epoch_bench<M: TabularGenerator>(
-    label: &str,
+fn epoch_timing<M: TabularGenerator>(
+    name: &str,
     quick: bool,
     model: impl Fn(usize) -> M,
-) -> EpochBench {
+) -> Timing {
     let rows = if quick { 512 } else { 2048 };
     let (e1, e2, reps) = if quick { (1, 3, 1) } else { (2, 10, 2) };
     let train = epoch_table(rows, 99);
-    let new_epoch_ms = differenced_epoch_ms(label, reps, e1, e2, |epochs, reps| {
+    let ms = differenced_epoch_ms(name, reps, e1, e2, |epochs, reps| {
         let mut best = f64::INFINITY;
         for _ in 0..reps.max(1) {
             let mut fitted = model(epochs);
             let start = Instant::now();
             fitted
                 .fit(&train)
-                .unwrap_or_else(|e| panic!("{label} fit: {e}"));
+                .unwrap_or_else(|e| panic!("{name} fit: {e}"));
             best = best.min(start.elapsed().as_secs_f64());
         }
         best
     });
-    EpochBench {
+    Timing {
+        name: name.to_string(),
         rows,
-        epochs_timed: e2 - e1,
-        new_epoch_ms,
+        ms,
     }
+}
+
+/// Best-of-`reps` milliseconds of one run of `f`, after one untimed warm-up.
+fn timing(name: &str, rows: usize, reps: usize, f: impl FnMut()) -> Timing {
+    Timing {
+        name: name.to_string(),
+        rows,
+        ms: time_ns(reps, 1, f) / 1e6,
+    }
+}
+
+/// `paper_mlef` and `smote_fit`: one paper-config MLEF(train → test) and one
+/// SMOTE fit on the split [`prepare_data_from_config`] builds from 12,000
+/// gross records (e2ebench's `table1_smoke` input).
+fn metric_timings(reps: usize) -> [Timing; 2] {
+    let data = prepare_data_from_config(&GeneratorConfig {
+        gross_records: 12_000,
+        ..GeneratorConfig::default()
+    });
+    let (train, test) = (&data.train, &data.test);
+    let mlef = MlefConfig::default();
+    [
+        timing("paper_mlef", train.n_rows(), reps, || {
+            black_box(mlef_mse(train, test, &mlef));
+        }),
+        timing("smote_fit", train.n_rows(), reps, || {
+            let mut smote = SmoteSampler::new(SmoteConfig::default());
+            smote.fit(train).expect("smote fits");
+            black_box(smote);
+        }),
+    ]
+}
+
+/// `n_jobs` synthetic jobs from a fixed LCG over 40 atlas-like sites,
+/// arriving at ~150 jobs/hour (the workload `tests/queue_oracle.rs` pins),
+/// pushed straight into the arena.
+fn synthetic_arena(n_jobs: usize) -> (SiteCatalog, JobArena) {
+    let catalog = SiteCatalog::atlas_like(40);
+    let site_names: Vec<String> = catalog.sites().iter().map(|s| s.name.clone()).collect();
+    let mut arena = JobArena::with_capacity(n_jobs);
+    let mut state = 0x2545f4914f6cdd1du64;
+    for i in 0..n_jobs {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+        let dataset = format!("ds{}", state % 512);
+        let origin = &site_names[(state % site_names.len() as u64) as usize];
+        arena.push(
+            unit * (n_jobs as f64 / 150.0),
+            if i % 7 == 0 { 8 } else { 4 },
+            0.5 + unit * 6.0,
+            &dataset,
+            (state % 1_000) as f64 * 1e9,
+            Some(origin),
+        );
+    }
+    (catalog, arena)
+}
+
+fn sim_run<Q: EventScheduler>(
+    catalog: &SiteCatalog,
+    config: &SimConfig,
+    arena: &JobArena,
+) -> SimReport {
+    GridSimulator::new(catalog, config.clone()).run_arena_with::<Q>(arena)
+}
+
+/// `htcsim_sim_run_<queue>_<slot fraction>`: one simulation of a 50,000-job
+/// arena per event queue. At slot fraction 0.02 the sites absorb every job
+/// on arrival, so the run times the event queue and the broker; at 0.001 a
+/// backlog parks, so it also times how finishes hand freed slots to parked
+/// jobs. The calendar-over-heap margin here is too thin for a gate; the
+/// hold-model entry gates the queues instead.
+fn sim_run_timings(reps: usize) -> Vec<Timing> {
+    type Run = fn(&SiteCatalog, &SimConfig, &JobArena) -> SimReport;
+    let (catalog, arena) = synthetic_arena(50_000);
+    let queues: [(&str, Run); 2] = [
+        ("calendar", sim_run::<CalendarQueue>),
+        ("heap", sim_run::<HeapQueue>),
+    ];
+    let mut timings = Vec::new();
+    for slot_fraction in [0.02, 0.001] {
+        let config = SimConfig {
+            slot_fraction,
+            ..SimConfig::default()
+        };
+        for (queue, run) in queues {
+            let name = format!("htcsim_sim_run_{queue}_{slot_fraction}");
+            timings.push(timing(&name, arena.len(), reps, || {
+                black_box(run(&catalog, &config, &arena));
+            }));
+        }
+    }
+    timings
 }
 
 // ---------------------------------------------------------------------------
@@ -564,9 +660,22 @@ fn validate_text(text: &str) -> Result<Report, String> {
             }
         }
     }
-    for (model, epoch) in report.epochs() {
-        if !epoch.new_epoch_ms.is_finite() || epoch.new_epoch_ms <= 0.0 {
-            return Err(format!("{model}.new_epoch_ms is not a positive number"));
+    if report.timings.is_empty() {
+        return Err("'timings' array is empty".to_string());
+    }
+    let mut names = HashSet::new();
+    for entry in &report.timings {
+        if entry.name.is_empty() {
+            return Err("timing entry with an empty name".to_string());
+        }
+        if !names.insert(entry.name.as_str()) {
+            return Err(format!("timing '{}' appears twice", entry.name));
+        }
+        if !entry.ms.is_finite() || entry.ms <= 0.0 {
+            return Err(format!(
+                "timing '{}' field 'ms' is not a positive number",
+                entry.name
+            ));
         }
     }
     if report.simd_tier.is_empty() {
@@ -601,6 +710,47 @@ fn kernel_regressions(kernels: &[KernelBench], host_cores: usize) -> Vec<String>
         .collect()
 }
 
+/// The classic "hold" benchmark for discrete-event priority queues: prime
+/// the queue with `held` events, then run `transitions` pop→push steps where
+/// each push lands at the popped time plus a service increment — a
+/// discrete-event steady state, in which (like the simulator) nothing is
+/// ever scheduled behind the clock. Increments mix WAN-latency transfer
+/// completions, job runtimes and far-future stragglers. Returns the last
+/// popped time.
+fn hold_model<Q: EventScheduler>(held: usize, transitions: usize) -> f64 {
+    let mut queue = Q::default();
+    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 11) as f64 / (1u64 << 53) as f64, state)
+    };
+    for i in 0..held {
+        let (unit, _) = next();
+        queue.push(unit * 168.0, EventKind::JobArrival { job: i as u32 });
+    }
+    let mut last = 0.0;
+    for i in 0..transitions {
+        let event = queue.pop().expect("primed queue never drains");
+        last = event.time;
+        let (unit, s) = next();
+        let delta = match s % 8 {
+            0 => unit * 0.1,      // transfer completions
+            1..=5 => unit * 12.0, // job runtimes
+            _ => unit * 400.0,    // stragglers / future arrivals
+        };
+        queue.push(
+            event.time + delta,
+            EventKind::JobFinish {
+                job: i as u32,
+                site: 0,
+            },
+        );
+    }
+    last
+}
+
 /// `htcsim_throughput_queue_<N>`: N transitions of [`hold_model`] through
 /// the calendar queue vs the `HeapQueue` it is pinned against
 /// (`baseline_kind: "binary_heap"`). Deep queues are where the calendar's
@@ -609,8 +759,6 @@ fn kernel_regressions(kernels: &[KernelBench], host_cores: usize) -> Vec<String>
 /// of in-flight events. A single-threaded entry, gated at 1.0x like every
 /// unsuffixed entry.
 fn htcsim_queue_bench(quick: bool) -> KernelBench {
-    use htcsim::{CalendarQueue, HeapQueue};
-
     let (n_held, transitions) = if quick {
         (200_000, 400_000)
     } else {
@@ -769,27 +917,40 @@ fn main() {
             })
         }
     };
+    let mut timings = vec![
+        epoch_timing("tabddpm_epoch", quick, tabddpm(TabDdpmConfig::fast())),
+        epoch_timing("ctabgan_epoch", quick, ctabgan(CtabGanConfig::fast())),
+        epoch_timing("tvae_epoch", quick, tvae(TvaeConfig::fast())),
+        epoch_timing(
+            "tabddpm_paper_epoch",
+            quick,
+            tabddpm(TabDdpmConfig::default()),
+        ),
+        epoch_timing(
+            "ctabgan_paper_epoch",
+            quick,
+            ctabgan(CtabGanConfig::default()),
+        ),
+        epoch_timing("tvae_paper_epoch", quick, tvae(TvaeConfig::default())),
+    ];
+    let reps = if quick { 3 } else { 5 };
+    eprintln!("perf_report: timing paper MLEF and SMOTE fit (12,000 gross records)...");
+    timings.extend(metric_timings(reps));
+    eprintln!("perf_report: timing 50,000-job simulator runs (calendar and heap queues)...");
+    timings.extend(sim_run_timings(reps));
+    for t in &timings {
+        eprintln!("  {:<36} ({:>6} rows)  {:>9.1} ms", t.name, t.rows, t.ms);
+    }
     let report = Report {
-        schema_version: 6,
+        schema_version: 7,
         generated_by: "bench::perf_report".to_string(),
         quick,
         threads: rayon::current_num_threads(),
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         simd_tier: nn::active_tier().name().to_string(),
         kernels,
-        tabddpm_epoch: epoch_bench("tabddpm", quick, tabddpm(TabDdpmConfig::fast())),
-        ctabgan_epoch: epoch_bench("ctabgan", quick, ctabgan(CtabGanConfig::fast())),
-        tvae_epoch: epoch_bench("tvae", quick, tvae(TvaeConfig::fast())),
-        tabddpm_paper_epoch: epoch_bench("tabddpm_paper", quick, tabddpm(TabDdpmConfig::default())),
-        ctabgan_paper_epoch: epoch_bench("ctabgan_paper", quick, ctabgan(CtabGanConfig::default())),
-        tvae_paper_epoch: epoch_bench("tvae_paper", quick, tvae(TvaeConfig::default())),
+        timings,
     };
-    for (name, epoch) in report.epochs() {
-        eprintln!(
-            "  {:<20} ({} rows)  {:>9.1} ms per epoch",
-            name, epoch.rows, epoch.new_epoch_ms
-        );
-    }
 
     let json = serde_json::to_string_pretty(&report).expect("render report");
     CLI.write(&out_path, json + "\n");
@@ -817,13 +978,13 @@ mod tests {
     use super::*;
 
     fn toy_report() -> Report {
-        let epoch = || EpochBench {
-            rows: 512,
-            epochs_timed: 2,
-            new_epoch_ms: 10.0,
+        let entry = |name: &str, rows, ms| Timing {
+            name: name.to_string(),
+            rows,
+            ms,
         };
         Report {
-            schema_version: 6,
+            schema_version: 7,
             generated_by: "bench::perf_report".to_string(),
             quick: true,
             threads: 1,
@@ -836,13 +997,18 @@ mod tests {
                 100.0,
                 250.0,
             )],
-            tabddpm_epoch: epoch(),
-            ctabgan_epoch: epoch(),
-            tvae_epoch: epoch(),
-            tabddpm_paper_epoch: epoch(),
-            ctabgan_paper_epoch: epoch(),
-            tvae_paper_epoch: epoch(),
+            timings: vec![
+                entry("tvae_epoch", 512, 10.0),
+                entry("paper_mlef", 5_714, 377.5),
+            ],
         }
+    }
+
+    /// The validation error of `toy_report` after `edit`.
+    fn rejection(edit: impl FnOnce(&mut Report)) -> String {
+        let mut report = toy_report();
+        edit(&mut report);
+        validate_text(&serde_json::to_string(&report).unwrap()).unwrap_err()
     }
 
     #[test]
@@ -853,7 +1019,10 @@ mod tests {
         assert_eq!(parsed.simd_tier, "avx2");
         assert_eq!(parsed.kernels.len(), 1);
         assert_eq!(parsed.kernels[0].speedup, 2.5);
-        assert_eq!(parsed.tabddpm_epoch.rows, 512);
+        assert_eq!(parsed.timings.len(), 2);
+        assert_eq!(parsed.timings[1].name, "paper_mlef");
+        assert_eq!(parsed.timings[1].rows, 5_714);
+        assert_eq!(parsed.timings[1].ms, 377.5);
         assert!(parsed.quick);
     }
 
@@ -876,22 +1045,32 @@ mod tests {
         let err = validate_text(&retyped).unwrap_err();
         assert!(err.contains("simd_tier"), "{err}");
 
-        // Structural invariants past the parse: empty kernel list,
-        // non-positive and non-finite timings.
-        let mut bad = toy_report();
-        bad.kernels.clear();
-        assert!(validate_text(&serde_json::to_string(&bad).unwrap()).is_err());
-        let mut bad = toy_report();
-        bad.kernels[0].speedup = 0.0;
-        assert!(validate_text(&serde_json::to_string(&bad).unwrap()).is_err());
-        let mut bad = toy_report();
-        // NaN serializes as null, so the typed parse itself rejects it.
-        bad.tvae_epoch.new_epoch_ms = f64::NAN;
-        assert!(validate_text(&serde_json::to_string(&bad).unwrap()).is_err());
-        let mut bad = toy_report();
-        bad.ctabgan_epoch.new_epoch_ms = 0.0;
-        let err = validate_text(&serde_json::to_string(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("ctabgan_epoch.new_epoch_ms"), "{err}");
+        // Structural invariants past the parse: empty lists and a
+        // non-positive kernel timing.
+        rejection(|r| r.kernels.clear());
+        rejection(|r| r.timings.clear());
+        rejection(|r| r.kernels[0].speedup = 0.0);
+    }
+
+    #[test]
+    fn timings_need_unique_names_and_positive_finite_ms() {
+        let err = rejection(|r| r.timings[0].name.clear());
+        assert!(err.contains("empty name"), "{err}");
+        let err = rejection(|r| r.timings[1].name = "tvae_epoch".to_string());
+        assert!(err.contains("'tvae_epoch' appears twice"), "{err}");
+        for ms in [0.0, -3.0] {
+            let err = rejection(|r| r.timings[1].ms = ms);
+            assert!(err.contains("'paper_mlef' field 'ms'"), "{ms}: {err}");
+        }
+        // NaN and infinity serialize as null, which the typed parse rejects;
+        // an overflowing literal parses to infinity and fails the check.
+        rejection(|r| r.timings[0].ms = f64::NAN);
+        rejection(|r| r.timings[0].ms = f64::INFINITY);
+        let text = serde_json::to_string(&toy_report()).unwrap();
+        let overflowing = text.replacen("\"ms\":10", "\"ms\":1e999", 1);
+        assert_ne!(overflowing, text, "the edit must change the document");
+        let err = validate_text(&overflowing).unwrap_err();
+        assert!(err.contains("'tvae_epoch' field 'ms'"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 
 use gbdt::{FeatureMatrix, Gbdt, GbdtConfig, TargetEncoder};
 use serde::{Deserialize, Serialize};
-use tabular::Table;
+use tabular::{FeatureKind, Table};
 
 /// Configuration of the MLEF probe.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -73,24 +73,37 @@ struct Design {
 }
 
 impl Design {
-    fn fit(table: &Table, target: &str, targets: &[f64], prior_weight: f64) -> Self {
+    /// Fit on the feature columns of `table` that `test` also holds with the
+    /// same kind; the probe could not be scored on any other column.
+    fn fit(table: &Table, test: &Table, target: &str, targets: &[f64], prior_weight: f64) -> Self {
         let schema = table.schema();
+        let in_test = |name: &str, kind| test.column(name).is_ok_and(|c| c.kind() == kind);
         let numeric_names: Vec<String> = schema
             .numerical_names()
             .into_iter()
-            .filter(|n| *n != target)
+            .filter(|n| *n != target && in_test(n, FeatureKind::Numerical))
             .map(str::to_string)
             .collect();
         let cat_names: Vec<String> = schema
             .categorical_names()
             .into_iter()
+            .filter(|n| in_test(n, FeatureKind::Categorical))
             .map(str::to_string)
             .collect();
         let encoders = cat_names
             .iter()
             .map(|name| {
-                let codes = table.codes(name).expect("categorical column");
-                TargetEncoder::fit(codes, targets, prior_weight)
+                // Codes outside the vocabulary share the one slot past it, so
+                // a corrupt code cannot size the encoder; `encode` maps them
+                // to the prior.
+                let cardinality = table.vocab(name).expect("categorical column").len() as u32;
+                let codes: Vec<u32> = table
+                    .codes(name)
+                    .expect("categorical column")
+                    .iter()
+                    .map(|&c| c.min(cardinality))
+                    .collect();
+                TargetEncoder::fit(&codes, targets, prior_weight)
             })
             .collect();
         Self {
@@ -101,9 +114,9 @@ impl Design {
     }
 
     /// Encode a table (train or test) into a feature matrix. Categorical
-    /// labels are matched by name against the fitting table's vocabulary via
-    /// the label strings of `table` itself; codes outside the encoder's range
-    /// fall back to the prior.
+    /// codes are matched by label against the fitting table's vocabulary; a
+    /// label the fitting table lacks, or a code outside `table`'s own
+    /// vocabulary, is unseen and encodes to the prior.
     fn encode(&self, table: &Table, reference: &Table) -> FeatureMatrix {
         let n = table.n_rows();
         let mut columns: Vec<Vec<f64>> = Vec::new();
@@ -111,17 +124,23 @@ impl Design {
             columns.push(table.numerical(name).expect("numeric column").to_vec());
         }
         for (name, encoder) in self.cat_names.iter().zip(&self.encoders) {
-            // Remap this table's codes onto the reference vocabulary so the
-            // encoder's statistics line up by label.
             let ref_vocab = reference.vocab(name).expect("categorical column");
-            let codes: Vec<u32> = (0..n)
-                .map(|r| {
-                    let label = table.label(name, r).expect("valid code");
+            let remap: Vec<u32> = table
+                .vocab(name)
+                .expect("categorical column")
+                .iter()
+                .map(|label| {
                     ref_vocab
                         .iter()
                         .position(|v| v == label)
                         .map_or(u32::MAX, |i| i as u32)
                 })
+                .collect();
+            let codes: Vec<u32> = table
+                .codes(name)
+                .expect("categorical column")
+                .iter()
+                .map(|&c| remap.get(c as usize).copied().unwrap_or(u32::MAX))
                 .collect();
             columns.push(encoder.encode(&codes));
         }
@@ -137,7 +156,8 @@ impl Design {
 }
 
 /// Train the probe regressor on `fit_table` and return its MSE on
-/// `test_table` (both must contain the target column).
+/// `test_table` (both must contain the target column). The features are the
+/// columns of `fit_table` that `test_table` holds with the same kind.
 pub fn mlef_mse(fit_table: &Table, test_table: &Table, config: &MlefConfig) -> f64 {
     let fit_target_raw = fit_table
         .numerical(&config.target)
@@ -150,6 +170,7 @@ pub fn mlef_mse(fit_table: &Table, test_table: &Table, config: &MlefConfig) -> f
 
     let design = Design::fit(
         fit_table,
+        test_table,
         &config.target,
         &fit_targets,
         config.target_encoding_prior_weight,
@@ -263,6 +284,60 @@ mod tests {
         let test = toy_table(150, 7, false);
         let diff = diff_mlef(&train, &test, &train, &MlefConfig::fast());
         assert!(diff.abs() < 1e-12);
+    }
+
+    /// `table` with row 0 of `computingsite` set to `code`, after appending
+    /// `label` (if any) to the column's vocabulary.
+    fn with_site_code(table: &Table, code: u32, label: Option<&str>) -> Table {
+        let mut table = table.clone();
+        let Column::Categorical { codes, vocab } = table.column_mut("computingsite").unwrap()
+        else {
+            unreachable!("computingsite is categorical");
+        };
+        vocab.extend(label.map(str::to_string));
+        codes[0] = code;
+        table
+    }
+
+    #[test]
+    fn extra_columns_and_out_of_vocabulary_codes_are_scored() {
+        let config = MlefConfig::fast();
+        let train = toy_table(400, 10, false);
+        let test = toy_table(150, 11, false);
+        let baseline = mlef_mse(&train, &test, &config);
+
+        // Columns the test table lacks, or holds with another kind, are left
+        // out of the design, so the probe is the baseline's bit for bit.
+        let mut extra = train.clone();
+        extra
+            .push_column("cpu", Column::Numerical(vec![2.0; 400]))
+            .unwrap();
+        extra
+            .push_column("queue", Column::from_labels(&["short"; 400]))
+            .unwrap();
+        extra
+            .push_column("mixed", Column::from_labels(&["a"; 400]))
+            .unwrap();
+        let mut test_mixed = test.clone();
+        test_mixed
+            .push_column("mixed", Column::Numerical(vec![1.0; 150]))
+            .unwrap();
+        let probe = mlef_mse(&extra, &test_mixed, &config);
+        assert_eq!(probe.to_bits(), baseline.to_bits(), "{probe} vs {baseline}");
+
+        // A test code outside the vocabulary encodes as unseen, exactly like
+        // a label the fitting table never saw.
+        let n_sites = test.vocab("computingsite").unwrap().len() as u32;
+        let out_of_vocab = mlef_mse(&train, &with_site_code(&test, n_sites + 4, None), &config);
+        let unseen = mlef_mse(
+            &train,
+            &with_site_code(&test, n_sites, Some("NOWHERE")),
+            &config,
+        );
+        assert_eq!(out_of_vocab.to_bits(), unseen.to_bits());
+        // One in the fitting table is scored too.
+        let fit_out_of_vocab = mlef_mse(&with_site_code(&train, n_sites + 4, None), &test, &config);
+        assert!(fit_out_of_vocab.is_finite(), "{fit_out_of_vocab}");
     }
 
     #[test]

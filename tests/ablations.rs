@@ -1,9 +1,8 @@
 //! Ablation studies over the design choices listed in DESIGN.md §5.
 //!
-//! These are quality-oriented counterparts of the Criterion `ablations`
-//! bench: they check that the trade-offs the paper discusses actually show up
-//! in the metrics (e.g. SMOTE's privacy risk shrinking as interpolation
-//! reaches further, diffusion quality improving with more timesteps).
+//! They check that the trade-offs the paper discusses actually show up in
+//! the metrics (e.g. SMOTE's privacy risk shrinking as interpolation reaches
+//! further, diffusion quality improving with more timesteps).
 
 use panda_surrogate::metrics::{distance_to_closest_record, mean_wasserstein, DcrConfig};
 use panda_surrogate::nn::matrix::reference;
