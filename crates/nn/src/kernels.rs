@@ -8,7 +8,10 @@
 //! `#[target_feature]` wrappers and the generic bodies are
 //! `#[inline(always)]`, so each monomorphization compiles as one fully
 //! vectorized function; the tier to run is picked once per process by
-//! [`crate::simd::active_tier`].
+//! [`crate::simd::active_tier`]. The direct row kernel ([`row_kernel_v`])
+//! sweeps an output row in tiles of four vectors and ends it with one
+//! remainder tile of up to four vectors whose last vector is loaded and
+//! stored through a lane mask, so no output column runs as a scalar chain.
 //!
 //! **Level 2 — cache-blocked panel packing.** Shapes whose `B` operand
 //! exceeds the L1-resident tile ([`use_packed`]) run a blocked driver:
@@ -28,24 +31,23 @@
 //! per-call allocations *and* no redundant memset of panel bytes it is about
 //! to fill anyway.
 //!
-//! **Numerical contract.** On the bit-exact tiers (scalar/SSE2/AVX2) every
-//! kernel — packed or direct — accumulates each output element along the
-//! inner dimension in ascending index order, one `mul` + one `add` per term
-//! (never FMA), starting from the value already in the output slot. Results
-//! are therefore byte-identical across those tiers, across the
-//! packed/direct split, across thread counts, and to the register-tiled
-//! scalar kernel PR 2 shipped (frozen in `matrix::reference::tiled_matmul`
-//! as the perf baseline); only the documented `±0.0`/non-finite caveat
-//! against the seed reference kernel remains. The opt-in FMA/AVX-512 tiers
-//! replace the `mul`+`add` pair with a fused multiply-add
-//! ([`SimdVec::mul_acc`]) — one rounding per term instead of two — in every
-//! vector lane, the packed edge tiles included, so they are *not* bit-equal
-//! to the scalar chain and are validated against it within 1e-8 relative
-//! tolerance instead (see `tests/simd_kernels.rs`); only the direct row
-//! kernels' scalar column tails keep separate roundings there. They remain
-//! deterministic: the accumulation chain per element is still fixed by the
-//! shape alone, so fused results are byte-identical run-to-run and across
-//! thread counts.
+//! **Numerical contract.** On the bit-exact tiers (scalar/SSE2/AVX2/AVX-512)
+//! every kernel — packed or direct — accumulates each output element along
+//! the inner dimension in ascending index order, one `mul` + one `add` per
+//! term (never FMA), starting from the value already in the output slot; a
+//! masked lane computes exactly what a full one does. Results are therefore
+//! byte-identical across those tiers, across the packed/direct split,
+//! across thread counts, and to the register-tiled scalar kernel PR 2
+//! shipped (frozen in `matrix::reference::tiled_matmul` as the perf
+//! baseline); only the documented `±0.0`/non-finite caveat against the seed
+//! reference kernel remains. The one opt-in fused tier, FMA, replaces the
+//! `mul`+`add` pair with a fused multiply-add ([`SimdVec::mul_acc`]) — one
+//! rounding per term instead of two — in every vector lane, the packed edge
+//! tiles and the direct row tails included, so it is *not* bit-equal to the
+//! scalar chain and is validated against it within 1e-8 relative tolerance
+//! instead (see `tests/simd_kernels.rs`). It remains deterministic: the
+//! accumulation chain per element is still fixed by the shape alone, so
+//! fused results are byte-identical run-to-run and across thread counts.
 
 use crate::simd::{active_tier, SimdTier};
 use std::cell::RefCell;
@@ -142,11 +144,11 @@ unsafe fn block_kernel(
 ///
 /// # Safety
 ///
-/// `load`/`store` dereference raw pointers to `LANES` consecutive elements;
-/// callers guarantee validity. Implementations may use `core::arch`
-/// intrinsics that are undefined behaviour on CPUs without the matching
-/// feature; instantiations are only reachable through the runtime-detected
-/// tier dispatch.
+/// `load`/`store` dereference raw pointers to `LANES` consecutive elements,
+/// `load_partial`/`store_partial` to `count` of them; callers guarantee
+/// validity. Implementations may use `core::arch` intrinsics that are
+/// undefined behaviour on CPUs without the matching feature; instantiations
+/// are only reachable through the runtime-detected tier dispatch.
 trait SimdVec: Copy {
     /// Lanes per register.
     const LANES: usize;
@@ -156,8 +158,14 @@ trait SimdVec: Copy {
     unsafe fn load(ptr: *const f64) -> Self;
     /// Unaligned store of `LANES` values.
     unsafe fn store(self, ptr: *mut f64);
+    /// Load the first `count` values (`1..=LANES`) into the low lanes and
+    /// zero the rest, reading nothing past `ptr + count`.
+    unsafe fn load_partial(ptr: *const f64, count: usize) -> Self;
+    /// Store the low `count` lanes (`1..=LANES`), writing nothing past
+    /// `ptr + count`.
+    unsafe fn store_partial(self, ptr: *mut f64, count: usize);
     /// `self + a·b` lane-wise. Bit-exact tiers round the multiply and the
-    /// add separately; the FMA/AVX-512 tiers fuse them into one rounding.
+    /// add separately; the FMA tier fuses them into one rounding.
     unsafe fn mul_acc(self, a: Self, b: Self) -> Self;
 }
 
@@ -180,6 +188,14 @@ impl SimdVec for Scalar1 {
         *ptr = self.0;
     }
     #[inline(always)]
+    unsafe fn load_partial(ptr: *const f64, _count: usize) -> Self {
+        Self::load(ptr)
+    }
+    #[inline(always)]
+    unsafe fn store_partial(self, ptr: *mut f64, _count: usize) {
+        self.store(ptr);
+    }
+    #[inline(always)]
     unsafe fn mul_acc(self, a: Self, b: Self) -> Self {
         Scalar1(self.0 + a.0 * b.0)
     }
@@ -190,12 +206,13 @@ mod x86 {
     use super::SimdVec;
     use core::arch::x86_64::*;
 
-    /// Implement a lane type over one x86 register width. `$fma` selects
-    /// the accumulation flavour: `sep` keeps the bit-exact separate
-    /// multiply/add pair, `fused` uses the FMA intrinsic.
+    /// Implement a lane type over one x86 register width. The closure-like
+    /// last argument spells `mul_acc` on the raw registers: a separate
+    /// multiply and add on the bit-exact tiers, a fused multiply-add on FMA.
     macro_rules! impl_x86_lane {
         ($name:ident, $reg:ty, $lanes:expr, $set1:ident, $loadu:ident, $storeu:ident,
-         sep($mul:ident, $add:ident)) => {
+         $load_partial:ident, $store_partial:ident,
+         |$acc:ident, $a:ident, $b:ident| $mul_acc:expr) => {
             #[derive(Clone, Copy)]
             pub(super) struct $name($reg);
 
@@ -214,40 +231,73 @@ mod x86 {
                     $storeu(ptr, self.0);
                 }
                 #[inline(always)]
-                unsafe fn mul_acc(self, a: Self, b: Self) -> Self {
-                    $name($add(self.0, $mul(a.0, b.0)))
-                }
-            }
-        };
-        ($name:ident, $reg:ty, $lanes:expr, $set1:ident, $loadu:ident, $storeu:ident,
-         fused($fmadd:ident)) => {
-            #[derive(Clone, Copy)]
-            pub(super) struct $name($reg);
-
-            impl SimdVec for $name {
-                const LANES: usize = $lanes;
-                #[inline(always)]
-                unsafe fn splat(v: f64) -> Self {
-                    $name($set1(v))
+                unsafe fn load_partial(ptr: *const f64, count: usize) -> Self {
+                    $name($load_partial(ptr, count))
                 }
                 #[inline(always)]
-                unsafe fn load(ptr: *const f64) -> Self {
-                    $name($loadu(ptr))
-                }
-                #[inline(always)]
-                unsafe fn store(self, ptr: *mut f64) {
-                    $storeu(ptr, self.0);
+                unsafe fn store_partial(self, ptr: *mut f64, count: usize) {
+                    $store_partial(ptr, count, self.0);
                 }
                 #[inline(always)]
                 unsafe fn mul_acc(self, a: Self, b: Self) -> Self {
-                    $name($fmadd(a.0, b.0, self.0))
+                    let ($acc, $a, $b) = (self.0, a.0, b.0);
+                    $name($mul_acc)
                 }
             }
         };
     }
 
+    // Partial loads and stores per register width: SSE2 moves one scalar
+    // or the whole register, AVX a sign-bit lane mask, AVX-512 a `k` mask.
+    #[inline(always)]
+    unsafe fn sse2_load_partial(ptr: *const f64, count: usize) -> __m128d {
+        if count == 1 {
+            _mm_load_sd(ptr)
+        } else {
+            _mm_loadu_pd(ptr)
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn sse2_store_partial(ptr: *mut f64, count: usize, v: __m128d) {
+        if count == 1 {
+            _mm_store_sd(ptr, v)
+        } else {
+            _mm_storeu_pd(ptr, v)
+        }
+    }
+
+    /// Lane `l` of the mask has its sign bit set exactly when `l < count`.
+    #[inline(always)]
+    unsafe fn avx_mask(count: usize) -> __m256i {
+        _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(count as i64),
+            _mm256_set_epi64x(3, 2, 1, 0),
+        )
+    }
+
+    #[inline(always)]
+    unsafe fn avx_load_partial(ptr: *const f64, count: usize) -> __m256d {
+        _mm256_maskload_pd(ptr, avx_mask(count))
+    }
+
+    #[inline(always)]
+    unsafe fn avx_store_partial(ptr: *mut f64, count: usize, v: __m256d) {
+        _mm256_maskstore_pd(ptr, avx_mask(count), v)
+    }
+
+    #[inline(always)]
+    unsafe fn avx512_load_partial(ptr: *const f64, count: usize) -> __m512d {
+        _mm512_maskz_loadu_pd(u8::MAX >> (8 - count), ptr)
+    }
+
+    #[inline(always)]
+    unsafe fn avx512_store_partial(ptr: *mut f64, count: usize, v: __m512d) {
+        _mm512_mask_storeu_pd(ptr, u8::MAX >> (8 - count), v)
+    }
+
     // Two lanes (SSE2, baseline), four (AVX2 mul+add / FMA fused), eight
-    // (AVX-512 fused).
+    // (AVX-512 mul+add).
     impl_x86_lane!(
         Sse2F64,
         __m128d,
@@ -255,7 +305,9 @@ mod x86 {
         _mm_set1_pd,
         _mm_loadu_pd,
         _mm_storeu_pd,
-        sep(_mm_mul_pd, _mm_add_pd)
+        sse2_load_partial,
+        sse2_store_partial,
+        |acc, a, b| _mm_add_pd(acc, _mm_mul_pd(a, b))
     );
     impl_x86_lane!(
         Avx2F64,
@@ -264,7 +316,9 @@ mod x86 {
         _mm256_set1_pd,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
-        sep(_mm256_mul_pd, _mm256_add_pd)
+        avx_load_partial,
+        avx_store_partial,
+        |acc, a, b| _mm256_add_pd(acc, _mm256_mul_pd(a, b))
     );
     impl_x86_lane!(
         FmaF64,
@@ -273,7 +327,9 @@ mod x86 {
         _mm256_set1_pd,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
-        fused(_mm256_fmadd_pd)
+        avx_load_partial,
+        avx_store_partial,
+        |acc, a, b| _mm256_fmadd_pd(a, b, acc)
     );
     impl_x86_lane!(
         Avx512F64,
@@ -282,7 +338,9 @@ mod x86 {
         _mm512_set1_pd,
         _mm512_loadu_pd,
         _mm512_storeu_pd,
-        fused(_mm512_fmadd_pd)
+        avx512_load_partial,
+        avx512_store_partial,
+        |acc, a, b| _mm512_add_pd(acc, _mm512_mul_pd(a, b))
     );
 }
 
@@ -294,9 +352,11 @@ mod x86 {
 /// where `a(kk)` is read from `a_base` with stride `a_stride`. Stride 1 is a
 /// plain `A·B` row; stride `ka` with base `col` is row `col` of `Aᵀ·B`.
 ///
-/// Four vector accumulators per column tile keep enough independent
-/// add-chains in flight to cover FP latency, and each output element still
-/// accumulates as one ascending-`kk` chain.
+/// The row runs as full tiles of four vectors, whose four accumulators keep
+/// enough independent add-chains in flight to cover FP latency, and then
+/// one remainder tile of up to four vectors whose last vector is masked to
+/// the live columns, so the last columns accumulate in vector lanes too.
+/// Each output element still accumulates as one ascending-`kk` chain.
 ///
 /// # Safety
 ///
@@ -316,41 +376,73 @@ unsafe fn row_kernel_v<V: SimdVec>(
     let tile = 4 * lanes;
     let mut j = 0usize;
     while j + tile <= n {
-        let mut acc0 = V::load(out_row.add(j));
-        let mut acc1 = V::load(out_row.add(j + lanes));
-        let mut acc2 = V::load(out_row.add(j + 2 * lanes));
-        let mut acc3 = V::load(out_row.add(j + 3 * lanes));
-        for kk in 0..depth {
-            let av = V::splat(*a_base.add(kk * a_stride));
-            let brow = b.add(kk * n + j);
-            acc0 = acc0.mul_acc(av, V::load(brow));
-            acc1 = acc1.mul_acc(av, V::load(brow.add(lanes)));
-            acc2 = acc2.mul_acc(av, V::load(brow.add(2 * lanes)));
-            acc3 = acc3.mul_acc(av, V::load(brow.add(3 * lanes)));
-        }
-        acc0.store(out_row.add(j));
-        acc1.store(out_row.add(j + lanes));
-        acc2.store(out_row.add(j + 2 * lanes));
-        acc3.store(out_row.add(j + 3 * lanes));
+        row_tile::<V, 4, false>(a_base, a_stride, depth, b.add(j), n, out_row.add(j), lanes);
         j += tile;
     }
-    while j + lanes <= n {
-        let mut acc = V::load(out_row.add(j));
-        for kk in 0..depth {
-            let av = V::splat(*a_base.add(kk * a_stride));
-            acc = acc.mul_acc(av, V::load(b.add(kk * n + j)));
-        }
-        acc.store(out_row.add(j));
-        j += lanes;
+    let rest = n - j;
+    if rest == 0 {
+        return;
     }
-    // Scalar column tail: separate multiply and add roundings on every tier.
-    while j < n {
-        let mut acc = *out_row.add(j);
-        for kk in 0..depth {
-            acc += *a_base.add(kk * a_stride) * *b.add(kk * n + j);
+    let vectors = rest.div_ceil(lanes);
+    let last = rest - (vectors - 1) * lanes;
+    let (b, out) = (b.add(j), out_row.add(j));
+    match vectors {
+        1 => row_tile::<V, 1, true>(a_base, a_stride, depth, b, n, out, last),
+        2 => row_tile::<V, 2, true>(a_base, a_stride, depth, b, n, out, last),
+        3 => row_tile::<V, 3, true>(a_base, a_stride, depth, b, n, out, last),
+        _ => row_tile::<V, 4, true>(a_base, a_stride, depth, b, n, out, last),
+    }
+}
+
+/// `NV` adjacent vectors of one output row, starting at `out` (and at `b`
+/// in the first row of `B`): each vector keeps its own accumulator across
+/// the `depth` terms. With `MASK_LAST`, the last vector holds only its low
+/// `last` lanes and is loaded and stored through a mask.
+///
+/// # Safety
+///
+/// As [`row_kernel_v`], for the `(NV - 1)·LANES + last` columns the tile
+/// covers.
+#[inline(always)]
+unsafe fn row_tile<V: SimdVec, const NV: usize, const MASK_LAST: bool>(
+    a_base: *const f64,
+    a_stride: usize,
+    depth: usize,
+    b: *const f64,
+    n: usize,
+    out: *mut f64,
+    last: usize,
+) {
+    let lanes = V::LANES;
+    let mut acc = [V::splat(0.0); NV];
+    for (v, acc) in acc.iter_mut().enumerate() {
+        let ptr = out.add(v * lanes);
+        *acc = if MASK_LAST && v == NV - 1 {
+            V::load_partial(ptr, last)
+        } else {
+            V::load(ptr)
+        };
+    }
+    for kk in 0..depth {
+        let av = V::splat(*a_base.add(kk * a_stride));
+        let brow = b.add(kk * n);
+        for (v, acc) in acc.iter_mut().enumerate() {
+            let ptr = brow.add(v * lanes);
+            let bv = if MASK_LAST && v == NV - 1 {
+                V::load_partial(ptr, last)
+            } else {
+                V::load(ptr)
+            };
+            *acc = acc.mul_acc(av, bv);
         }
-        *out_row.add(j) = acc;
-        j += 1;
+    }
+    for (v, acc) in acc.into_iter().enumerate() {
+        let ptr = out.add(v * lanes);
+        if MASK_LAST && v == NV - 1 {
+            acc.store_partial(ptr, last);
+        } else {
+            acc.store(ptr);
+        }
     }
 }
 
@@ -699,7 +791,7 @@ fn process_row_block(
 /// out over the rayon pool when `parallel` is set; every output element is
 /// produced by exactly one task with a fixed accumulation chain, so the
 /// parallel and sequential paths are byte-identical (on every tier — the
-/// fused tiers differ from *scalar*, not from themselves), and so are the
+/// fused tier differs from *scalar*, not from itself), and so are the
 /// transposed and as-stored reads of the same values.
 pub(crate) fn packed_matmul(
     a: Operand<'_>,

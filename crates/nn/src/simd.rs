@@ -10,26 +10,28 @@
 //! the same seed are deterministic because the same tier executes every
 //! time.
 //!
-//! **Bit-exact vs tolerance tiers.** The scalar, SSE2 and AVX2 tiers
-//! accumulate every output element along the inner dimension in ascending
-//! index order with one product added at a time (multiply then add, never
-//! FMA), so switching among them never changes results on finite data: the
-//! property tests in `tests/simd_kernels.rs` pin those tiers to the scalar
-//! reference byte-for-byte. The FMA and AVX-512 tiers fuse each
-//! multiply-add into one rounding step — faster, but necessarily *not*
-//! bit-equal to the scalar chain — so they are **opt-in only**: automatic
-//! detection never selects past AVX2, and the property tests validate the
-//! fused tiers against the reference within 1e-8 relative tolerance
-//! instead of byte equality.
+//! **Bit-exact tiers and the fused tier.** The scalar, SSE2, AVX2 and
+//! AVX-512 tiers accumulate every output element along the inner dimension
+//! in ascending index order with one product added at a time (multiply then
+//! add, never FMA), so switching among them never changes results on finite
+//! data: the property tests in `tests/simd_kernels.rs` pin those tiers to
+//! the scalar reference byte-for-byte. Automatic detection picks the widest
+//! of them the host supports, so an AVX-512F host runs 8 lanes. The FMA
+//! tier fuses each multiply-add into one rounding step — *not* bit-equal to
+//! the scalar chain — so it is **opt-in only**: automatic detection never
+//! selects it, and the property tests validate it against the reference
+//! within 1e-8 relative tolerance instead of byte equality.
 //!
 //! The `SURROGATE_SIMD` environment variable forces a tier (`scalar`,
 //! `sse2`, `avx2`, `fma` or `avx512`, case-insensitive; `auto` keeps the
 //! detected tier). A recognised request the host cannot honour is clamped
-//! down to the best supported tier rather than crashing on an illegal
-//! instruction, so `SURROGATE_SIMD=avx512` on an AVX2+FMA host runs the FMA
-//! tier. An **unrecognised** value is a hard error (panic with the accepted
-//! set): silently clamping a typo like `avx521` would run a different
-//! numerical contract than the one asked for.
+//! down the exact chain `scalar < sse2 < avx2 < avx512` rather than crashing
+//! on an illegal instruction: `SURROGATE_SIMD=avx512` on a host without
+//! AVX-512F runs `avx2`, never the fused tier, and `fma` on a host without
+//! FMA runs the best exact tier up to `avx2`. An **unrecognised** value is
+//! a hard error (panic with the accepted set): silently clamping a typo
+//! like `avx521` would run a different numerical contract than the one
+//! asked for.
 
 use std::sync::OnceLock;
 
@@ -44,7 +46,7 @@ pub enum SimdTier {
     Avx2,
     /// 256-bit kernels with fused multiply-add. Opt-in, tolerance-validated.
     Fma,
-    /// 512-bit kernels with fused multiply-add. Opt-in, tolerance-validated.
+    /// 512-bit `core::arch` kernels, runtime-detected. Bit-exact.
     Avx512,
 }
 
@@ -60,10 +62,10 @@ impl SimdTier {
     }
 
     /// Whether this tier keeps the bit-exact scalar accumulation contract
-    /// (multiply then add, one rounding per term). The FMA and AVX-512
-    /// tiers fuse the multiply-add and are validated by tolerance instead.
+    /// (multiply then add, one rounding per term). Only the FMA tier fuses
+    /// the multiply-add; it is validated by tolerance instead.
     pub fn bit_exact(self) -> bool {
-        matches!(self, SimdTier::Scalar | SimdTier::Sse2 | SimdTier::Avx2)
+        self != SimdTier::Fma
     }
 
     /// Lower-case tier name, matching what `SURROGATE_SIMD` accepts.
@@ -92,7 +94,7 @@ pub fn active_tier() -> SimdTier {
         match select_tier(
             std::env::var("SURROGATE_SIMD").ok().as_deref(),
             detected_auto_tier(),
-            detected_max_tier(),
+            fma_supported(),
         ) {
             Ok(tier) => tier,
             Err(msg) => panic!("{msg}"),
@@ -101,12 +103,13 @@ pub fn active_tier() -> SimdTier {
 }
 
 /// Best **bit-exact** tier the host CPU supports — what runs when nothing
-/// is forced. Automatic selection stops at AVX2: the FMA/AVX-512 tiers
-/// change rounding and must be asked for explicitly.
+/// is forced, and the ceiling every request but `fma` is clamped to.
 fn detected_auto_tier() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::is_x86_feature_detected!("avx2") {
+        if std::is_x86_feature_detected!("avx512f") {
+            SimdTier::Avx512
+        } else if std::is_x86_feature_detected!("avx2") {
             SimdTier::Avx2
         } else {
             // SSE2 is part of the x86-64 baseline; no detection needed.
@@ -119,40 +122,34 @@ fn detected_auto_tier() -> SimdTier {
     }
 }
 
-/// Best tier the host CPU supports at all, including the opt-in fused
-/// tiers — the ceiling explicit `SURROGATE_SIMD` requests are clamped to.
-fn detected_max_tier() -> SimdTier {
+/// Whether the host CPU can run the opt-in fused tier (AVX2 and FMA).
+fn fma_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::is_x86_feature_detected!("avx512f") {
-            SimdTier::Avx512
-        } else if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-            SimdTier::Fma
-        } else if std::is_x86_feature_detected!("avx2") {
-            SimdTier::Avx2
-        } else {
-            SimdTier::Sse2
-        }
+        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        SimdTier::Scalar
+        false
     }
 }
 
-/// Resolve an optional `SURROGATE_SIMD` request: recognised names select
-/// that tier (clamped down to what the host supports), `auto`/unset keeps
-/// the detected bit-exact tier, and anything else is rejected with the
+/// Resolve an optional `SURROGATE_SIMD` request on a host whose best
+/// bit-exact tier is `exact` and which runs the fused tier when `fma`:
+/// recognised exact names select that tier clamped down to `exact`, `fma`
+/// selects the fused tier or else the best exact tier up to AVX2,
+/// `auto`/unset keeps `exact`, and anything else is rejected with the
 /// accepted set named in the message.
-fn select_tier(request: Option<&str>, auto: SimdTier, max: SimdTier) -> Result<SimdTier, String> {
+fn select_tier(request: Option<&str>, exact: SimdTier, fma: bool) -> Result<SimdTier, String> {
     let requested = match request.map(|r| r.trim().to_ascii_lowercase()) {
         Some(name) => match name.as_str() {
             "scalar" => SimdTier::Scalar,
             "sse2" => SimdTier::Sse2,
             "avx2" => SimdTier::Avx2,
-            "fma" => SimdTier::Fma,
+            "fma" if fma => return Ok(SimdTier::Fma),
+            "fma" => SimdTier::Avx2,
             "avx512" => SimdTier::Avx512,
-            "" | "auto" => auto,
+            "" | "auto" => exact,
             other => {
                 return Err(format!(
                     "unrecognized SURROGATE_SIMD value '{other}' \
@@ -160,9 +157,9 @@ fn select_tier(request: Option<&str>, auto: SimdTier, max: SimdTier) -> Result<S
                 ))
             }
         },
-        None => auto,
+        None => exact,
     };
-    Ok(requested.min(max))
+    Ok(requested.min(exact))
 }
 
 #[cfg(test)]
@@ -188,46 +185,66 @@ mod tests {
         assert!(SimdTier::Sse2.bit_exact());
         assert!(SimdTier::Avx2.bit_exact());
         assert!(!SimdTier::Fma.bit_exact());
-        assert!(!SimdTier::Avx512.bit_exact());
+        assert!(SimdTier::Avx512.bit_exact());
     }
 
     #[test]
     fn select_honours_requests_up_to_max() {
-        let auto = SimdTier::Avx2;
-        let max = SimdTier::Avx512;
-        assert_eq!(select_tier(Some("scalar"), auto, max), Ok(SimdTier::Scalar));
-        assert_eq!(select_tier(Some("SSE2"), auto, max), Ok(SimdTier::Sse2));
-        assert_eq!(select_tier(Some(" avx2 "), auto, max), Ok(SimdTier::Avx2));
-        assert_eq!(select_tier(Some("fma"), auto, max), Ok(SimdTier::Fma));
-        assert_eq!(select_tier(Some("AVX512"), auto, max), Ok(SimdTier::Avx512));
-        assert_eq!(select_tier(None, auto, max), Ok(SimdTier::Avx2));
-        // `auto` and the fused tiers: auto never selects past the bit-exact
-        // ceiling, even on a host that supports AVX-512.
-        assert_eq!(select_tier(Some("auto"), auto, max), Ok(SimdTier::Avx2));
+        // An AVX-512F host with FMA: every tier is available.
+        let exact = SimdTier::Avx512;
+        assert_eq!(
+            select_tier(Some("scalar"), exact, true),
+            Ok(SimdTier::Scalar)
+        );
+        assert_eq!(select_tier(Some("SSE2"), exact, true), Ok(SimdTier::Sse2));
+        assert_eq!(select_tier(Some(" avx2 "), exact, true), Ok(SimdTier::Avx2));
+        assert_eq!(select_tier(Some("fma"), exact, true), Ok(SimdTier::Fma));
+        assert_eq!(
+            select_tier(Some("AVX512"), exact, true),
+            Ok(SimdTier::Avx512)
+        );
+        // Unset and `auto` pick the widest bit-exact tier, never the fused
+        // one.
+        assert_eq!(select_tier(None, exact, true), Ok(SimdTier::Avx512));
+        assert_eq!(select_tier(Some("auto"), exact, true), Ok(SimdTier::Avx512));
     }
 
     #[test]
     fn select_clamps_recognised_requests_to_host_support() {
-        // AVX-512 request on an AVX2+FMA host runs the FMA tier.
+        // AVX-512 request on an AVX2+FMA host runs AVX2, not the fused tier.
         assert_eq!(
-            select_tier(Some("avx512"), SimdTier::Avx2, SimdTier::Fma),
-            Ok(SimdTier::Fma)
-        );
-        // FMA request on a plain-AVX2 host clamps to AVX2.
-        assert_eq!(
-            select_tier(Some("fma"), SimdTier::Avx2, SimdTier::Avx2),
+            select_tier(Some("avx512"), SimdTier::Avx2, true),
             Ok(SimdTier::Avx2)
         );
         assert_eq!(
-            select_tier(Some("avx2"), SimdTier::Sse2, SimdTier::Sse2),
+            select_tier(Some("avx512"), SimdTier::Avx2, false),
+            Ok(SimdTier::Avx2)
+        );
+        // The fused tier needs FMA, not AVX-512F.
+        assert_eq!(
+            select_tier(Some("fma"), SimdTier::Avx2, true),
+            Ok(SimdTier::Fma)
+        );
+        // FMA request on a plain-AVX2 host clamps to AVX2, and on an
+        // SSE2-only host to SSE2.
+        assert_eq!(
+            select_tier(Some("fma"), SimdTier::Avx2, false),
+            Ok(SimdTier::Avx2)
+        );
+        assert_eq!(
+            select_tier(Some("fma"), SimdTier::Sse2, false),
             Ok(SimdTier::Sse2)
         );
         assert_eq!(
-            select_tier(Some("sse2"), SimdTier::Scalar, SimdTier::Scalar),
+            select_tier(Some("avx2"), SimdTier::Sse2, false),
+            Ok(SimdTier::Sse2)
+        );
+        assert_eq!(
+            select_tier(Some("sse2"), SimdTier::Scalar, false),
             Ok(SimdTier::Scalar)
         );
         assert_eq!(
-            select_tier(None, SimdTier::Scalar, SimdTier::Scalar),
+            select_tier(None, SimdTier::Scalar, false),
             Ok(SimdTier::Scalar)
         );
     }
@@ -235,7 +252,7 @@ mod tests {
     #[test]
     fn select_rejects_unknown_values_with_the_accepted_set() {
         for bad in ["avx512-nope", "avx521", "fast", "f32", "0"] {
-            let err = select_tier(Some(bad), SimdTier::Avx2, SimdTier::Avx512)
+            let err = select_tier(Some(bad), SimdTier::Avx512, true)
                 .expect_err("unknown value must be rejected");
             assert!(err.contains(bad), "{err}");
             assert!(err.contains("accepted: scalar, sse2, avx2, fma, avx512, auto"));
@@ -250,6 +267,10 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(active_tier(), first);
         }
-        assert!(first <= detected_max_tier());
+        if first == SimdTier::Fma {
+            assert!(fma_supported());
+        } else {
+            assert!(first <= detected_auto_tier());
+        }
     }
 }

@@ -1,15 +1,18 @@
 //! Property tests for the SIMD-dispatched, packed matmul kernels, with a
-//! **dual oracle**: on bit-exact tiers (scalar/SSE2/AVX2 — the default) the
-//! dispatched kernels must match the frozen seed reference *byte-for-byte*;
-//! on the opt-in fused tiers (`SURROGATE_SIMD=fma`/`avx512`) a fused
-//! multiply-add necessarily rounds differently than the mul-then-add scalar
-//! chain, so the same assertions drop to a ≤1e-8 relative tolerance against
-//! the same reference. Determinism (run-to-run, and parallel vs sequential
-//! within one path) stays byte-exact on *every* tier: fused kernels differ
-//! from the scalar reference, never from themselves.
+//! **dual oracle**: on the bit-exact tiers (scalar/SSE2/AVX2/AVX-512 — every
+//! tier automatic detection picks) the dispatched kernels must match the
+//! frozen seed reference *byte-for-byte*; on the opt-in fused tier
+//! (`SURROGATE_SIMD=fma`) a fused multiply-add necessarily rounds
+//! differently than the mul-then-add scalar chain, so the same assertions
+//! drop to a ≤1e-8 relative tolerance against the same reference.
+//! Determinism (run-to-run, and parallel vs sequential within one path)
+//! stays byte-exact on *every* tier: fused kernels differ from the scalar
+//! reference, never from themselves.
 //!
 //! Randomized shapes include ragged edges that straddle every lane and
-//! panel boundary.
+//! panel boundary, and each dispatched test runs a direct-path shape at
+//! every output width from 1 to 33, so every remainder of the 8-, 16- and
+//! 32-column row tiles (the masked last vector included) is checked.
 
 use nn::matrix::reference;
 use nn::Matrix;
@@ -22,7 +25,7 @@ fn bit_exact() -> bool {
 }
 
 /// Dual oracle for pure products: byte-for-byte on bit-exact tiers, ≤1e-8
-/// relative on the fused (FMA/AVX-512) tiers.
+/// relative on the fused FMA tier.
 fn assert_kernel_match(label: &str, got: &Matrix, want: &Matrix) {
     assert_eq!(got.rows(), want.rows(), "{label}: row mismatch");
     assert_eq!(got.cols(), want.cols(), "{label}: col mismatch");
@@ -45,7 +48,7 @@ fn assert_kernel_match(label: &str, got: &Matrix, want: &Matrix) {
 
 /// Tolerance oracle for comparisons whose rounding *order* legitimately
 /// differs (e.g. bias-seeded vs product-then-broadcast): tight on bit-exact
-/// tiers, 1e-8 on fused tiers.
+/// tiers, 1e-8 on the fused tier.
 fn assert_close(label: &str, got: &Matrix, want: &Matrix) {
     assert_eq!(got.rows(), want.rows(), "{label}: row mismatch");
     assert_eq!(got.cols(), want.cols(), "{label}: col mismatch");
@@ -57,6 +60,23 @@ fn assert_close(label: &str, got: &Matrix, want: &Matrix) {
             "{label}: element {i} diverged: {g} vs {w}"
         );
     }
+}
+
+/// Direct-path shapes (`m = 5`, `k = 7`, below the packed split) at every
+/// output width `n` in `1..=33`: every remainder of an 8-, 16- or 32-column
+/// row tile, the masked last vector included.
+fn remainder_widths() -> impl Iterator<Item = (usize, usize, usize)> {
+    (1..=33).map(|n| (5, 7, n))
+}
+
+/// The bias-seeded product as one reference product: a leading column of
+/// ones in `A` against `bias` as the first row of `B`, so each element's
+/// chain starts at `0 + 1·bias[j]`, which is `bias[j]` exactly, and then
+/// adds the `A·B` terms in ascending order, as the fused affine kernel does.
+fn reference_affine(a: &Matrix, b: &Matrix, bias: &[f64]) -> Matrix {
+    let ones_a = Matrix::filled(a.rows(), 1, 1.0).hconcat(a);
+    let bias_b = Matrix::from_vec(b.rows() + 1, b.cols(), [bias, b.data()].concat());
+    reference::matmul(&ones_a, &bias_b)
 }
 
 /// Random shape in `1..=max` per dimension, biased so roughly half the draws
@@ -74,7 +94,8 @@ fn dispatched_matmul_matches_reference_on_random_shapes() {
     let mut rng = StdRng::seed_from_u64(101);
     // Fixed ragged shapes that straddle lane (up to 8), tile,
     // panel (MR=4, NR=2·lanes) and stripe (KC=256, MC=128, NC=512)
-    // boundaries, plus the packed large shapes the bench tracks.
+    // boundaries, plus the packed large shapes the bench tracks and every
+    // row-tile remainder width.
     let fixed: &[(usize, usize, usize)] = &[
         (97, 61, 113),
         (1, 1, 1),
@@ -86,7 +107,7 @@ fn dispatched_matmul_matches_reference_on_random_shapes() {
         (96, 64, 640),
         (200, 80, 200),
     ];
-    for &(m, k, n) in fixed {
+    for (m, k, n) in fixed.iter().copied().chain(remainder_widths()) {
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let b = Matrix::randn(k, n, 1.0, &mut rng);
         assert_kernel_match(
@@ -116,15 +137,16 @@ fn dispatched_backward_products_match_reference_on_random_shapes() {
     // shapes, ragged shapes whose output tiles are partial in both
     // directions at every lane width, and inner dimensions of 300, above
     // the 256-deep stripe, so a second stripe accumulates onto the first.
-    // `at_b` pairs are (rows, cols of A, cols of B); `a_bt` triples are
-    // (rows of A, shared cols, rows of B).
+    // The remainder widths then run both products on the direct path at
+    // every output width up to 33. `at_b` triples are (rows, cols of A,
+    // cols of B); `a_bt` triples are (rows of A, shared cols, rows of B).
     let at_b_fixed: &[(usize, usize, usize)] = &[
         (256, 81, 256),
         (256, 256, 79),
         (37, 83, 229),
         (300, 64, 150),
     ];
-    for &(m, k, p) in at_b_fixed {
+    for (m, k, p) in at_b_fixed.iter().copied().chain(remainder_widths()) {
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let b = Matrix::randn(m, p, 1.0, &mut rng);
         assert_kernel_match(
@@ -134,7 +156,7 @@ fn dispatched_backward_products_match_reference_on_random_shapes() {
         );
     }
     let a_bt_fixed: &[(usize, usize, usize)] = &[(256, 79, 256), (37, 101, 83), (40, 300, 50)];
-    for &(m, k, p) in a_bt_fixed {
+    for (m, k, p) in a_bt_fixed.iter().copied().chain(remainder_widths()) {
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let c = Matrix::randn(p, k, 1.0, &mut rng);
         assert_kernel_match(
@@ -164,6 +186,24 @@ fn dispatched_backward_products_match_reference_on_random_shapes() {
 #[test]
 fn dispatched_fused_affine_matches_reference_on_random_shapes() {
     let mut rng = StdRng::seed_from_u64(303);
+    for (m, k, n) in remainder_widths() {
+        let a = Matrix::randn(m, k, 1.0, &mut rng);
+        let b = Matrix::randn(k, n, 1.0, &mut rng);
+        let bias: Vec<f64> = (0..n).map(|j| (j as f64).sin()).collect();
+        let want = reference_affine(&a, &b, &bias);
+        assert_kernel_match(
+            &format!("bias {m}x{k}x{n}"),
+            &a.matmul_bias(&b, &bias),
+            &want,
+        );
+        let mut fused = Matrix::default();
+        a.matmul_bias_act_into(&b, &bias, |v| v.tanh(), &mut fused);
+        assert_kernel_match(
+            &format!("bias_act {m}x{k}x{n}"),
+            &fused,
+            &want.map(f64::tanh),
+        );
+    }
     for round in 0..10 {
         let (m, k, n) = random_shape(&mut rng, 140);
         let a = Matrix::randn(m, k, 1.0, &mut rng);
@@ -190,7 +230,7 @@ fn dispatched_path_is_deterministic_run_to_run() {
     // For a fixed seed the whole pipeline — operand generation, the
     // dispatched (possibly packed + parallel) product, and the sequential
     // oracle — must produce byte-identical results every run, on every
-    // tier including the fused ones.
+    // tier including the fused one.
     let run = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
         // Large enough for the packed driver *and* the parallel threshold.
@@ -200,9 +240,7 @@ fn dispatched_path_is_deterministic_run_to_run() {
     };
     let (first_par, first_seq) = run(7);
     // The packed/parallel product vs the direct sequential kernels: byte
-    // equality on bit-exact tiers, tolerance on fused tiers (the direct
-    // kernels' scalar column tails keep separate roundings while the packed
-    // tiles fuse).
+    // equality on bit-exact tiers, tolerance on the fused tier.
     assert_kernel_match("packed/parallel vs sequential", &first_par, &first_seq);
     for _ in 0..3 {
         let (par, seq) = run(7);
@@ -218,7 +256,7 @@ fn packed_parallel_is_byte_identical_to_packed_sequential() {
     // The tentpole contract of the multi-threaded packed driver: with an
     // explicit parallel flag, fanning row blocks over the pool must be
     // byte-identical to the same packed path run sequentially — on every
-    // tier (fused tiers differ from scalar, never from themselves), at
+    // tier (the fused tier differs from scalar, never from itself), at
     // every thread count, including shapes with ragged final blocks.
     let mut rng = StdRng::seed_from_u64(505);
     for &(m, k, n) in &[
