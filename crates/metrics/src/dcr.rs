@@ -66,12 +66,13 @@ fn normalised<'a>(
 /// finite range. Categorical vocabularies are compared by *label*:
 /// synthetic codes are remapped onto the training vocabulary first so a
 /// synthetic "BNL_PROD" matches a training "BNL_PROD" even if their integer
-/// codes differ, and a label unseen in training matches no training row.
+/// codes differ, and a label unseen in training, like a synthetic code
+/// outside its own vocabulary, matches no training row.
 ///
 /// # Panics
 /// If either table is empty, or the synthetic table lacks a training
-/// column, has it with another kind, or holds a code outside its vocabulary
-/// ([`crate::evaluate_against`] checks all of these first).
+/// column or has it with another kind ([`crate::evaluate_against`] checks
+/// all of these first).
 pub fn distance_to_closest_record(train: &Table, synthetic: &Table, config: DcrConfig) -> f64 {
     assert!(train.n_rows() > 0, "empty training table");
     assert!(synthetic.n_rows() > 0, "empty synthetic table");
@@ -117,7 +118,8 @@ pub fn distance_to_closest_record(train: &Table, synthetic: &Table, config: DcrC
         .map(|name| train.codes(name).expect("categorical column present"))
         .collect();
     // Each synthetic code's training code, by label; `u32::MAX` (no training
-    // code) for a label unseen in training.
+    // code) for a label unseen in training and, below, for a code outside
+    // the synthetic vocabulary.
     let synthetic_codes: Vec<(&[u32], Vec<u32>)> = cat_names
         .iter()
         .map(|name| {
@@ -154,9 +156,7 @@ pub fn distance_to_closest_record(train: &Table, synthetic: &Table, config: DcrC
         queries.push_row(
             normalised(&synthetic_numeric, &scales, s),
             synthetic_codes.iter().map(|(codes, to_train)| {
-                *to_train
-                    .get(codes[s] as usize)
-                    .expect("synthetic code inside its vocabulary")
+                to_train.get(codes[s] as usize).copied().unwrap_or(u32::MAX)
             }),
         );
     }
@@ -222,6 +222,28 @@ mod tests {
         let synthetic = table(&[2.0, 1.0], &["b", "a"]);
         let dcr = distance_to_closest_record(&train, &synthetic, DcrConfig::default());
         assert!(dcr < 1e-12, "dcr = {dcr}");
+    }
+
+    #[test]
+    fn out_of_vocabulary_codes_match_no_training_row() {
+        // A synthetic code at or past its vocabulary's end scores like a
+        // label training never saw.
+        let train = table(&[0.0, 1.0, 2.0, 3.0], &["a", "b", "a", "b"]);
+        let unseen = table(&[1.0, 2.0], &["a", "zzz"]);
+        let want = distance_to_closest_record(&train, &unseen, DcrConfig::default());
+        for code in [2, 7, u32::MAX] {
+            let mut synthetic = table(&[1.0, 2.0], &["a", "b"]);
+            let Column::Categorical { codes, .. } = synthetic.column_mut("s").unwrap() else {
+                unreachable!("s is categorical");
+            };
+            codes[1] = code;
+            let got = distance_to_closest_record(&train, &synthetic, DcrConfig::default());
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "code {code}: {got} vs {want}"
+            );
+        }
     }
 
     #[test]
