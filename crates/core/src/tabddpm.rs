@@ -7,12 +7,12 @@
 //! the injected noise; sampling runs the ancestral reverse process from pure
 //! noise and decodes the result.
 //!
-//! Substitution note (recorded in DESIGN.md): the original TabDDPM uses a
-//! multinomial diffusion for the categorical blocks; here both numerical and
-//! one-hot blocks share the Gaussian diffusion and categories are recovered
-//! by arg-max at decode time. At the scale of this reproduction the Gaussian
-//! treatment preserves the model's qualitative behaviour (high fidelity,
-//! non-trivial distance from training records).
+//! Substitution note: the original TabDDPM uses a multinomial diffusion for
+//! the categorical blocks; here both numerical and one-hot blocks share the
+//! Gaussian diffusion and categories are recovered by arg-max at decode
+//! time. At the scale of this reproduction the Gaussian treatment preserves
+//! the model's qualitative behaviour (high fidelity, non-trivial distance
+//! from training records).
 
 use nn::{mse_loss, standard_normal_fill, Adam, CosineDecay, Matrix, Mlp, MlpConfig};
 use rand::rngs::StdRng;

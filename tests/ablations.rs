@@ -1,4 +1,6 @@
-//! Ablation studies over the design choices listed in DESIGN.md §5.
+//! Ablation studies over the reproduction's design choices: SMOTE's
+//! neighbourhood size, TabDDPM's timestep count, the codec's one-hot layout
+//! and the feature space DCR measures in.
 //!
 //! They check that the trade-offs the paper discusses actually show up in
 //! the metrics (e.g. SMOTE's privacy risk shrinking as interpolation reaches
