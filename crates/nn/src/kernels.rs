@@ -249,6 +249,9 @@ mod x86 {
 
     // Partial loads and stores per register width: SSE2 moves one scalar
     // or the whole register, AVX a sign-bit lane mask, AVX-512 a `k` mask.
+    // Each takes `count` in `1..=lanes` and touches only those elements at
+    // `ptr`, which the caller guarantees valid; the register's CPU feature
+    // is enabled by the `#[target_feature]` wrapper they inline into.
     #[inline(always)]
     unsafe fn sse2_load_partial(ptr: *const f64, count: usize) -> __m128d {
         if count == 1 {

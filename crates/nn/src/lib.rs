@@ -7,7 +7,7 @@
 //! framework:
 //!
 //! * [`matrix`] — a dense row-major `f64` matrix whose matmuls run on
-//!   SIMD-dispatched (scalar/SSE2/AVX2, plus opt-in FMA/AVX-512),
+//!   SIMD-dispatched (scalar/SSE2/AVX2/AVX-512, plus opt-in FMA),
 //!   cache-blocked packed kernels with rayon parallelism (see [`simd`] for
 //!   the once-per-process tier choice); `f64` is the one element type, for
 //!   training and sampling alike,

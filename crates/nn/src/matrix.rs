@@ -1,12 +1,13 @@
 //! Dense row-major `f64` matrix with the operations the MLPs need.
 //!
 //! The matmul products run on the crate's two-level kernel architecture:
-//! explicitly vectorized microkernels (scalar / SSE2 / AVX2 `core::arch`
-//! lanes, selected once per process by [`crate::simd::active_tier`]) behind
-//! a shape split — small operands go through direct axpy-shaped row
-//! kernels, while shapes whose `B` operand overflows the L1-resident tile
-//! go through a cache-blocked driver that packs `A` and `B` into
-//! register-tile panels held in thread-local, grow-only buffers. The
+//! explicitly vectorized microkernels (scalar / SSE2 / AVX2 / AVX-512
+//! `core::arch` lanes, or the opt-in fused FMA lanes, selected once per
+//! process by [`crate::simd::active_tier`]) behind a shape split — small
+//! operands go through direct axpy-shaped row kernels, each row ending in
+//! one masked remainder tile, while shapes whose `B` operand overflows the
+//! L1-resident tile go through a cache-blocked driver that packs `A` and
+//! `B` into register-tile panels held in thread-local, grow-only buffers. The
 //! backward-pass products [`Matrix::matmul_at_b`] (`Aᵀ·B`) and
 //! [`Matrix::matmul_a_bt`] (`A·Bᵀ`) read their transposed operand in place
 //! wherever the packed driver runs: its packs gather panels straight from
@@ -19,8 +20,9 @@
 //! tiers, packed or direct, accumulates each output element along the inner
 //! dimension in ascending index order with a single accumulation chain
 //! (multiply then add, never FMA), so the parallel and sequential paths,
-//! the scalar, SSE2 and AVX2 tiers, and the `_at_b`/`_a_bt` shortcuts
-//! versus their transpose-then-multiply equivalents produce byte-identical
+//! the scalar, SSE2, AVX2 and AVX-512 tiers, and the `_at_b`/`_a_bt`
+//! shortcuts versus their transpose-then-multiply equivalents produce
+//! byte-identical
 //! results on finite inputs free of signed zeros (the branchless kernels
 //! add `0 · b` terms the scalar reference skips, which only diverges when
 //! `b` is infinite or NaN, or through `-0.0` bookkeeping). Work is
@@ -775,8 +777,8 @@ mod tests {
     use rand::SeedableRng;
 
     /// The byte-for-byte pins against the frozen scalar reference only hold
-    /// on the bit-exact tiers; under a forced `SURROGATE_SIMD=fma`/`avx512`
-    /// run those contracts are covered by the tolerance oracle in
+    /// on the bit-exact tiers; under a forced `SURROGATE_SIMD=fma` run
+    /// those contracts are covered by the tolerance oracle in
     /// `tests/simd_kernels.rs` instead.
     fn bit_exact_tier() -> bool {
         let exact = crate::simd::active_tier().bit_exact();

@@ -10,7 +10,7 @@
 //! different workers never share one; either way every product computed
 //! *under contention* must be byte-identical to the same dispatched call
 //! made uncontended from the main thread — on every tier, including the
-//! fused ones: the kernels are deterministic per tier and tile assignment
+//! fused one: the kernels are deterministic per tier and tile assignment
 //! is shape-only.
 
 use nn::Matrix;

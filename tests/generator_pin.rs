@@ -24,9 +24,9 @@
 //! width.
 //!
 //! Scope:
-//! - The pins hold on the `scalar`, `sse2` and `avx2` SIMD tiers, which are
-//!   bit-exact to each other. They do not hold under the opt-in `fma` and
-//!   `avx512` tiers, whose fused multiply-adds round differently.
+//! - The pins hold on the `scalar`, `sse2`, `avx2` and `avx512` SIMD tiers,
+//!   which are bit-exact to each other. Only the opt-in `fma` tier breaks
+//!   them: its fused multiply-adds round differently.
 //! - They assume the host's libm for `exp`, `ln`, `sin` and `cos`, as the
 //!   other pins in this workspace do. On x86-64 hosts with FMA, glibc picks
 //!   separately compiled builds of those functions at load time.
