@@ -277,8 +277,8 @@ mod tests {
     }
 
     /// Rows that hold every value class the binning and the split
-    /// predicate treat specially: NaN (bin 0 in the histograms, right branch
-    /// at a split), ±inf, exact ties, a constant column and a two-valued
+    /// predicate treat specially: NaN (the last bin, the right branch at a
+    /// split), ±inf, exact ties, a constant column and a two-valued
     /// column. Columns 5 and 6 split the rows at the same place, so their
     /// gains tie in exact arithmetic and the rounding of the histogram sums
     /// decides which one a node splits on.
@@ -351,11 +351,11 @@ mod tests {
         };
         assert_eq!(
             pins(GbdtConfig::paper_mlef()),
-            [0xb980_46b6_83c5_2218, 0xa02a_b80e_159d_f9e2]
+            [0xa137_b50e_2cd2_4161, 0xf8cb_cf1e_87e6_37dc]
         );
         assert_eq!(
             pins(GbdtConfig::fast()),
-            [0x5368_c3c0_a186_20bc, 0xf5ac_d4c6_bf5a_0f85]
+            [0x930f_9cd7_c396_f00a, 0xa379_f227_01d9_bf1b]
         );
     }
 

@@ -105,11 +105,15 @@ impl BinMapper {
         self.edges[feature].len() + 1
     }
 
-    /// Map a raw value to its bin index for a feature.
+    /// Map a raw value to its bin index for a feature: the number of edges
+    /// it does not lie at or below. NaN lies below no edge, so it takes the
+    /// last bin, and `bin(x) <= b` holds exactly when `x <= edge(b)`, for
+    /// every `x` (NaN and ±inf included). A split's histogram scan and the
+    /// `x <= threshold` branch it takes therefore send every row the same way.
     #[inline]
     pub fn bin(&self, feature: usize, value: f64) -> usize {
         let edges = &self.edges[feature];
-        edges.partition_point(|&e| value > e)
+        edges.partition_point(|&e| value.is_nan() || value > e)
     }
 
     /// Representative threshold value of a bin boundary (the edge itself).
@@ -216,6 +220,32 @@ mod tests {
             let b = mapper.bin(0, i as f64);
             assert!(b >= prev);
             prev = b;
+        }
+    }
+
+    #[test]
+    fn bin_at_or_below_matches_the_split_predicate() {
+        // `bin(x) <= b` must hold exactly when `x <= edge(b)`: the histograms
+        // score a split on the first, and the tree takes it on the second.
+        let values: Vec<f64> = (0..40).map(|i| f64::from(i % 9) * 0.25 - 1.0).collect();
+        let mapper = BinMapper::fit(&FeatureMatrix::new(40, 1, values), 6);
+        let edges: Vec<f64> = (0..mapper.n_bins(0) - 1)
+            .map(|b| mapper.edge(0, b).expect("edge below the last bin"))
+            .collect();
+        assert!(edges.len() >= 2, "{edges:?}");
+        let mut probes = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        for pair in edges.windows(2) {
+            probes.extend([pair[0], (pair[0] + pair[1]) / 2.0, pair[1]]);
+        }
+        probes.extend([edges[0] - 1.0, edges[edges.len() - 1] + 1.0]);
+        for &x in &probes {
+            for (b, &edge) in edges.iter().enumerate() {
+                assert_eq!(
+                    mapper.bin(0, x) <= b,
+                    x <= edge,
+                    "x = {x}, edge {b} = {edge}"
+                );
+            }
         }
     }
 

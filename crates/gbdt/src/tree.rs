@@ -17,8 +17,9 @@
 //! * **Stable in-place partition.** A split reorders the node's slice of
 //!   one index buffer on the raw `x <= threshold` predicate, keeping each
 //!   side in its original order, so each child sees its rows in the order
-//!   two fresh vectors would hold them. NaN counts in bin 0 of the
-//!   histograms but goes right at the split.
+//!   two fresh vectors would hold them. [`BinMapper::bin`] puts NaN in the
+//!   last bin, so a NaN row counts on the right in the histograms, as it
+//!   goes right at the split.
 
 use serde::{Deserialize, Serialize};
 
@@ -246,11 +247,11 @@ impl Grower<'_> {
         match self.best_split(rows, sum) {
             Some((feature, threshold, gain)) if gain > self.config.min_gain => {
                 let n_left = self.partition(rows, feature, threshold);
-                if n_left < self.config.min_samples_leaf
-                    || n - n_left < self.config.min_samples_leaf
-                {
-                    return self.push_leaf(mean);
-                }
+                // The scan counted each side as the partition splits it.
+                debug_assert!(
+                    n_left >= self.config.min_samples_leaf
+                        && n - n_left >= self.config.min_samples_leaf
+                );
                 // Reserve the split slot before recursing so child ids are known.
                 let node_id = self.nodes.len();
                 self.nodes.push(Node::Leaf { value: mean });
