@@ -277,28 +277,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_nan_in_a_numerical_column_is_a_typed_fit_error_for_every_kind() {
-        // ±inf encode to the quantile transform's clamped tails; a NaN has no
-        // rank, so the codec's encode of the training table refuses it.
+    /// `toy(40)` with `cells` written into its `workload` column.
+    fn toy_with_workload(cells: &[(usize, f64)]) -> Table {
         let mut train = toy(40);
         if let Column::Numerical(values) = train.column_mut("workload").unwrap() {
-            values[0] = f64::INFINITY;
-            values[1] = f64::NEG_INFINITY;
-            values[17] = f64::NAN;
+            for &(row, value) in cells {
+                values[row] = value;
+            }
         }
+        train
+    }
+
+    /// Every kind's fit of `train` is a typed error naming `row`.
+    fn assert_fit_names_non_finite_row(train: &Table, row: usize) {
         for kind in ModelKind::ALL {
             let mut model = build_model(kind, TrainingBudget::Smoke, 7);
-            let error = model.fit(&train).unwrap_err();
+            let error = model.fit(train).unwrap_err();
             assert!(
                 matches!(
                     error,
-                    SurrogateError::Tabular(tabular::TabularError::NotANumber { row: 17, .. })
+                    SurrogateError::Tabular(tabular::TabularError::NonFinite { row: r, .. })
+                        if r == row
                 ),
                 "{}: {error:?}",
                 kind.name()
             );
         }
+    }
+
+    #[test]
+    fn a_nan_in_a_numerical_column_is_a_typed_fit_error_for_every_kind() {
+        // A NaN has no rank, so the codec's encode of the training table
+        // refuses it.
+        assert_fit_names_non_finite_row(&toy_with_workload(&[(17, f64::NAN)]), 17);
+    }
+
+    #[test]
+    fn an_infinite_numerical_value_is_a_typed_fit_error_for_every_kind() {
+        // ±inf would encode to the quantile transform's clamped tails as a
+        // made-up extreme, so the encode refuses it too, naming the first
+        // non-finite row.
+        let mixed = [(0, f64::INFINITY), (1, f64::NEG_INFINITY), (17, f64::NAN)];
+        assert_fit_names_non_finite_row(&toy_with_workload(&mixed), 0);
+        assert_fit_names_non_finite_row(&toy_with_workload(&[(5, f64::NEG_INFINITY)]), 5);
     }
 
     #[test]

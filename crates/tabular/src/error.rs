@@ -45,11 +45,11 @@ pub enum TabularError {
         /// Rows needed.
         needed: usize,
     },
-    /// A NaN where a transform needs an ordered value.
-    NotANumber {
+    /// A NaN or ±inf where a transform needs a finite value.
+    NonFinite {
         /// What was being transformed.
         context: &'static str,
-        /// Index of the first NaN.
+        /// Index of the first non-finite value.
         row: usize,
     },
 }
@@ -84,8 +84,8 @@ impl fmt::Display for TabularError {
                 rows,
                 needed,
             } => write!(f, "{context} has {rows} row(s), needs at least {needed}"),
-            TabularError::NotANumber { context, row } => {
-                write!(f, "NaN at row {row} of {context}")
+            TabularError::NonFinite { context, row } => {
+                write!(f, "non-finite value at row {row} of {context}")
             }
         }
     }

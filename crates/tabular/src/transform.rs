@@ -181,12 +181,13 @@ impl NumericTransform for QuantileTransformer {
         Ok(())
     }
 
-    /// ±inf map to the clamped tails; a NaN has no rank, so it is a
-    /// [`TabularError::NotANumber`] naming its row.
+    /// A NaN has no rank, and ±inf would land in the clamped tails as a
+    /// made-up extreme, so the first non-finite value is a
+    /// [`TabularError::NonFinite`] naming its row.
     fn transform(&self, values: &[f64]) -> Result<Vec<f64>, TabularError> {
         self.check_fitted()?;
-        if let Some(row) = values.iter().position(|x| x.is_nan()) {
-            return Err(TabularError::NotANumber {
+        if let Some(row) = values.iter().position(|x| !x.is_finite()) {
+            return Err(TabularError::NonFinite {
                 context: "QuantileTransformer::transform input",
                 row,
             });
@@ -433,6 +434,24 @@ mod tests {
                     assert!(z[i] < z[j]);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn quantile_transform_names_the_first_non_finite_row() {
+        let mut qt = QuantileTransformer::new();
+        qt.fit(&[1.0, 2.0, f64::INFINITY, 3.0]).unwrap();
+        for (bad, row) in [(f64::NAN, 0), (f64::INFINITY, 1), (f64::NEG_INFINITY, 2)] {
+            let mut values = vec![1.5, 2.5, 3.5, f64::NAN];
+            values[row] = bad;
+            assert_eq!(
+                qt.transform(&values),
+                Err(TabularError::NonFinite {
+                    context: "QuantileTransformer::transform input",
+                    row,
+                }),
+                "{bad}"
+            );
         }
     }
 
