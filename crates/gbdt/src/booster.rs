@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{BinMapper, FeatureMatrix};
-use crate::tree::{BinnedRows, RegressionTree, TreeConfig};
+use crate::tree::{BinnedRows, Grower, RegressionTree, TreeConfig};
 
 /// Hyper-parameters of the boosted ensemble.
 ///
@@ -77,10 +77,13 @@ impl Gbdt {
     pub fn fit(data: &FeatureMatrix, targets: &[f64], config: GbdtConfig) -> Self {
         assert_eq!(data.n_rows(), targets.len(), "data/target length mismatch");
         assert!(data.n_rows() > 0, "cannot fit on an empty dataset");
+        let n = data.n_rows();
         let mapper = BinMapper::fit(data, config.max_bins);
         let binned = BinnedRows::new(data, &mapper);
-        let base_prediction = targets.iter().sum::<f64>() / targets.len() as f64;
-        let mut predictions = vec![base_prediction; targets.len()];
+        let base_prediction = targets.iter().sum::<f64>() / n as f64;
+        let mut predictions = vec![base_prediction; n];
+        let mut residuals = vec![0.0; n];
+        let mut rows: Vec<usize> = (0..n).collect();
         let mut trees = Vec::with_capacity(config.n_iterations);
         let tree_config = TreeConfig {
             max_depth: config.max_depth,
@@ -88,37 +91,43 @@ impl Gbdt {
             min_gain: 1e-9,
             max_bins: config.max_bins,
         };
+        let mut grower = Grower::new(&binned, &mapper, tree_config);
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let all_indices: Vec<usize> = (0..data.n_rows()).collect();
+        let subsample = config.subsample < 1.0;
+        let drawn = if subsample {
+            ((n as f64) * config.subsample).round().max(1.0) as usize
+        } else {
+            n
+        };
 
         for _ in 0..config.n_iterations {
             // Squared loss: negative gradient = residual.
-            let residuals: Vec<f64> = targets
-                .iter()
-                .zip(&predictions)
-                .map(|(t, p)| t - p)
-                .collect();
+            for ((residual, target), prediction) in
+                residuals.iter_mut().zip(targets).zip(&predictions)
+            {
+                *residual = target - prediction;
+            }
 
-            let indices: Vec<usize> = if config.subsample < 1.0 {
-                let k = ((data.n_rows() as f64) * config.subsample).round().max(1.0) as usize;
-                let mut shuffled = all_indices.clone();
-                shuffled.shuffle(&mut rng);
-                shuffled.truncate(k);
-                shuffled
-            } else {
-                all_indices.clone()
-            };
+            // Every draw starts from the rows in their original order.
+            for (r, row) in rows.iter_mut().enumerate() {
+                *row = r;
+            }
+            if subsample {
+                rows.shuffle(&mut rng);
+            }
+            let (in_sample, left_out) = rows.split_at_mut(drawn);
 
-            let tree = RegressionTree::fit_binned(
-                data,
-                &binned,
-                &residuals,
-                indices,
-                &tree_config,
-                &mapper,
-            );
-            for (r, pred) in predictions.iter_mut().enumerate() {
-                *pred += config.learning_rate * tree.predict_row(data.row(r));
+            let tree = grower.grow(&residuals, in_sample);
+            // A drawn row lies in the span of the leaf `predict_row` takes
+            // it to; only the rows left out of the draw walk the tree.
+            for leaf in grower.leaves() {
+                let step = config.learning_rate * leaf.value;
+                for &r in &in_sample[leaf.rows.clone()] {
+                    predictions[r] += step;
+                }
+            }
+            for &r in left_out.iter() {
+                predictions[r] += config.learning_rate * tree.predict_row(data.row(r));
             }
             trees.push(tree);
         }
@@ -357,6 +366,46 @@ mod tests {
             pins(GbdtConfig::fast()),
             [0x930f_9cd7_c396_f00a, 0xa379_f227_01d9_bf1b]
         );
+    }
+
+    #[test]
+    fn every_row_of_a_leaf_span_reaches_that_leaf() {
+        // `Gbdt::fit` adds a leaf's step to the rows of its span instead of
+        // walking them through the tree, on a full draw and on a subsample.
+        let (data, targets) = awkward_matrix(700);
+        let config = TreeConfig {
+            max_depth: 10,
+            min_samples_leaf: 3,
+            ..TreeConfig::default()
+        };
+        let mapper = BinMapper::fit(&data, config.max_bins);
+        let binned = BinnedRows::new(&data, &mapper);
+        let mut grower = Grower::new(&binned, &mapper, config);
+        let full: Vec<usize> = (0..data.n_rows()).collect();
+        let mut subsample = full.clone();
+        subsample.shuffle(&mut StdRng::seed_from_u64(11));
+        subsample.truncate(560);
+        for draw in [full, subsample] {
+            let mut rows = draw.clone();
+            let tree = grower.grow(&targets, &mut rows);
+            assert!(tree.n_leaves() > 20, "{} leaves", tree.n_leaves());
+            assert_eq!(grower.leaves().len(), tree.n_leaves());
+            let mut end = 0;
+            for leaf in grower.leaves() {
+                assert_eq!(leaf.rows.start, end, "spans tile the row buffer");
+                end = leaf.rows.end;
+                for &r in &rows[leaf.rows.clone()] {
+                    let (node, value) = tree.leaf(data.row(r));
+                    assert_eq!(node, leaf.node, "row {r}");
+                    assert_eq!(value.to_bits(), leaf.value.to_bits(), "row {r}");
+                }
+            }
+            assert_eq!(end, draw.len());
+            rows.sort_unstable();
+            let mut drawn = draw;
+            drawn.sort_unstable();
+            assert_eq!(rows, drawn, "the partition permutes the draw");
+        }
     }
 
     #[test]

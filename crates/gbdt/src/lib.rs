@@ -17,14 +17,17 @@
 //! * [`eval`] — RMSE / MSE / MAE helpers.
 //!
 //! [`Gbdt::fit`] bins every (row, feature) once with [`BinMapper::bin`],
-//! fills each node's histograms for all features in a single row-major pass
-//! into buffers reused across nodes, and splits a node by a stable in-place
-//! partition of one index buffer on the raw `x <= threshold` predicate.
-//! The bins are the mapper's, every histogram sum adds the same targets in
-//! the same row order, and each child keeps its rows in their original
-//! relative order, so predictions are bit-identical to binning each row at
-//! every node and partitioning into fresh `Vec`s; `booster`'s pin test
-//! holds them to the bit (see [`tree`] for the details).
+//! fills a splittable node's histograms for all features in a single
+//! row-major pass, splits a node by a stable, branch-free partition of one
+//! row buffer on the rows' histogram slots, and adds each leaf's step to
+//! the rows of its span of that buffer instead of walking them through the
+//! tree. The bins are the mapper's, every histogram sum adds the same
+//! targets in the same row order, each child keeps its rows in their
+//! original relative order, and a leaf's span holds exactly the rows that
+//! reach it, so predictions are bit-identical to binning each row at every
+//! node, partitioning into fresh `Vec`s and walking every training row
+//! through every tree; `booster`'s pin test holds them to the bit (see
+//! [`tree`] for the details).
 
 pub mod booster;
 pub mod dataset;

@@ -1,25 +1,34 @@
 //! A single histogram-based regression tree.
 //!
-//! Three choices keep fitting cheap without moving a single output bit
-//! away from the textbook loop (bin each row per node, partition into two
-//! fresh vectors):
+//! A tree is grown on one buffer of row indices, and every choice below
+//! keeps each output bit of the textbook loop (bin each row per node,
+//! fill one histogram per node, partition into two fresh vectors):
 //!
-//! * **Codes once.** `BinnedRows` maps every (row, feature) to its
-//!   histogram slot with [`BinMapper::bin`] once per ensemble fit instead of
-//!   by a binary search per row at every node of every tree. The bins are
-//!   the mapper's, so every histogram holds the same rows.
-//! * **One histogram pass.** A node fills the histograms of all features in
-//!   one row-major pass into buffers reused across the tree's nodes. Each
-//!   (feature, bin) sum still adds its rows' targets in node order, so every
-//!   f64 sum is the same value. Sibling histograms by subtraction, or
-//!   several accumulators per bin, would reorder those sums and move the
-//!   low bits of the gains, so neither is used.
-//! * **Stable in-place partition.** A split reorders the node's slice of
-//!   one index buffer on the raw `x <= threshold` predicate, keeping each
-//!   side in its original order, so each child sees its rows in the order
-//!   two fresh vectors would hold them. [`BinMapper::bin`] puts NaN in the
-//!   last bin, so a NaN row counts on the right in the histograms, as it
-//!   goes right at the split.
+//! * **Slots once.** `BinnedRows` maps every (row, feature) to a `u32`
+//!   histogram slot with [`BinMapper::bin`] once per ensemble fit, instead
+//!   of by a binary search per row at every node of every tree. The bins
+//!   are the mapper's, so every histogram holds the same rows.
+//! * **One histogram pass.** A node that can split fills the histograms of
+//!   all its features in one row-major pass, each slot keeping its target
+//!   sum and row count side by side. Each sum adds its rows' targets in
+//!   node order, so every f64 sum is the textbook value.
+//! * **Empty bins skipped.** A split candidate after a bin that holds no
+//!   rows splits the node exactly as the candidate before it does, so its
+//!   gain is bit-for-bit that candidate's and can never beat it; the scan
+//!   skips it.
+//! * **Stable partition on slots.** [`BinMapper::bin`] puts NaN in the last
+//!   bin, so a row's slot is at most `offset + b` exactly when its value is
+//!   at most `edge(b)`, the threshold [`RegressionTree::predict_row`] tests.
+//!   A split reorders the node's slice of the row buffer on that slot test,
+//!   without a branch, keeping each side in its original order, so each
+//!   child sees its rows in the order two fresh vectors would hold them.
+//! * **Leaf spans.** Each leaf owns the contiguous span of the row buffer
+//!   its rows were partitioned into, and those are exactly the rows that
+//!   reach it under `predict_row`. [`Gbdt::fit`](crate::Gbdt::fit) adds the
+//!   leaf's step to the rows of its span instead of walking them through
+//!   the tree.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -68,16 +77,15 @@ enum Node {
 /// Only features with at least two bins can split, so only those are kept.
 /// Feature `k` of the kept list owns the slots `offsets[k]..offsets[k + 1]`
 /// of a node's flat histogram, and a row stores `offsets[k] +
-/// BinMapper::bin(..)` for each kept feature, so a node's histograms take
-/// one pass that adds each row's target into its slots. Slots are `usize`:
-/// they hold every bin the mapper can emit, at any `max_bins`.
+/// BinMapper::bin(..)` for each kept feature. The same slot serves the
+/// histogram fill and the partition.
 pub(crate) struct BinnedRows {
     /// Kept (splittable) features, in feature order.
     features: Vec<usize>,
     /// First slot of each kept feature, plus the total slot count.
     offsets: Vec<usize>,
     /// Row-major slots, `features.len()` per row.
-    slots: Vec<usize>,
+    slots: Vec<u32>,
 }
 
 impl BinnedRows {
@@ -90,10 +98,17 @@ impl BinnedRows {
         for &f in &features {
             offsets.push(offsets[offsets.len() - 1] + mapper.n_bins(f));
         }
+        // A feature has at most one bin per distinct value, so the slot
+        // count stays below `u32::MAX` for any matrix that fits in memory.
+        assert!(
+            u32::try_from(offsets[offsets.len() - 1]).is_ok(),
+            "histogram slots exceed u32"
+        );
         let mut slots = Vec::with_capacity(data.n_rows() * features.len());
         for r in 0..data.n_rows() {
             for (&f, &offset) in features.iter().zip(&offsets) {
-                slots.push(offset + mapper.bin(f, data.get(r, f)));
+                // In range: below the total slot count asserted above.
+                slots.push((offset + mapper.bin(f, data.get(r, f))) as u32);
             }
         }
         Self {
@@ -101,6 +116,11 @@ impl BinnedRows {
             offsets,
             slots,
         }
+    }
+
+    /// Total histogram slots of a node.
+    fn n_slots(&self) -> usize {
+        self.offsets[self.offsets.len() - 1]
     }
 }
 
@@ -119,50 +139,17 @@ impl RegressionTree {
         config: &TreeConfig,
         mapper: &BinMapper,
     ) -> Self {
-        let binned = BinnedRows::new(data, mapper);
-        Self::fit_binned(data, &binned, targets, row_indices.to_vec(), config, mapper)
-    }
-
-    /// [`RegressionTree::fit`] on rows binned once by the caller; `rows`
-    /// becomes the buffer the splits partition in place.
-    pub(crate) fn fit_binned(
-        data: &FeatureMatrix,
-        binned: &BinnedRows,
-        targets: &[f64],
-        mut rows: Vec<usize>,
-        config: &TreeConfig,
-        mapper: &BinMapper,
-    ) -> Self {
         assert_eq!(data.n_rows(), targets.len(), "data/target length mismatch");
-        if rows.is_empty() {
-            return Self {
-                nodes: vec![Node::Leaf { value: 0.0 }],
-            };
-        }
-        let n_slots = binned.offsets[binned.offsets.len() - 1];
-        let mut grower = Grower {
-            data,
-            binned,
-            targets,
-            config,
-            mapper,
-            nodes: Vec::new(),
-            sums: vec![0.0; n_slots],
-            counts: vec![0; n_slots],
-            right: Vec::with_capacity(rows.len()),
-        };
-        grower.build(&mut rows, 0);
-        Self {
-            nodes: grower.nodes,
-        }
+        let binned = BinnedRows::new(data, mapper);
+        Grower::new(&binned, mapper, *config).grow(targets, &mut row_indices.to_vec())
     }
 
-    /// Predict a single row.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    /// Arena id and value of the leaf a row reaches.
+    pub(crate) fn leaf(&self, row: &[f64]) -> (usize, f64) {
         let mut node = 0usize;
         loop {
             match &self.nodes[node] {
-                Node::Leaf { value } => return *value,
+                Node::Leaf { value } => return (node, *value),
                 Node::Split {
                     feature,
                     threshold,
@@ -177,6 +164,11 @@ impl RegressionTree {
                 }
             }
         }
+    }
+
+    /// Predict a single row.
+    pub fn predict_row(&self, row: &[f64]) -> f64 {
+        self.leaf(row).1
     }
 
     /// Predict every row of a feature matrix.
@@ -215,96 +207,165 @@ impl RegressionTree {
     }
 }
 
-/// The state of one tree fit: the arena being grown and the histogram and
-/// partition buffers every node reuses.
-struct Grower<'a> {
-    data: &'a FeatureMatrix,
+/// A leaf of the last tree grown and its rows: `rows` indexes the row
+/// buffer that [`Grower::grow`] partitioned.
+pub(crate) struct LeafSpan {
+    /// Arena id of the leaf, for tests to check its rows reach it.
+    #[cfg(test)]
+    pub(crate) node: usize,
+    /// The leaf's value.
+    pub(crate) value: f64,
+    /// The leaf's span of the row buffer.
+    pub(crate) rows: Range<usize>,
+}
+
+/// One histogram slot: the target sum and row count of a node's rows in
+/// one (feature, bin).
+#[derive(Debug, Clone, Copy, Default)]
+struct Bin {
+    sum: f64,
+    count: usize,
+}
+
+/// Grows trees over one binned matrix, reusing its histogram and partition
+/// buffers across nodes and trees.
+pub(crate) struct Grower<'a> {
     binned: &'a BinnedRows,
-    targets: &'a [f64],
-    config: &'a TreeConfig,
     mapper: &'a BinMapper,
+    config: TreeConfig,
     nodes: Vec<Node>,
-    /// Per-slot target sums of the node being split.
-    sums: Vec<f64>,
-    /// Per-slot row counts of the node being split.
-    counts: Vec<usize>,
+    leaves: Vec<LeafSpan>,
+    /// Per-slot sums and counts of the node being split.
+    hist: Vec<Bin>,
     /// Right-hand rows of a partition, before they move back behind the
     /// left-hand ones.
     right: Vec<usize>,
 }
 
-impl Grower<'_> {
-    /// Recursively build the node for `rows`, returning its arena id.
-    fn build(&mut self, rows: &mut [usize], depth: usize) -> usize {
+impl<'a> Grower<'a> {
+    pub(crate) fn new(binned: &'a BinnedRows, mapper: &'a BinMapper, config: TreeConfig) -> Self {
+        Self {
+            binned,
+            mapper,
+            config,
+            nodes: Vec::new(),
+            leaves: Vec::new(),
+            hist: vec![Bin::default(); binned.n_slots()],
+            right: Vec::new(),
+        }
+    }
+
+    /// Grow a tree on `targets` over `rows`, which the splits partition in
+    /// place; [`Grower::leaves`] then holds each leaf's span of `rows`.
+    pub(crate) fn grow(&mut self, targets: &[f64], rows: &mut [usize]) -> RegressionTree {
+        self.nodes.clear();
+        self.leaves.clear();
+        if rows.is_empty() {
+            self.push_leaf(0.0, 0..0);
+        } else {
+            if self.right.len() < rows.len() {
+                self.right.resize(rows.len(), 0);
+            }
+            self.build(targets, rows, 0, 0);
+        }
+        RegressionTree {
+            nodes: std::mem::take(&mut self.nodes),
+        }
+    }
+
+    /// The leaves of the last tree grown, with their spans.
+    pub(crate) fn leaves(&self) -> &[LeafSpan] {
+        &self.leaves
+    }
+
+    /// Recursively build the node for `rows`, which start at `start` in the
+    /// tree's row buffer, returning its arena id.
+    fn build(&mut self, targets: &[f64], rows: &mut [usize], start: usize, depth: usize) -> usize {
         let n = rows.len();
-        let sum: f64 = rows.iter().map(|&i| self.targets[i]).sum();
+        let sum: f64 = rows.iter().map(|&i| targets[i]).sum();
         let mean = sum / n as f64;
+        let span = start..start + n;
 
         if depth >= self.config.max_depth || n < 2 * self.config.min_samples_leaf {
-            return self.push_leaf(mean);
+            return self.push_leaf(mean, span);
         }
-
-        match self.best_split(rows, sum) {
-            Some((feature, threshold, gain)) if gain > self.config.min_gain => {
-                let n_left = self.partition(rows, feature, threshold);
-                // The scan counted each side as the partition splits it.
-                debug_assert!(
-                    n_left >= self.config.min_samples_leaf
-                        && n - n_left >= self.config.min_samples_leaf
-                );
-                // Reserve the split slot before recursing so child ids are known.
-                let node_id = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: mean });
-                let (left_rows, right_rows) = rows.split_at_mut(n_left);
-                let left = self.build(left_rows, depth + 1);
-                let right = self.build(right_rows, depth + 1);
-                self.nodes[node_id] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
-                node_id
-            }
-            _ => self.push_leaf(mean),
-        }
+        self.fill(targets, rows);
+        let Some((k, b)) = self.best_split(n, sum) else {
+            return self.push_leaf(mean, span);
+        };
+        let n_left = self.partition(rows, k, b);
+        // The scan counted each side as the partition splits it.
+        debug_assert!(
+            n_left >= self.config.min_samples_leaf && n - n_left >= self.config.min_samples_leaf
+        );
+        // Reserve the split slot before recursing so child ids are known.
+        let node_id = self.nodes.len();
+        self.nodes.push(Node::Leaf { value: mean });
+        let (left_rows, right_rows) = rows.split_at_mut(n_left);
+        let left = self.build(targets, left_rows, start, depth + 1);
+        let right = self.build(targets, right_rows, start + n_left, depth + 1);
+        let feature = self.binned.features[k];
+        self.nodes[node_id] = Node::Split {
+            feature,
+            threshold: self
+                .mapper
+                .edge(feature, b)
+                .expect("a scanned bin has an upper edge"),
+            left,
+            right,
+        };
+        node_id
     }
 
-    fn push_leaf(&mut self, value: f64) -> usize {
+    fn push_leaf(&mut self, value: f64, rows: Range<usize>) -> usize {
+        let node = self.nodes.len();
         self.nodes.push(Node::Leaf { value });
-        self.nodes.len() - 1
+        self.leaves.push(LeafSpan {
+            #[cfg(test)]
+            node,
+            value,
+            rows,
+        });
+        node
     }
 
-    /// Best (feature, threshold, gain) via per-feature histograms of target
-    /// sums. Gain is the reduction in sum of squared deviations.
-    fn best_split(&mut self, rows: &[usize], total_sum: f64) -> Option<(usize, f64, f64)> {
-        let binned = self.binned;
-        let width = binned.features.len();
-        self.sums.fill(0.0);
-        self.counts.fill(0);
+    /// Fill the histograms of every kept feature from `rows`, in row order.
+    fn fill(&mut self, targets: &[f64], rows: &[usize]) {
+        let width = self.binned.features.len();
+        self.hist.fill(Bin::default());
         for &i in rows {
-            let target = self.targets[i];
-            for &slot in &binned.slots[i * width..(i + 1) * width] {
-                self.sums[slot] += target;
-                self.counts[slot] += 1;
+            let target = targets[i];
+            for &slot in &self.binned.slots[i * width..(i + 1) * width] {
+                let bin = &mut self.hist[slot as usize];
+                bin.sum += target;
+                bin.count += 1;
             }
         }
+    }
 
-        let n = rows.len() as f64;
+    /// Best (kept feature, bin) to split the `n` rows of the histograms at,
+    /// by variance reduction, or `None` when no candidate gains more than
+    /// `min_gain`. Gain is the reduction in sum of squared deviations.
+    fn best_split(&self, n: usize, total_sum: f64) -> Option<(usize, usize)> {
         let min_leaf = self.config.min_samples_leaf;
-        let mut best: Option<(usize, f64, f64)> = None;
-        for (k, &feature) in binned.features.iter().enumerate() {
-            let bins = binned.offsets[k]..binned.offsets[k + 1];
-            let bin_sum = &self.sums[bins.clone()];
-            let bin_count = &self.counts[bins];
+        let parent_score = total_sum * total_sum / n as f64;
+        let mut best: Option<(usize, usize, f64)> = None;
+        for (k, bins) in self.binned.offsets.windows(2).enumerate() {
+            let bins = &self.hist[bins[0]..bins[1]];
             // Scan split points between bins.
             let mut left_sum = 0.0;
             let mut left_count = 0usize;
-            for b in 0..bin_sum.len() - 1 {
-                left_sum += bin_sum[b];
-                left_count += bin_count[b];
-                let right_count = rows.len() - left_count;
-                if left_count < min_leaf || right_count < min_leaf {
+            for (b, bin) in bins[..bins.len() - 1].iter().enumerate() {
+                if bin.count == 0 {
+                    continue;
+                }
+                left_sum += bin.sum;
+                left_count += bin.count;
+                let right_count = n - left_count;
+                if right_count < min_leaf {
+                    break;
+                }
+                if left_count < min_leaf {
                     continue;
                 }
                 let right_sum = total_sum - left_sum;
@@ -312,33 +373,37 @@ impl Grower<'_> {
                 // sum_left^2/n_left + sum_right^2/n_right - sum^2/n.
                 let gain = left_sum * left_sum / left_count as f64
                     + right_sum * right_sum / right_count as f64
-                    - total_sum * total_sum / n;
+                    - parent_score;
                 if gain > best.map_or(self.config.min_gain, |(_, _, g)| g) {
-                    if let Some(threshold) = self.mapper.edge(feature, b) {
-                        best = Some((feature, threshold, gain));
-                    }
+                    best = Some((k, b, gain));
                 }
             }
         }
-        best
+        best.map(|(k, b, _)| (k, b))
     }
 
-    /// Stable in-place partition of `rows` on `x <= threshold`: the rows
-    /// that satisfy it move to the front and the rest follow, each side in
+    /// Stable in-place partition of `rows` on kept feature `k` at bin `b`:
+    /// the rows whose slot is at most `offsets[k] + b` (whose value is at
+    /// most `edge(b)`) move to the front and the rest follow, each side in
     /// its original order. Returns the number of left-hand rows.
-    fn partition(&mut self, rows: &mut [usize], feature: usize, threshold: f64) -> usize {
-        self.right.clear();
-        let mut n_left = 0;
-        for k in 0..rows.len() {
-            let i = rows[k];
-            if self.data.get(i, feature) <= threshold {
-                rows[n_left] = i;
-                n_left += 1;
-            } else {
-                self.right.push(i);
-            }
+    fn partition(&mut self, rows: &mut [usize], k: usize, b: usize) -> usize {
+        let width = self.binned.features.len();
+        // In range: `BinnedRows::new` asserts every slot fits in u32.
+        let threshold = (self.binned.offsets[k] + b) as u32;
+        let column = &self.binned.slots[k..];
+        let right = &mut self.right[..rows.len()];
+        let (mut n_left, mut n_right) = (0, 0);
+        for j in 0..rows.len() {
+            let i = rows[j];
+            let goes_left = usize::from(column[i * width] <= threshold);
+            // Write the row to both sides; only the side it belongs to
+            // advances, so the other copy is overwritten or ignored.
+            rows[n_left] = i;
+            right[n_right] = i;
+            n_left += goes_left;
+            n_right += 1 - goes_left;
         }
-        rows[n_left..].copy_from_slice(&self.right);
+        rows[n_left..].copy_from_slice(&right[..n_right]);
         n_left
     }
 }
