@@ -17,17 +17,16 @@
 //! * [`eval`] — RMSE / MSE / MAE helpers.
 //!
 //! [`Gbdt::fit`] bins every (row, feature) once with [`BinMapper::bin`],
-//! fills a splittable node's histograms for all features in a single
-//! row-major pass, splits a node by a stable, branch-free partition of one
-//! row buffer on the rows' histogram slots, and adds each leaf's step to
-//! the rows of its span of that buffer instead of walking them through the
-//! tree. The bins are the mapper's, every histogram sum adds the same
-//! targets in the same row order, each child keeps its rows in their
-//! original relative order, and a leaf's span holds exactly the rows that
-//! reach it, so predictions are bit-identical to binning each row at every
-//! node, partitioning into fresh `Vec`s and walking every training row
-//! through every tree; `booster`'s pin test holds them to the bit (see
-//! [`tree`] for the details).
+//! fills the root's histograms for all features in a single row-major
+//! pass, and then fills only the smaller child of each split, deriving the
+//! larger child's histogram as parent − smaller in one buffer per depth.
+//! It splits a node by a stable, branch-free partition of one row buffer on
+//! the rows' histogram slots, and adds each leaf's step to the rows of its
+//! span of that buffer instead of walking them through the tree. Rows,
+//! their order, row counts and leaf values are exact; only the low bits of
+//! derived histogram sums differ from filling each child directly, which
+//! can change the winner of tied split candidates. `booster`'s pin test
+//! holds the predictions to the bit (see [`tree`] for the details).
 
 pub mod booster;
 pub mod dataset;

@@ -1,32 +1,47 @@
 //! A single histogram-based regression tree.
 //!
-//! A tree is grown on one buffer of row indices, and every choice below
-//! keeps each output bit of the textbook loop (bin each row per node,
-//! fill one histogram per node, partition into two fresh vectors):
+//! A tree is grown on one buffer of row indices:
 //!
 //! * **Slots once.** `BinnedRows` maps every (row, feature) to a `u32`
 //!   histogram slot with [`BinMapper::bin`] once per ensemble fit, instead
-//!   of by a binary search per row at every node of every tree. The bins
-//!   are the mapper's, so every histogram holds the same rows.
-//! * **One histogram pass.** A node that can split fills the histograms of
-//!   all its features in one row-major pass, each slot keeping its target
-//!   sum and row count side by side. Each sum adds its rows' targets in
-//!   node order, so every f64 sum is the textbook value.
+//!   of by a binary search per row at every node of every tree.
+//! * **Histograms per depth, siblings by subtraction.** The root fills its
+//!   histograms for all features in one row-major pass, each slot keeping
+//!   its target sum and row count side by side. When a node splits, only
+//!   its smaller child is filled, into the buffer of the child's depth, and
+//!   the larger child's histogram is derived in place of the parent's as
+//!   parent − smaller (Ke et al., LightGBM, NeurIPS 2017). A child that
+//!   cannot split gets none; the smaller is filled only when the larger
+//!   can split.
 //! * **Empty bins skipped.** A split candidate after a bin that holds no
-//!   rows splits the node exactly as the candidate before it does, so its
-//!   gain is bit-for-bit that candidate's and can never beat it; the scan
-//!   skips it.
+//!   rows splits the node exactly as the candidate before it does, so the
+//!   scan skips it.
 //! * **Stable partition on slots.** [`BinMapper::bin`] puts NaN in the last
 //!   bin, so a row's slot is at most `offset + b` exactly when its value is
 //!   at most `edge(b)`, the threshold [`RegressionTree::predict_row`] tests.
 //!   A split reorders the node's slice of the row buffer on that slot test,
-//!   without a branch, keeping each side in its original order, so each
-//!   child sees its rows in the order two fresh vectors would hold them.
+//!   without a branch, keeping each side in its original order.
 //! * **Leaf spans.** Each leaf owns the contiguous span of the row buffer
 //!   its rows were partitioned into, and those are exactly the rows that
 //!   reach it under `predict_row`. [`Gbdt::fit`](crate::Gbdt::fit) adds the
 //!   leaf's step to the rows of its span instead of walking them through
 //!   the tree.
+//!
+//! What is exact: given the splits chosen, a node's rows, their order,
+//! every histogram count and every leaf value (a sum of the leaf's targets
+//! in row order) are those of the textbook loop (bin each row at every
+//! node, fill every node's histograms, partition into two fresh vectors,
+//! walk every row through every tree). What can differ is the choice of
+//! split: a derived histogram's sums carry the rounding of the parent's and
+//! the smaller child's, so they can differ from a direct fill in their low
+//! bits, by at most about 2·n·ε·Σ|t| per level (n and Σ|t| over the
+//! parent's rows in the slot). A gain moves with them, and of two
+//! candidates whose gains tie or nearly tie the other can win. An emptied
+//! slot can keep such a residue, but the scan skips it by its count, so a
+//! residue alone never moves a threshold. Introducing the subtraction moved
+//! the predictions of `gbdt`'s pin that show which of two tied columns a
+//! split chose, and the fast-probe MLEF of a resampled PanDA training
+//! split; it moved no Table I value.
 
 use std::ops::Range;
 
@@ -235,8 +250,11 @@ pub(crate) struct Grower<'a> {
     config: TreeConfig,
     nodes: Vec<Node>,
     leaves: Vec<LeafSpan>,
-    /// Per-slot sums and counts of the node being split.
-    hist: Vec<Bin>,
+    /// One histogram per depth, allocated when a tree first reaches it. A
+    /// splittable node at depth `d` owns one at depth `d` or above; its
+    /// smaller child is filled into `hists[d + 1]` and its larger child
+    /// derived in place of the node's own.
+    hists: Vec<Vec<Bin>>,
     /// Right-hand rows of a partition, before they move back behind the
     /// left-hand ones.
     right: Vec<usize>,
@@ -250,7 +268,7 @@ impl<'a> Grower<'a> {
             config,
             nodes: Vec::new(),
             leaves: Vec::new(),
-            hist: vec![Bin::default(); binned.n_slots()],
+            hists: Vec::new(),
             right: Vec::new(),
         }
     }
@@ -263,10 +281,11 @@ impl<'a> Grower<'a> {
         if rows.is_empty() {
             self.push_leaf(0.0, 0..0);
         } else {
-            if self.right.len() < rows.len() {
-                self.right.resize(rows.len(), 0);
-            }
-            self.build(targets, rows, 0, 0);
+            let hist = self.can_split(rows.len(), 0).then(|| {
+                self.fill(0, targets, rows);
+                0
+            });
+            self.build(targets, rows, 0, 0, hist);
         }
         RegressionTree {
             nodes: std::mem::take(&mut self.nodes),
@@ -278,19 +297,31 @@ impl<'a> Grower<'a> {
         &self.leaves
     }
 
+    /// Whether a node of `n` rows at `depth` may split.
+    fn can_split(&self, n: usize, depth: usize) -> bool {
+        depth < self.config.max_depth && n >= 2 * self.config.min_samples_leaf
+    }
+
     /// Recursively build the node for `rows`, which start at `start` in the
-    /// tree's row buffer, returning its arena id.
-    fn build(&mut self, targets: &[f64], rows: &mut [usize], start: usize, depth: usize) -> usize {
+    /// tree's row buffer, returning its arena id. `hist` indexes the node's
+    /// histogram, which exactly the nodes that can split have.
+    fn build(
+        &mut self,
+        targets: &[f64],
+        rows: &mut [usize],
+        start: usize,
+        depth: usize,
+        hist: Option<usize>,
+    ) -> usize {
         let n = rows.len();
         let sum: f64 = rows.iter().map(|&i| targets[i]).sum();
         let mean = sum / n as f64;
         let span = start..start + n;
 
-        if depth >= self.config.max_depth || n < 2 * self.config.min_samples_leaf {
+        let Some(hist) = hist else {
             return self.push_leaf(mean, span);
-        }
-        self.fill(targets, rows);
-        let Some((k, b)) = self.best_split(n, sum) else {
+        };
+        let Some((k, b)) = self.best_split(hist, n, sum) else {
             return self.push_leaf(mean, span);
         };
         let n_left = self.partition(rows, k, b);
@@ -302,8 +333,10 @@ impl<'a> Grower<'a> {
         let node_id = self.nodes.len();
         self.nodes.push(Node::Leaf { value: mean });
         let (left_rows, right_rows) = rows.split_at_mut(n_left);
-        let left = self.build(targets, left_rows, start, depth + 1);
-        let right = self.build(targets, right_rows, start + n_left, depth + 1);
+        let (left_hist, right_hist) =
+            self.child_histograms(targets, hist, depth + 1, left_rows, right_rows);
+        let left = self.build(targets, left_rows, start, depth + 1, left_hist);
+        let right = self.build(targets, right_rows, start + n_left, depth + 1, right_hist);
         let feature = self.binned.features[k];
         self.nodes[node_id] = Node::Split {
             feature,
@@ -329,29 +362,80 @@ impl<'a> Grower<'a> {
         node
     }
 
-    /// Fill the histograms of every kept feature from `rows`, in row order.
-    fn fill(&mut self, targets: &[f64], rows: &[usize]) {
+    /// The histogram indices of the two children at `depth` of the node
+    /// whose histogram is `hists[parent]`, `None` for a child that cannot
+    /// split. The smaller child is filled into `hists[depth]`, and the
+    /// larger is derived as parent − smaller in place of the parent's,
+    /// which its split no longer needs (Ke et al., LightGBM, NeurIPS 2017).
+    /// The larger child can split whenever the smaller can, so when it
+    /// cannot, nothing is built.
+    fn child_histograms(
+        &mut self,
+        targets: &[f64],
+        parent: usize,
+        depth: usize,
+        left: &[usize],
+        right: &[usize],
+    ) -> (Option<usize>, Option<usize>) {
+        let left_is_smaller = left.len() <= right.len();
+        let (smaller, larger) = if left_is_smaller {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        if !self.can_split(larger.len(), depth) {
+            return (None, None);
+        }
+        self.fill(depth, targets, smaller);
+        self.subtract(parent, depth);
+        let smaller_hist = self.can_split(smaller.len(), depth).then_some(depth);
+        if left_is_smaller {
+            (smaller_hist, Some(parent))
+        } else {
+            (Some(parent), smaller_hist)
+        }
+    }
+
+    /// Fill `hists[index]` from `rows` for every kept feature, in row order.
+    fn fill(&mut self, index: usize, targets: &[f64], rows: &[usize]) {
+        while self.hists.len() <= index {
+            self.hists.push(vec![Bin::default(); self.binned.n_slots()]);
+        }
         let width = self.binned.features.len();
-        self.hist.fill(Bin::default());
+        let hist = &mut self.hists[index];
+        hist.fill(Bin::default());
         for &i in rows {
             let target = targets[i];
             for &slot in &self.binned.slots[i * width..(i + 1) * width] {
-                let bin = &mut self.hist[slot as usize];
+                let bin = &mut hist[slot as usize];
                 bin.sum += target;
                 bin.count += 1;
             }
         }
     }
 
-    /// Best (kept feature, bin) to split the `n` rows of the histograms at,
+    /// `hists[parent] -= hists[child]`, slot by slot, for a child histogram
+    /// deeper than its parent's. Counts stay exact. A sum carries the
+    /// rounding of both operands, so it can differ from a direct fill in its
+    /// low bits, and an emptied slot can keep a residue, which
+    /// [`Grower::best_split`] skips with the slot.
+    fn subtract(&mut self, parent: usize, child: usize) {
+        let (upper, lower) = self.hists.split_at_mut(child);
+        for (p, c) in upper[parent].iter_mut().zip(&lower[0]) {
+            p.sum -= c.sum;
+            p.count -= c.count;
+        }
+    }
+
+    /// Best (kept feature, bin) to split the `n` rows of `hists[hist]` at,
     /// by variance reduction, or `None` when no candidate gains more than
     /// `min_gain`. Gain is the reduction in sum of squared deviations.
-    fn best_split(&self, n: usize, total_sum: f64) -> Option<(usize, usize)> {
+    fn best_split(&self, hist: usize, n: usize, total_sum: f64) -> Option<(usize, usize)> {
         let min_leaf = self.config.min_samples_leaf;
         let parent_score = total_sum * total_sum / n as f64;
         let mut best: Option<(usize, usize, f64)> = None;
         for (k, bins) in self.binned.offsets.windows(2).enumerate() {
-            let bins = &self.hist[bins[0]..bins[1]];
+            let bins = &self.hists[hist][bins[0]..bins[1]];
             // Scan split points between bins.
             let mut left_sum = 0.0;
             let mut left_count = 0usize;
@@ -391,6 +475,9 @@ impl<'a> Grower<'a> {
         // In range: `BinnedRows::new` asserts every slot fits in u32.
         let threshold = (self.binned.offsets[k] + b) as u32;
         let column = &self.binned.slots[k..];
+        if self.right.len() < rows.len() {
+            self.right.resize(rows.len(), 0);
+        }
         let right = &mut self.right[..rows.len()];
         let (mut n_left, mut n_right) = (0, 0);
         for j in 0..rows.len() {
@@ -411,6 +498,7 @@ impl<'a> Grower<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::booster::tests::awkward_matrix;
 
     fn step_data(n: usize) -> (FeatureMatrix, Vec<f64>) {
         // y = 1 if x0 > 0.5 else 0, with a second noise feature.
@@ -531,5 +619,53 @@ mod tests {
                 / 400.0
         };
         assert!(err(&deep) < err(&shallow) * 0.5);
+    }
+
+    #[test]
+    fn a_subtracted_sibling_histogram_matches_a_direct_fill() {
+        // Split the awkward matrix's rows at every candidate. Derived as
+        // parent − left, the right child's histogram must count exactly
+        // the rows a direct fill counts, and each sum must lie within
+        // 2·n·ε·Σ|t| of the direct one, n and Σ|t| taken over the parent's
+        // rows in that slot: a bound on the rounding of the three fills and
+        // the subtraction.
+        let (data, targets) = awkward_matrix(700);
+        let abs_targets: Vec<f64> = targets.iter().map(|t| t.abs()).collect();
+        let config = TreeConfig::default();
+        let mapper = BinMapper::fit(&data, config.max_bins);
+        let binned = BinnedRows::new(&data, &mapper);
+        let mut grower = Grower::new(&binned, &mapper, config);
+        let all: Vec<usize> = (0..data.n_rows()).collect();
+        grower.fill(3, &abs_targets, &all);
+        let magnitude = grower.hists[3].clone();
+        let (mut candidates, mut inexact) = (0, 0);
+        for (k, bins) in binned.offsets.windows(2).enumerate() {
+            for b in 0..bins[1] - bins[0] - 1 {
+                let mut rows = all.clone();
+                let n_left = grower.partition(&mut rows, k, b);
+                let (left, right) = rows.split_at(n_left);
+                grower.fill(0, &targets, &rows);
+                grower.fill(1, &targets, left);
+                grower.subtract(0, 1);
+                grower.fill(2, &targets, right);
+                let derived = &grower.hists[0];
+                let direct = &grower.hists[2];
+                for (slot, ((d, f), m)) in derived.iter().zip(direct).zip(&magnitude).enumerate() {
+                    assert_eq!(d.count, f.count, "feature {k}, bin {b}, slot {slot}");
+                    let bound = 2.0 * m.count as f64 * f64::EPSILON * m.sum;
+                    assert!(
+                        (d.sum - f.sum).abs() <= bound,
+                        "feature {k}, bin {b}, slot {slot}: {} vs {}",
+                        d.sum,
+                        f.sum
+                    );
+                    inexact += usize::from(d.sum != f.sum);
+                }
+                candidates += 1;
+            }
+        }
+        assert!(candidates > 30, "{candidates} candidates");
+        // The sums are not all exact, or the bound would go untested.
+        assert!(inexact > 0);
     }
 }

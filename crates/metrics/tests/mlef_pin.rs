@@ -33,6 +33,10 @@ fn train_to_test_mlef_is_pinned_bit_for_bit() {
 fn resampled_train_to_test_mlef_is_pinned_bit_for_bit() {
     // The training split resampled with replacement, seeded: a second
     // PanDA design matrix, with repeated rows, under the same two probes.
+    // The booster derives the larger child's histogram as parent − smaller
+    // child, whose sums can differ from a direct fill in their low bits.
+    // That moves the fast probe's value on this draw, though not on the
+    // split above, so this pin sees that arithmetic.
     let data = split();
     let n = data.train.n_rows();
     let mut rng = StdRng::seed_from_u64(13);
@@ -45,5 +49,5 @@ fn resampled_train_to_test_mlef_is_pinned_bit_for_bit() {
         0x4002_dcbf_4d62_3bfe,
         "paper probe: {paper}"
     );
-    assert_eq!(fast.to_bits(), 0x3ff7_b33d_dc20_d18a, "fast probe: {fast}");
+    assert_eq!(fast.to_bits(), 0x3ff7_b21c_bd5a_7337, "fast probe: {fast}");
 }
