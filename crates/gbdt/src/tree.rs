@@ -251,9 +251,9 @@ pub(crate) struct Grower<'a> {
     nodes: Vec<Node>,
     leaves: Vec<LeafSpan>,
     /// One histogram per depth, allocated when a tree first reaches it. A
-    /// splittable node at depth `d` owns one at depth `d` or above; its
+    /// splittable node at depth `d` owns `hists[h]` for some `h <= d`; its
     /// smaller child is filled into `hists[d + 1]` and its larger child
-    /// derived in place of the node's own.
+    /// derived in place of `hists[h]`.
     hists: Vec<Vec<Bin>>,
     /// Right-hand rows of a partition, before they move back behind the
     /// left-hand ones.
