@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use bench::cli::{experiment, experiment_options, Command};
 use bench::{fit_all, try_prepare_data};
-use htcsim::{BrokerPolicy, GridSimulator, SimConfig, SimJob, SimReport};
+use htcsim::{BrokerPolicy, GridSimulator, JobArena, SimConfig, SimReport};
 use serde::Serialize;
 
 const CLI: Command = experiment(
@@ -40,11 +40,11 @@ fn main() {
         CLI.fail("every surrogate model failed — nothing to compare against GT");
     }
 
-    let jobs_or_exit = |source: &str, table: &tabular::Table| -> Vec<SimJob> {
-        SimJob::from_table(table)
+    let jobs_or_exit = |source: &str, table: &tabular::Table| -> JobArena {
+        JobArena::from_table(table)
             .unwrap_or_else(|err| CLI.fail(format!("{source} workload table is unusable: {err}")))
     };
-    let mut sources: Vec<(String, Vec<SimJob>)> =
+    let mut sources: Vec<(String, JobArena)> =
         vec![("GT".to_string(), jobs_or_exit("GT", &data.train))];
     for (name, synthetic) in fits.successes() {
         sources.push((name.to_string(), jobs_or_exit(name, synthetic)));
@@ -69,7 +69,7 @@ fn main() {
                     ..SimConfig::default()
                 },
             );
-            let report = simulator.run(jobs);
+            let report = simulator.run_arena(jobs);
             println!(
                 "{:<10} {:>10} {:>12.1} {:>12.2} {:>14.3} {:>12.2}",
                 source,

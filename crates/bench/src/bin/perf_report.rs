@@ -26,9 +26,6 @@
 //!   `--check` always compares like-for-like. Emitted only when the pool
 //!   has more than one executor; exempt from the `--check` gate on
 //!   single-core hosts, where a parallel fan-out cannot win.
-//! * **Simulator queue bench** — `htcsim_throughput_queue_<N>`: the
-//!   calendar event queue vs the `HeapQueue` it is pinned against
-//!   (`baseline_kind: "binary_heap"`), driven by [`hold_model`].
 //! * **Serving bench** — `serve_batching_64x4`: sixty-four 4-row sample
 //!   requests answered by one coalesced `sample_batch` pass (the serve
 //!   loop's micro-batch scheduler) vs sixty-four sequential `sample` calls
@@ -45,7 +42,7 @@
 //! `box_muller` baseline) are validated on read-back.
 //!
 //! Every entry of `timings` is a `{name, rows, ms}` record with no baseline
-//! and no gate (schema v7): the milliseconds are compared across
+//! and no gate (schema v8): the milliseconds are compared across
 //! regenerated reports.
 //!
 //! * **Epoch timings** — one training epoch of each neural model's `fit`:
@@ -58,10 +55,10 @@
 //!   [`metrics::mlef_mse`]`(train, test)`, and `smote_fit`, one
 //!   [`SmoteSampler`] fit, on the split [`prepare_data_from_config`] builds
 //!   from 12,000 gross records; `rows` is the training split's size.
-//! * **Simulator timings** — `htcsim_sim_run_<queue>_<slot fraction>`: one
-//!   [`GridSimulator::run_arena_with`] per event queue (`calendar`, `heap`)
-//!   on a 50,000-job synthetic arena, at slot fraction 0.02 (every job
-//!   starts on arrival) and 0.001 (a backlog parks).
+//! * **Simulator timings** — `htcsim_sim_run_<slot fraction>`: one
+//!   [`GridSimulator::run_arena`] of a 50,000-job synthetic arena, at slot
+//!   fraction 0.02 (every job starts on arrival) and 0.001 (a backlog
+//!   parks).
 //!
 //! After writing the report the binary reads it back through
 //! `serde_json::from_str` and validates the schema, so CI's smoke invocation
@@ -79,10 +76,7 @@ use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use bench::cli::{Args, Command};
-use htcsim::{
-    CalendarQueue, EventKind, EventScheduler, GridSimulator, HeapQueue, JobArena, SimConfig,
-    SimReport,
-};
+use htcsim::{GridSimulator, JobArena, SimConfig};
 use metrics::{mlef_mse, MlefConfig};
 use nn::matrix::reference;
 use nn::Matrix;
@@ -538,41 +532,25 @@ fn synthetic_arena(n_jobs: usize) -> (SiteCatalog, JobArena) {
     (catalog, arena)
 }
 
-fn sim_run<Q: EventScheduler>(
-    catalog: &SiteCatalog,
-    config: &SimConfig,
-    arena: &JobArena,
-) -> SimReport {
-    GridSimulator::new(catalog, config.clone()).run_arena_with::<Q>(arena)
-}
-
-/// `htcsim_sim_run_<queue>_<slot fraction>`: one simulation of a 50,000-job
-/// arena per event queue. At slot fraction 0.02 the sites absorb every job
-/// on arrival, so the run times the event queue and the broker; at 0.001 a
-/// backlog parks, so it also times how finishes hand freed slots to parked
-/// jobs. The calendar-over-heap margin here is too thin for a gate; the
-/// hold-model entry gates the queues instead.
+/// `htcsim_sim_run_<slot fraction>`: one simulation of a 50,000-job arena.
+/// At slot fraction 0.02 the sites absorb every job on arrival, so the run
+/// times the event queue and the broker; at 0.001 a backlog parks, so it
+/// also times how finishes hand freed slots to parked jobs.
 fn sim_run_timings(reps: usize) -> Vec<Timing> {
-    type Run = fn(&SiteCatalog, &SimConfig, &JobArena) -> SimReport;
     let (catalog, arena) = synthetic_arena(50_000);
-    let queues: [(&str, Run); 2] = [
-        ("calendar", sim_run::<CalendarQueue>),
-        ("heap", sim_run::<HeapQueue>),
-    ];
-    let mut timings = Vec::new();
-    for slot_fraction in [0.02, 0.001] {
-        let config = SimConfig {
-            slot_fraction,
-            ..SimConfig::default()
-        };
-        for (queue, run) in queues {
-            let name = format!("htcsim_sim_run_{queue}_{slot_fraction}");
-            timings.push(timing(&name, arena.len(), reps, || {
-                black_box(run(&catalog, &config, &arena));
-            }));
-        }
-    }
-    timings
+    [0.02, 0.001]
+        .into_iter()
+        .map(|slot_fraction| {
+            let config = SimConfig {
+                slot_fraction,
+                ..SimConfig::default()
+            };
+            let name = format!("htcsim_sim_run_{slot_fraction}");
+            timing(&name, arena.len(), reps, || {
+                black_box(GridSimulator::new(&catalog, config.clone()).run_arena(&arena));
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -710,76 +688,6 @@ fn kernel_regressions(kernels: &[KernelBench], host_cores: usize) -> Vec<String>
         .collect()
 }
 
-/// The classic "hold" benchmark for discrete-event priority queues: prime
-/// the queue with `held` events, then run `transitions` pop→push steps where
-/// each push lands at the popped time plus a service increment — a
-/// discrete-event steady state, in which (like the simulator) nothing is
-/// ever scheduled behind the clock. Increments mix WAN-latency transfer
-/// completions, job runtimes and far-future stragglers. Returns the last
-/// popped time.
-fn hold_model<Q: EventScheduler>(held: usize, transitions: usize) -> f64 {
-    let mut queue = Q::default();
-    let mut state = 0x9e3779b97f4a7c15u64;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 11) as f64 / (1u64 << 53) as f64, state)
-    };
-    for i in 0..held {
-        let (unit, _) = next();
-        queue.push(unit * 168.0, EventKind::JobArrival { job: i as u32 });
-    }
-    let mut last = 0.0;
-    for i in 0..transitions {
-        let event = queue.pop().expect("primed queue never drains");
-        last = event.time;
-        let (unit, s) = next();
-        let delta = match s % 8 {
-            0 => unit * 0.1,      // transfer completions
-            1..=5 => unit * 12.0, // job runtimes
-            _ => unit * 400.0,    // stragglers / future arrivals
-        };
-        queue.push(
-            event.time + delta,
-            EventKind::JobFinish {
-                job: i as u32,
-                site: 0,
-            },
-        );
-    }
-    last
-}
-
-/// `htcsim_throughput_queue_<N>`: N transitions of [`hold_model`] through
-/// the calendar queue vs the `HeapQueue` it is pinned against
-/// (`baseline_kind: "binary_heap"`). Deep queues are where the calendar's
-/// flat cost structurally beats the heap's `O(log n)` (the margin at
-/// shallow sizes is noise-level), so the queue holds hundreds of thousands
-/// of in-flight events. A single-threaded entry, gated at 1.0x like every
-/// unsuffixed entry.
-fn htcsim_queue_bench(quick: bool) -> KernelBench {
-    let (n_held, transitions) = if quick {
-        (200_000, 400_000)
-    } else {
-        (500_000, 1_000_000)
-    };
-    let (reps, inner) = if quick { (5, 1) } else { (7, 2) };
-    let new_ns = time_ns(reps, inner, || {
-        std::hint::black_box(hold_model::<CalendarQueue>(n_held, transitions));
-    });
-    let base_ns = time_ns(reps, inner, || {
-        std::hint::black_box(hold_model::<HeapQueue>(n_held, transitions));
-    });
-    kernel_entry_tiered(
-        &format!("htcsim_throughput_queue_{transitions}"),
-        "binary_heap",
-        1,
-        new_ns,
-        base_ns,
-    )
-}
-
 /// Micro-batched serving throughput: 64 independent 4-row sample requests
 /// answered by one coalesced `sample_batch` pass over their 256 stacked
 /// rows (what the serve loop's batch scheduler issues) against the same 64
@@ -879,8 +787,6 @@ fn main() {
     );
     let mut kernels = kernel_benches(quick);
     kernels.extend(ladder_benches(quick));
-    eprintln!("perf_report: timing htcsim calendar queue vs binary heap...");
-    kernels.push(htcsim_queue_bench(quick));
     eprintln!("perf_report: timing micro-batched serving (64 x 4-row TVAE sample requests)...");
     kernels.push(serve_batching_bench(quick));
     eprintln!("perf_report: timing the normal generator vs Box-Muller (19,424 x 51 draws)...");
@@ -936,13 +842,13 @@ fn main() {
     let reps = if quick { 3 } else { 5 };
     eprintln!("perf_report: timing paper MLEF and SMOTE fit (12,000 gross records)...");
     timings.extend(metric_timings(reps));
-    eprintln!("perf_report: timing 50,000-job simulator runs (calendar and heap queues)...");
+    eprintln!("perf_report: timing 50,000-job simulator runs...");
     timings.extend(sim_run_timings(reps));
     for t in &timings {
         eprintln!("  {:<36} ({:>6} rows)  {:>9.1} ms", t.name, t.rows, t.ms);
     }
     let report = Report {
-        schema_version: 7,
+        schema_version: 8,
         generated_by: "bench::perf_report".to_string(),
         quick,
         threads: rayon::current_num_threads(),
@@ -984,7 +890,7 @@ mod tests {
             ms,
         };
         Report {
-            schema_version: 7,
+            schema_version: 8,
             generated_by: "bench::perf_report".to_string(),
             quick: true,
             threads: 1,

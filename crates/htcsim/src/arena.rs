@@ -3,15 +3,14 @@
 //! A [`JobArena`] holds every job of a simulation run as parallel column
 //! vectors (the columnar idiom of the modelling tables, applied to the
 //! simulator): arrival times, core counts, CPU hours, input bytes, plus
-//! interned `u32` symbols for dataset and origin-site names. The event loop
-//! indexes jobs by `u32` handle and never touches a `String`, which is what
-//! makes the per-event path allocation-free at tens of millions of events.
+//! interned `u32` symbols for dataset and origin-site names. It is the
+//! simulator's one job form. The event loop indexes jobs by `u32` handle and
+//! never touches a `String`, so the per-event path allocates nothing.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::sim::SimJob;
 use crate::storage::{DatasetId, SymbolTable};
 
 /// Origin symbol for jobs whose originating site is unknown.
@@ -72,7 +71,9 @@ pub struct JobArena {
     pub arrival_hours: Vec<f64>,
     /// Cores requested.
     pub cores: Vec<u32>,
-    /// CPU time needed, in hours (HS23-normalised; see [`SimJob`]).
+    /// CPU time needed, in hours (HS23-normalised: on a site the job runs
+    /// `cpu_hours / cores` wall hours divided by the site's HS23 per core
+    /// relative to the simulator's reference).
     pub cpu_hours: Vec<f64>,
     /// Interned input dataset per job.
     pub dataset: Vec<DatasetId>,
@@ -136,22 +137,6 @@ impl JobArena {
         id
     }
 
-    /// Build an arena from row-structured jobs.
-    pub fn from_jobs(jobs: &[SimJob]) -> Self {
-        let mut arena = Self::with_capacity(jobs.len());
-        for job in jobs {
-            arena.push(
-                job.arrival_hours,
-                job.cores,
-                job.cpu_hours,
-                &job.dataset,
-                job.input_bytes,
-                job.origin_site.as_deref(),
-            );
-        }
-        arena
-    }
-
     /// Empty arena with room for `n` jobs.
     pub fn with_capacity(n: usize) -> Self {
         Self {
@@ -163,22 +148,6 @@ impl JobArena {
             origin: Vec::with_capacity(n),
             datasets: SymbolTable::new(),
             origin_sites: SymbolTable::new(),
-        }
-    }
-
-    /// Materialise job `index` back into row form (for compatibility paths;
-    /// the simulator itself never does this).
-    pub fn job(&self, index: usize) -> SimJob {
-        SimJob {
-            arrival_hours: self.arrival_hours[index],
-            cores: self.cores[index],
-            cpu_hours: self.cpu_hours[index],
-            dataset: self.datasets.resolve(self.dataset[index]).to_string(),
-            input_bytes: self.input_bytes[index],
-            origin_site: match self.origin[index] {
-                NO_ORIGIN => None,
-                id => Some(self.origin_sites.resolve(id).to_string()),
-            },
         }
     }
 
@@ -388,16 +357,5 @@ mod tests {
         let arena = JobArena::from_table(&table).unwrap();
         assert_eq!(arena.dataset_name(arena.dataset[0]), "unknown.unknown");
         assert_eq!(arena.origin_site_names(), &["unknown".to_string()]);
-    }
-
-    #[test]
-    fn round_trips_through_row_jobs() {
-        let arena = JobArena::from_table(&toy_table()).unwrap();
-        let jobs: Vec<SimJob> = (0..arena.len()).map(|i| arena.job(i)).collect();
-        let rebuilt = JobArena::from_jobs(&jobs);
-        assert_eq!(rebuilt.len(), arena.len());
-        for i in 0..arena.len() {
-            assert_eq!(rebuilt.job(i), arena.job(i));
-        }
     }
 }

@@ -36,14 +36,6 @@ impl BrokerPolicy {
         }
     }
 
-    /// Parse a policy from its report name (or enum spelling).
-    pub fn parse(name: &str) -> Option<Self> {
-        let lower = name.to_ascii_lowercase();
-        BrokerPolicy::ALL
-            .into_iter()
-            .find(|p| p.name().replace('-', "") == lower.replace(['-', '_'], ""))
-    }
-
     /// Choose a site for a job needing `cores` cores and reading `dataset`.
     ///
     /// Returns `None` when no site can currently accommodate the job (the
@@ -241,21 +233,5 @@ mod tests {
                 .unwrap();
             assert_ne!(pick, 2);
         }
-    }
-
-    #[test]
-    fn policy_names_parse_back() {
-        for policy in BrokerPolicy::ALL {
-            assert_eq!(BrokerPolicy::parse(policy.name()), Some(policy));
-        }
-        assert_eq!(
-            BrokerPolicy::parse("RoundRobin"),
-            Some(BrokerPolicy::RoundRobin)
-        );
-        assert_eq!(
-            BrokerPolicy::parse("least_loaded"),
-            Some(BrokerPolicy::LeastLoaded)
-        );
-        assert_eq!(BrokerPolicy::parse("fifo"), None);
     }
 }

@@ -12,14 +12,12 @@
 //! additional, application-level check of surrogate fidelity (the
 //! `downstream` and `simloop` experiment binaries).
 //!
-//! Built for planetary scale: jobs live in struct-of-arrays
-//! [`arena`] storage with interned `u32` dataset/site ids, events flow
-//! through a bucketed [`event::CalendarQueue`] (amortised `O(1)` vs the
-//! heap's `O(log n)`, byte-identical pop order), and the per-event path
-//! performs no allocation — tens of millions of job events per run.
+//! Jobs live in struct-of-arrays [`arena`] storage with interned `u32`
+//! dataset and site ids, so the per-event path never touches a string.
+//! Events flow through one binary-heap queue that pops in `(time,
+//! sequence)` order: equal-timestamp events drain first in, first out, and a
+//! run is deterministic.
 //!
-//! * [`event`] — the time-ordered event schedulers (calendar queue + heap
-//!   oracle),
 //! * [`arena`] — columnar job storage with interned identifiers,
 //! * [`site`] — execution sites with slot accounting,
 //! * [`storage`] — symbol interning, the dataset replica catalogue, and the
@@ -30,14 +28,13 @@
 
 pub mod arena;
 pub mod broker;
-pub mod event;
+mod event;
 pub mod sim;
 pub mod site;
 pub mod storage;
 
 pub use arena::{JobArena, SimInputError, NO_ORIGIN};
 pub use broker::BrokerPolicy;
-pub use event::{CalendarQueue, Event, EventKind, EventScheduler, HeapQueue};
-pub use sim::{GridSimulator, SimConfig, SimJob, SimReport, SimTrace};
+pub use sim::{GridSimulator, SimConfig, SimReport, SimTrace};
 pub use site::SimSite;
 pub use storage::{DatasetId, ReplicaCatalog, SiteId, SymbolTable, TransferModel};

@@ -1,68 +1,23 @@
 //! The grid simulator main loop and its summary report.
 //!
-//! The loop is generic over the [`EventScheduler`] so the calendar queue can
-//! be pinned byte-identical against the binary-heap oracle, and it runs
-//! entirely over [`JobArena`] struct-of-arrays storage: after setup, a
-//! simulated event touches only integer ids, no hashing or string traffic.
-//! The per-job vectors are allocated once; the only storage that grows
-//! during a run is the parked-job FIFOs (one per core count), amortised
-//! like any `VecDeque`.
+//! The loop pops events from one binary-heap queue and runs entirely over
+//! [`JobArena`] struct-of-arrays storage: after setup, a simulated event
+//! touches only integer ids, no hashing or string traffic. The per-job
+//! vectors are allocated once; the only storage that grows during a run is
+//! the parked-job FIFOs (one per core count), amortised like any
+//! `VecDeque`.
 
 use std::collections::{HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use pandasim::{JobRecord, SiteCatalog};
+use pandasim::SiteCatalog;
 
-use crate::arena::{JobArena, SimInputError, NO_ORIGIN};
+use crate::arena::{JobArena, NO_ORIGIN};
 use crate::broker::BrokerPolicy;
-use crate::event::{CalendarQueue, EventKind, EventScheduler};
+use crate::event::{EventKind, HeapQueue};
 use crate::site::SimSite;
 use crate::storage::{ReplicaCatalog, TransferModel};
-
-/// One job as the simulator sees it (row form; the simulator itself runs on
-/// the columnar [`JobArena`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimJob {
-    /// Arrival (submission) time in hours from the start of the window.
-    pub arrival_hours: f64,
-    /// Cores requested.
-    pub cores: u32,
-    /// CPU time needed, in hours (site-independent, HS23-normalised work is
-    /// `cores × hs23 × wall`, so wall time depends on the executing site).
-    pub cpu_hours: f64,
-    /// Input dataset name (for the replica catalogue).
-    pub dataset: String,
-    /// Input size in bytes.
-    pub input_bytes: f64,
-    /// Site that held the input in the originating record (seeds the replica
-    /// catalogue).
-    pub origin_site: Option<String>,
-}
-
-impl SimJob {
-    /// Build a simulator job from a PanDA record.
-    pub fn from_record(record: &JobRecord) -> Self {
-        Self {
-            arrival_hours: record.creation_time_days * 24.0,
-            cores: record.cores.max(1),
-            cpu_hours: (record.cpu_time_s / 3600.0).max(1e-3),
-            dataset: record.dataset_name.clone(),
-            input_bytes: record.input_file_bytes.max(0.0),
-            origin_site: Some(record.computing_site.clone()),
-        }
-    }
-
-    /// Build simulator jobs from the nine-feature modelling table produced by
-    /// `pandasim::records_to_table` (or by a surrogate model). See
-    /// [`JobArena::from_table`] for the column contract; a missing required
-    /// column, or a NaN or infinite value in one, is a typed
-    /// [`SimInputError`] naming it.
-    pub fn from_table(table: &tabular::Table) -> Result<Vec<Self>, SimInputError> {
-        let arena = JobArena::from_table(table)?;
-        Ok((0..arena.len()).map(|i| arena.job(i)).collect())
-    }
-}
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -137,14 +92,14 @@ pub struct GridSimulator {
 /// Dispatch one job: broker it, account the transfer, and schedule its
 /// `TransferComplete`. Returns false when no site has capacity.
 #[allow(clippy::too_many_arguments)] // the full brokerage context, passed flat
-fn dispatch<Q: EventScheduler>(
+fn dispatch(
     arena: &JobArena,
     job: u32,
     now: f64,
     config: &SimConfig,
     sites: &mut [SimSite],
     catalog: &ReplicaCatalog,
-    queue: &mut Q,
+    queue: &mut HeapQueue,
     wan_bytes: &mut f64,
     transfer_hours: &mut [f64],
     rr_cursor: &mut usize,
@@ -241,40 +196,16 @@ impl GridSimulator {
         }
     }
 
-    /// Number of simulated sites.
-    pub fn n_sites(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// The simulated sites (post-run state carries utilisation counters).
-    pub fn sites(&self) -> &[SimSite] {
-        &self.sites
-    }
-
-    /// Run the simulation over row-structured jobs (compatibility path:
-    /// builds a [`JobArena`] and runs on the default calendar queue).
-    pub fn run(&mut self, jobs: &[SimJob]) -> SimReport {
-        let arena = JobArena::from_jobs(jobs);
-        self.run_arena(&arena)
-    }
-
-    /// Run the simulation over an arena on the default [`CalendarQueue`].
+    /// Run the simulation over an arena.
     pub fn run_arena(&mut self, arena: &JobArena) -> SimReport {
-        self.run_inner::<CalendarQueue>(arena, None)
+        self.run_inner(arena, None)
     }
 
-    /// Run on an explicit scheduler implementation — the hook the oracle
-    /// tests and throughput benches use to pin [`CalendarQueue`] against
-    /// [`HeapQueue`](crate::event::HeapQueue) byte for byte.
-    pub fn run_arena_with<Q: EventScheduler>(&mut self, arena: &JobArena) -> SimReport {
-        self.run_inner::<Q>(arena, None)
-    }
-
-    /// Run on the default scheduler while recording a [`SimTrace`] with
-    /// `bins` queue-depth bins over the makespan.
+    /// Run the simulation while recording a [`SimTrace`] with `bins`
+    /// queue-depth bins over the makespan.
     pub fn run_arena_traced(&mut self, arena: &JobArena, bins: usize) -> (SimReport, SimTrace) {
         let mut samples: Vec<(f64, u32)> = Vec::new();
-        let report = self.run_inner::<CalendarQueue>(arena, Some(&mut samples));
+        let report = self.run_inner(arena, Some(&mut samples));
         let trace = self.bin_trace(&samples, report.makespan_hours, bins);
         (report, trace)
     }
@@ -331,7 +262,7 @@ impl GridSimulator {
     /// replica catalogue, so data-aware policies have locality information
     /// to exploit. When `trace` is given, every pending-depth change is
     /// recorded as a `(time, depth)` step sample.
-    fn run_inner<Q: EventScheduler>(
+    fn run_inner(
         &mut self,
         arena: &JobArena,
         mut trace: Option<&mut Vec<(f64, u32)>>,
@@ -356,7 +287,7 @@ impl GridSimulator {
             }
         }
 
-        let mut queue = Q::default();
+        let mut queue = HeapQueue::new();
         for (i, &arrival) in arena.arrival_hours.iter().enumerate() {
             queue.push(arrival.max(0.0), EventKind::JobArrival { job: i as u32 });
         }
@@ -477,53 +408,31 @@ impl GridSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::HeapQueue;
     use pandasim::{FilterFunnel, GeneratorConfig, WorkloadGenerator};
 
-    fn small_jobs() -> (SiteCatalog, Vec<SimJob>) {
+    fn small_jobs() -> (SiteCatalog, JobArena) {
         let generator = WorkloadGenerator::new(GeneratorConfig::small());
         let gross = generator.generate();
         let funnel = FilterFunnel::apply(&gross);
-        let jobs: Vec<SimJob> = funnel
-            .records
-            .iter()
-            .take(400)
-            .map(SimJob::from_record)
-            .collect();
-        (generator.sites().clone(), jobs)
+        let table = pandasim::records_to_table(&funnel.records[..400]);
+        let arena = JobArena::from_table(&table).expect("full modelling table");
+        (generator.sites().clone(), arena)
     }
 
     #[test]
     fn all_jobs_complete() {
-        let (catalog, jobs) = small_jobs();
+        let (catalog, arena) = small_jobs();
         let mut sim = GridSimulator::new(&catalog, SimConfig::default());
-        let report = sim.run(&jobs);
-        assert_eq!(report.completed, jobs.len());
+        let report = sim.run_arena(&arena);
+        assert_eq!(report.completed, arena.len());
         assert!(report.makespan_hours > 0.0);
         assert!(report.mean_wait_hours >= 0.0);
         assert!(report.mean_utilization >= 0.0 && report.mean_utilization <= 1.0);
     }
 
     #[test]
-    fn calendar_and_heap_schedulers_agree_exactly() {
-        let (catalog, jobs) = small_jobs();
-        let arena = JobArena::from_jobs(&jobs);
-        for policy in BrokerPolicy::ALL {
-            let config = SimConfig {
-                policy,
-                ..Default::default()
-            };
-            let mut heap_sim = GridSimulator::new(&catalog, config.clone());
-            let mut cal_sim = GridSimulator::new(&catalog, config);
-            let heap = heap_sim.run_arena_with::<HeapQueue>(&arena);
-            let cal = cal_sim.run_arena_with::<CalendarQueue>(&arena);
-            assert_eq!(heap, cal, "policy {}", policy.name());
-        }
-    }
-
-    #[test]
     fn data_locality_moves_fewer_bytes_than_round_robin() {
-        let (catalog, jobs) = small_jobs();
+        let (catalog, arena) = small_jobs();
         let mut locality = GridSimulator::new(
             &catalog,
             SimConfig {
@@ -538,8 +447,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let locality_report = locality.run(&jobs);
-        let rr_report = round_robin.run(&jobs);
+        let locality_report = locality.run_arena(&arena);
+        let rr_report = round_robin.run_arena(&arena);
         assert!(
             locality_report.wan_bytes < rr_report.wan_bytes,
             "locality {} vs round-robin {}",
@@ -552,7 +461,7 @@ mod tests {
     fn empty_job_list_is_a_noop() {
         let (catalog, _) = small_jobs();
         let mut sim = GridSimulator::new(&catalog, SimConfig::default());
-        let report = sim.run(&[]);
+        let report = sim.run_arena(&JobArena::new());
         assert_eq!(report.completed, 0);
         assert_eq!(report.makespan_hours, 0.0);
     }
@@ -563,36 +472,19 @@ mod tests {
         let gross = generator.generate();
         let funnel = FilterFunnel::apply(&gross);
         let table = pandasim::records_to_table(&funnel.records);
-        let jobs = SimJob::from_table(&table).expect("full modelling table");
-        assert_eq!(jobs.len(), table.n_rows());
-        for job in jobs.iter().take(100) {
-            assert!(job.arrival_hours >= 0.0);
-            assert!(job.cpu_hours > 0.0);
-            assert!(job.cores >= 1);
-            assert!(!job.dataset.is_empty());
+        let arena = JobArena::from_table(&table).expect("full modelling table");
+        assert_eq!(arena.len(), table.n_rows());
+        for j in 0..100 {
+            assert!(arena.arrival_hours[j] >= 0.0);
+            assert!(arena.cpu_hours[j] > 0.0);
+            assert!(arena.cores[j] >= 1);
+            assert!(!arena.dataset_name(arena.dataset[j]).is_empty());
         }
     }
 
     #[test]
-    fn slot_starved_grid_still_finishes_with_queueing() {
-        let (catalog, jobs) = small_jobs();
-        let mut sim = GridSimulator::new(
-            &catalog,
-            SimConfig {
-                slot_fraction: 0.001, // extremely scarce slots
-                ..Default::default()
-            },
-        );
-        let report = sim.run(&jobs[..150.min(jobs.len())]);
-        assert_eq!(report.completed, 150.min(jobs.len()));
-        // With scarce slots some jobs must have waited.
-        assert!(report.mean_wait_hours >= 0.0);
-    }
-
-    #[test]
     fn traced_run_matches_untraced_report() {
-        let (catalog, jobs) = small_jobs();
-        let arena = JobArena::from_jobs(&jobs);
+        let (catalog, arena) = small_jobs();
         let mut plain = GridSimulator::new(&catalog, SimConfig::default());
         let mut traced = GridSimulator::new(&catalog, SimConfig::default());
         let report = plain.run_arena(&arena);
@@ -671,19 +563,13 @@ mod tests {
             (10.0, 1),
             (11.0, 0),
         ];
-        for run in [
-            GridSimulator::run_inner::<CalendarQueue>,
-            GridSimulator::run_inner::<HeapQueue>,
-        ] {
-            let mut sim = GridSimulator::new(&catalog, SimConfig::default());
-            let mut samples = Vec::new();
-            let report = run(&mut sim, &arena, Some(&mut samples));
-            assert_eq!(samples, expected);
-            // Waits of j3, j4, j5 and j7: 9.75 + 0.5 + 2.25 + 7 over eight
-            // jobs.
-            assert_eq!(report.mean_wait_hours, 19.5 / 8.0);
-            assert_eq!(report.makespan_hours, 103.75);
-            assert_eq!(report.completed, 8);
-        }
+        let mut sim = GridSimulator::new(&catalog, SimConfig::default());
+        let mut samples = Vec::new();
+        let report = sim.run_inner(&arena, Some(&mut samples));
+        assert_eq!(samples, expected);
+        // Waits of j3, j4, j5 and j7: 9.75 + 0.5 + 2.25 + 7 over eight jobs.
+        assert_eq!(report.mean_wait_hours, 19.5 / 8.0);
+        assert_eq!(report.makespan_hours, 103.75);
+        assert_eq!(report.completed, 8);
     }
 }

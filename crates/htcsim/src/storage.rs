@@ -39,11 +39,6 @@ impl SymbolTable {
         id
     }
 
-    /// Symbol of `name`, if it has been interned.
-    pub fn get(&self, name: &str) -> Option<u32> {
-        self.index.get(name).copied()
-    }
-
     /// Name behind a symbol.
     pub fn resolve(&self, id: u32) -> &str {
         &self.names[id as usize]
@@ -111,11 +106,6 @@ impl ReplicaCatalog {
     pub fn has_replica(&self, dataset: DatasetId, site: SiteId) -> bool {
         self.sites_with(dataset).contains(&site)
     }
-
-    /// Number of datasets with at least one replica.
-    pub fn n_datasets(&self) -> usize {
-        self.replicas.iter().filter(|r| !r.is_empty()).count()
-    }
 }
 
 /// Simple wide-area transfer cost model.
@@ -163,8 +153,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(table.resolve(a), "mc23.AOD");
         assert_eq!(table.resolve(b), "data22.DAOD");
-        assert_eq!(table.get("data22.DAOD"), Some(b));
-        assert_eq!(table.get("missing"), None);
         assert_eq!(table.len(), 2);
         assert_eq!(
             table.names(),
@@ -183,7 +171,6 @@ mod tests {
         assert!(cat.has_replica(0, 2));
         assert!(!cat.has_replica(0, 1));
         assert!(cat.sites_with(7).is_empty());
-        assert_eq!(cat.n_datasets(), 2);
     }
 
     #[test]
@@ -192,7 +179,6 @@ mod tests {
         cat.add_replica(5, 3);
         assert_eq!(cat.sites_with(5), &[3]);
         assert!(cat.sites_with(0).is_empty());
-        assert_eq!(cat.n_datasets(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! cargo run --release --example downstream_scheduler
 //! ```
 
-use panda_surrogate::htcsim::{BrokerPolicy, GridSimulator, SimConfig, SimJob};
+use panda_surrogate::htcsim::{BrokerPolicy, GridSimulator, JobArena, SimConfig};
 use panda_surrogate::surrogate::{
     fit_and_sample, prepare_data, ExperimentOptions, ModelKind, TrainingBudget,
 };
@@ -35,9 +35,9 @@ fn main() {
     )
     .expect("TabDDPM fits and samples");
 
-    let real_jobs = SimJob::from_table(train).expect("real table has the modelling columns");
+    let real_jobs = JobArena::from_table(train).expect("real table has the modelling columns");
     let synthetic_jobs =
-        SimJob::from_table(&synthetic).expect("synthetic table has the modelling columns");
+        JobArena::from_table(&synthetic).expect("synthetic table has the modelling columns");
     println!(
         "driving the grid simulator with {} real and {} synthetic jobs\n",
         real_jobs.len(),
@@ -58,7 +58,7 @@ fn main() {
                     ..SimConfig::default()
                 },
             );
-            let report = simulator.run(jobs);
+            let report = simulator.run_arena(jobs);
             println!(
                 "{:<12} {:>12.1} {:>12.2} {:>12.2}",
                 name,

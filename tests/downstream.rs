@@ -1,7 +1,7 @@
 //! Downstream integration: the HTC-grid simulator consuming real and
 //! surrogate-generated workloads (experiment E6).
 
-use panda_surrogate::htcsim::{BrokerPolicy, GridSimulator, SimConfig, SimJob};
+use panda_surrogate::htcsim::{BrokerPolicy, GridSimulator, JobArena, SimConfig};
 use panda_surrogate::surrogate::{
     fit_and_sample, prepare_data, ExperimentOptions, ModelKind, TrainingBudget,
 };
@@ -30,11 +30,11 @@ fn simulator_completes_real_and_synthetic_workloads() {
     .expect("SMOTE fits");
 
     for jobs in [
-        SimJob::from_table(&table).expect("real table has the modelling columns"),
-        SimJob::from_table(&synthetic).expect("synthetic table has the modelling columns"),
+        JobArena::from_table(&table).expect("real table has the modelling columns"),
+        JobArena::from_table(&synthetic).expect("synthetic table has the modelling columns"),
     ] {
         let mut simulator = GridSimulator::new(generator.sites(), SimConfig::default());
-        let report = simulator.run(&jobs);
+        let report = simulator.run_arena(&jobs);
         assert_eq!(report.completed, jobs.len());
         assert!(report.makespan_hours > 0.0);
         assert!(report.mean_utilization > 0.0);
@@ -58,7 +58,7 @@ fn policy_ordering_is_preserved_under_synthetic_workloads() {
     .expect("SMOTE fits");
 
     for (label, source) in [("real", &table), ("synthetic", &synthetic)] {
-        let jobs = SimJob::from_table(source).expect("modelling columns present");
+        let jobs = JobArena::from_table(source).expect("modelling columns present");
         let mut wan_by_policy = Vec::new();
         for policy in [BrokerPolicy::DataLocality, BrokerPolicy::RoundRobin] {
             let mut simulator = GridSimulator::new(
@@ -68,7 +68,7 @@ fn policy_ordering_is_preserved_under_synthetic_workloads() {
                     ..SimConfig::default()
                 },
             );
-            let report = simulator.run(&jobs);
+            let report = simulator.run_arena(&jobs);
             wan_by_policy.push(report.wan_bytes);
         }
         assert!(
@@ -97,9 +97,9 @@ fn synthetic_workload_yields_similar_simulator_response() {
     .expect("SMOTE fits");
 
     let run = |t: &panda_surrogate::tabular::Table| {
-        let jobs = SimJob::from_table(t).expect("modelling columns present");
+        let jobs = JobArena::from_table(t).expect("modelling columns present");
         let mut simulator = GridSimulator::new(generator.sites(), SimConfig::default());
-        simulator.run(&jobs)
+        simulator.run_arena(&jobs)
     };
     let real_report = run(&table);
     let synthetic_report = run(&synthetic);

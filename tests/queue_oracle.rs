@@ -1,171 +1,15 @@
-//! Oracle pins for the calendar event queue (tentpole of the planetary-scale
-//! simulator): the bucketed `CalendarQueue` must pop randomized event
-//! streams in exactly the order of the seed `HeapQueue` — including FIFO
-//! order among equal timestamps — and a full simulation run must produce a
-//! byte-identical serialized `SimReport` on either scheduler. The report of
-//! a fixed synthetic workload is pinned too, and where jobs park, its trace,
-//! so a change to the simulator's physics (brokerage, transfers, slot
-//! accounting, which parked job a freed slot goes to) cannot pass unnoticed.
+//! Output pins for the grid simulator: the report of a fixed synthetic
+//! workload, and where jobs park, its trace, plus report and trace of the
+//! table-built workload the `simloop` and `downstream` binaries run. A
+//! change to the simulator's physics (brokerage, transfers, slot
+//! accounting, which parked job a freed slot goes to) or to the order its
+//! event queue pops cannot pass unnoticed.
 
-use panda_surrogate::htcsim::{
-    BrokerPolicy, CalendarQueue, Event, EventKind, EventScheduler, GridSimulator, HeapQueue,
-    JobArena, SimConfig, SimJob,
+use panda_surrogate::htcsim::{BrokerPolicy, GridSimulator, JobArena, SimConfig};
+use panda_surrogate::pandasim::{
+    records_to_table, FilterFunnel, GeneratorConfig, SiteCatalog, WorkloadGenerator,
 };
-use panda_surrogate::pandasim::{FilterFunnel, GeneratorConfig, SiteCatalog, WorkloadGenerator};
 use panda_surrogate::surrogate::fnv1a_hex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Interleaved push/pop script applied to both schedulers in lock-step.
-fn run_script<Q: EventScheduler>(seed: u64, ops: usize) -> Vec<Event> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut queue = Q::default();
-    let mut popped = Vec::new();
-    for step in 0..ops {
-        // Bias towards pushes so the queue grows through resize thresholds,
-        // with bursts of pops to drain it back down.
-        let push = queue.is_empty() || rng.gen_bool(0.6);
-        if push {
-            // Coarse time grid (quarter-hours over ~50 h) to force many
-            // equal-timestamp collisions, plus occasional far-future spikes
-            // that exercise the sparse direct-search fallback.
-            let time = if rng.gen_bool(0.02) {
-                rng.gen_range(0..4) as f64 * 10_000.0 + 5_000.0
-            } else {
-                rng.gen_range(0..200) as f64 * 0.25
-            };
-            queue.push(time, EventKind::JobArrival { job: step as u32 });
-        } else {
-            let before = queue.len();
-            let event = queue.pop().expect("non-empty queue pops Some");
-            assert_eq!(queue.len(), before - 1);
-            popped.push(event);
-        }
-    }
-    // Drain the remainder.
-    while let Some(event) = queue.pop() {
-        popped.push(event);
-    }
-    assert!(queue.is_empty());
-    popped
-}
-
-#[test]
-fn randomized_streams_pop_identically_on_both_schedulers() {
-    for seed in 0..8u64 {
-        let heap = run_script::<HeapQueue>(seed, 4_000);
-        let calendar = run_script::<CalendarQueue>(seed, 4_000);
-        assert_eq!(
-            heap.len(),
-            calendar.len(),
-            "seed {seed}: drained event counts differ"
-        );
-        for (i, (h, c)) in heap.iter().zip(&calendar).enumerate() {
-            assert_eq!(h, c, "seed {seed}: pop {i} diverges");
-        }
-    }
-}
-
-#[test]
-fn equal_timestamp_bursts_drain_in_fifo_order() {
-    fn check<Q: EventScheduler>() {
-        let mut queue = Q::default();
-        // Three waves of pushes at the same two timestamps.
-        for wave in 0..3u32 {
-            for j in 0..50u32 {
-                queue.push(
-                    1.0,
-                    EventKind::JobArrival {
-                        job: wave * 100 + j,
-                    },
-                );
-                queue.push(
-                    2.0,
-                    EventKind::JobFinish {
-                        job: wave * 100 + j,
-                        site: 0,
-                    },
-                );
-            }
-        }
-        let mut last_seq_at = [None::<u64>, None::<u64>];
-        let mut last_time = f64::NEG_INFINITY;
-        while let Some(event) = queue.pop() {
-            assert!(event.time >= last_time, "time order violated");
-            last_time = event.time;
-            let slot = if event.time == 1.0 { 0 } else { 1 };
-            if let Some(prev) = last_seq_at[slot] {
-                assert!(
-                    event.sequence > prev,
-                    "FIFO violated at t={}: sequence {} after {}",
-                    event.time,
-                    event.sequence,
-                    prev
-                );
-            }
-            last_seq_at[slot] = Some(event.sequence);
-        }
-    }
-    check::<HeapQueue>();
-    check::<CalendarQueue>();
-}
-
-/// A workload big enough to push the calendar queue through several grow
-/// resizes and the simulator through heavy pending-queue churn.
-fn workload() -> (SiteCatalog, JobArena) {
-    let generator = WorkloadGenerator::new(GeneratorConfig::small());
-    let gross = generator.generate();
-    let funnel = FilterFunnel::apply(&gross);
-    let jobs: Vec<_> = funnel
-        .records
-        .iter()
-        .map(panda_surrogate::htcsim::SimJob::from_record)
-        .collect();
-    (generator.sites().clone(), JobArena::from_jobs(&jobs))
-}
-
-#[test]
-fn sim_report_is_byte_identical_across_schedulers() {
-    let (catalog, arena) = workload();
-    for policy in BrokerPolicy::ALL {
-        let config = SimConfig {
-            policy,
-            ..SimConfig::default()
-        };
-        let mut heap_sim = GridSimulator::new(&catalog, config.clone());
-        let mut calendar_sim = GridSimulator::new(&catalog, config);
-        let heap_report = heap_sim.run_arena_with::<HeapQueue>(&arena);
-        let calendar_report = calendar_sim.run_arena_with::<CalendarQueue>(&arena);
-        let heap_bytes = serde_json::to_string(&heap_report).expect("report serializes");
-        let calendar_bytes = serde_json::to_string(&calendar_report).expect("report serializes");
-        assert_eq!(
-            heap_bytes,
-            calendar_bytes,
-            "policy {}: serialized reports diverge",
-            policy.name()
-        );
-        assert_eq!(calendar_report.completed, arena.len());
-    }
-}
-
-#[test]
-fn slot_starved_runs_agree_too() {
-    // Scarce slots maximise pending-queue churn and re-dispatch traffic —
-    // the paths where a pop-order divergence would actually change physics.
-    let (catalog, arena) = workload();
-    let config = SimConfig {
-        slot_fraction: 0.001,
-        ..SimConfig::default()
-    };
-    let mut heap_sim = GridSimulator::new(&catalog, config.clone());
-    let mut calendar_sim = GridSimulator::new(&catalog, config);
-    let heap_report = heap_sim.run_arena_with::<HeapQueue>(&arena);
-    let calendar_report = calendar_sim.run_arena_with::<CalendarQueue>(&arena);
-    assert_eq!(
-        serde_json::to_string(&heap_report).unwrap(),
-        serde_json::to_string(&calendar_report).unwrap()
-    );
-}
 
 /// The original mix: one job in seven needs 8 cores, the rest 4.
 fn two_classes(i: usize) -> u32 {
@@ -186,23 +30,23 @@ fn five_classes(i: usize) -> u32 {
 fn synthetic_workload(n_jobs: usize, cores: fn(usize) -> u32) -> (SiteCatalog, JobArena) {
     let catalog = SiteCatalog::atlas_like(40);
     let site_names: Vec<String> = catalog.sites().iter().map(|s| s.name.clone()).collect();
-    let mut jobs = Vec::with_capacity(n_jobs);
+    let mut arena = JobArena::with_capacity(n_jobs);
     let mut state = 0x2545f4914f6cdd1du64;
     for i in 0..n_jobs {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-        jobs.push(SimJob {
-            arrival_hours: unit * (n_jobs as f64 / 150.0),
-            cores: cores(i),
-            cpu_hours: 0.5 + unit * 6.0,
-            dataset: format!("ds{}", state % 512),
-            input_bytes: (state % 1_000) as f64 * 1e9,
-            origin_site: Some(site_names[(state % site_names.len() as u64) as usize].clone()),
-        });
+        arena.push(
+            unit * (n_jobs as f64 / 150.0),
+            cores(i),
+            0.5 + unit * 6.0,
+            &format!("ds{}", state % 512),
+            (state % 1_000) as f64 * 1e9,
+            Some(&site_names[(state % site_names.len() as u64) as usize]),
+        );
     }
-    (catalog, JobArena::from_jobs(&jobs))
+    (catalog, arena)
 }
 
 /// FNV-1a digests of the serialized `SimReport` per (jobs, slot fraction,
@@ -255,10 +99,9 @@ fn synthetic_workload_reports_are_pinned() {
 /// trace together, on 10,000 synthetic jobs at slot fraction 0.001, per
 /// core-class mix and policy. Parked jobs of several sizes wait side by side
 /// there, so these pin which parked job each freed slot goes to, and when:
-/// the queue-depth trace moves with every start. The binary-heap run must
-/// report what the calendar run does. The digests were recorded on the
-/// simulator that re-scanned every parked job in arrival order on each job
-/// finish.
+/// the queue-depth trace moves with every start. The digests were recorded
+/// on the simulator that re-scanned every parked job in arrival order on
+/// each job finish.
 #[test]
 fn parked_runs_are_pinned_with_their_traces() {
     // Digests in `BrokerPolicy::ALL` order.
@@ -283,15 +126,52 @@ fn parked_runs_are_pinned_with_their_traces() {
                 slot_fraction: 0.001,
                 ..SimConfig::default()
             };
-            let traced = GridSimulator::new(&catalog, config.clone()).run_arena_traced(&arena, 24);
-            let heap = GridSimulator::new(&catalog, config).run_arena_with::<HeapQueue>(&arena);
+            let traced = GridSimulator::new(&catalog, config).run_arena_traced(&arena, 24);
             let context = format!("classes {classes}, policy {}", policy.name());
             assert_eq!(traced.0.completed, arena.len(), "{context}");
             assert!(traced.0.mean_wait_hours > 0.0, "{context}: nothing parked");
-            assert_eq!(
-                heap, traced.0,
-                "{context}: heap and calendar reports diverge"
-            );
+            let bytes = serde_json::to_string(&traced).expect("report and trace serialize");
+            assert_eq!(fnv1a_hex(bytes.as_bytes()), digest, "{context}: {bytes}");
+        }
+    }
+}
+
+/// FNV-1a digests of the JSON of `run_arena_traced(&arena, 24)`, report and
+/// trace together, on the 2,446 jobs `GeneratorConfig::small()` keeps after
+/// the filter funnel, built by `records_to_table` and `JobArena::from_table`:
+/// the path the `simloop` and `downstream` binaries run. Nothing parks on
+/// this workload even at slot fraction 0.001 (every mean wait is 0 h), so
+/// the synthetic pins above stay the ones that cover parked jobs. The
+/// digests were recorded while a calendar queue still ran every simulation,
+/// and its binary-heap oracle read the same.
+#[test]
+fn table_built_runs_are_pinned_with_their_traces() {
+    // Digests in `BrokerPolicy::ALL` order.
+    const PINS: [(f64, [&str; 3]); 2] = [
+        (
+            0.02,
+            ["9028199d030ff130", "74ed89d9225cb7eb", "03334c7ac2a44218"],
+        ),
+        (
+            0.001,
+            ["81ffeb84bab1c53d", "b7ee286fdd5c81f5", "10dc849df83d6fe4"],
+        ),
+    ];
+    let generator = WorkloadGenerator::new(GeneratorConfig::small());
+    let funnel = FilterFunnel::apply(&generator.generate());
+    let arena =
+        JobArena::from_table(&records_to_table(&funnel.records)).expect("full modelling table");
+    assert_eq!(arena.len(), 2_446);
+    for (slot_fraction, digests) in PINS {
+        for (policy, digest) in BrokerPolicy::ALL.into_iter().zip(digests) {
+            let config = SimConfig {
+                policy,
+                slot_fraction,
+                ..SimConfig::default()
+            };
+            let traced = GridSimulator::new(generator.sites(), config).run_arena_traced(&arena, 24);
+            let context = format!("slot fraction {slot_fraction}, policy {}", policy.name());
+            assert_eq!(traced.0.completed, arena.len(), "{context}");
             let bytes = serde_json::to_string(&traced).expect("report and trace serialize");
             assert_eq!(fnv1a_hex(bytes.as_bytes()), digest, "{context}: {bytes}");
         }
