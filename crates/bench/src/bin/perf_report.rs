@@ -55,6 +55,10 @@
 //!   [`metrics::mlef_mse`]`(train, test)`, and `smote_fit`, one
 //!   [`SmoteSampler`] fit, on the split [`prepare_data_from_config`] builds
 //!   from 12,000 gross records; `rows` is the training split's size.
+//! * **Serve digest timing** — `table_digest_64x9`: one
+//!   [`surrogate::table_digest`] of a 64-row, nine-column table (the first
+//!   64 rows of that split), the digest `serve` answers a 64-row sample
+//!   request with.
 //! * **Simulator timings** — `htcsim_sim_run_<slot fraction>`: one
 //!   [`GridSimulator::run_arena`] of a 50,000-job synthetic arena, at slot
 //!   fraction 0.02 (every job starts on arrival) and 0.001 (a backlog
@@ -76,17 +80,17 @@ use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use bench::cli::{Args, Command};
-use htcsim::{GridSimulator, JobArena, SimConfig};
+use htcsim::{GridSimulator, SimConfig};
 use metrics::{mlef_mse, MlefConfig};
 use nn::matrix::reference;
 use nn::Matrix;
-use pandasim::{GeneratorConfig, SiteCatalog};
+use pandasim::GeneratorConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use surrogate::{
-    prepare_data_from_config, CtabGan, CtabGanConfig, SampleSpec, SmoteConfig, SmoteSampler,
-    TabDdpm, TabDdpmConfig, TabularGenerator, Tvae, TvaeConfig,
+    prepare_data_from_config, table_digest, CtabGan, CtabGanConfig, SampleSpec, SmoteConfig,
+    SmoteSampler, TabDdpm, TabDdpmConfig, TabularGenerator, Tvae, TvaeConfig,
 };
 use tabular::{Column, Table};
 
@@ -485,14 +489,24 @@ fn timing(name: &str, rows: usize, reps: usize, f: impl FnMut()) -> Timing {
 
 /// `paper_mlef` and `smote_fit`: one paper-config MLEF(train → test) and one
 /// SMOTE fit on the split [`prepare_data_from_config`] builds from 12,000
-/// gross records (e2ebench's `table1_smoke` input).
-fn metric_timings(reps: usize) -> [Timing; 2] {
+/// gross records (e2ebench's `table1_smoke` input). `table_digest_64x9`:
+/// one [`table_digest`] of the split's first 64 training rows, the digest
+/// `serve` answers a 64-row request with, best of `reps` batches of 1,000.
+fn metric_timings(reps: usize) -> [Timing; 3] {
     let data = prepare_data_from_config(&GeneratorConfig {
         gross_records: 12_000,
         ..GeneratorConfig::default()
     });
     let (train, test) = (&data.train, &data.test);
     let mlef = MlefConfig::default();
+    let served = train.take(&(0..64).collect::<Vec<usize>>());
+    let digest = Timing {
+        name: format!("table_digest_{}x{}", served.n_rows(), served.n_cols()),
+        rows: served.n_rows(),
+        ms: time_ns(reps, 1_000, || {
+            black_box(table_digest(black_box(&served)));
+        }) / 1e6,
+    };
     [
         timing("paper_mlef", train.n_rows(), reps, || {
             black_box(mlef_mse(train, test, &mlef));
@@ -502,34 +516,8 @@ fn metric_timings(reps: usize) -> [Timing; 2] {
             smote.fit(train).expect("smote fits");
             black_box(smote);
         }),
+        digest,
     ]
-}
-
-/// `n_jobs` synthetic jobs from a fixed LCG over 40 atlas-like sites,
-/// arriving at ~150 jobs/hour (the workload `tests/queue_oracle.rs` pins),
-/// pushed straight into the arena.
-fn synthetic_arena(n_jobs: usize) -> (SiteCatalog, JobArena) {
-    let catalog = SiteCatalog::atlas_like(40);
-    let site_names: Vec<String> = catalog.sites().iter().map(|s| s.name.clone()).collect();
-    let mut arena = JobArena::with_capacity(n_jobs);
-    let mut state = 0x2545f4914f6cdd1du64;
-    for i in 0..n_jobs {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-        let dataset = format!("ds{}", state % 512);
-        let origin = &site_names[(state % site_names.len() as u64) as usize];
-        arena.push(
-            unit * (n_jobs as f64 / 150.0),
-            if i % 7 == 0 { 8 } else { 4 },
-            0.5 + unit * 6.0,
-            &dataset,
-            (state % 1_000) as f64 * 1e9,
-            Some(origin),
-        );
-    }
-    (catalog, arena)
 }
 
 /// `htcsim_sim_run_<slot fraction>`: one simulation of a 50,000-job arena.
@@ -537,7 +525,10 @@ fn synthetic_arena(n_jobs: usize) -> (SiteCatalog, JobArena) {
 /// times the event queue and the broker; at 0.001 a backlog parks, so it
 /// also times how finishes hand freed slots to parked jobs.
 fn sim_run_timings(reps: usize) -> Vec<Timing> {
-    let (catalog, arena) = synthetic_arena(50_000);
+    // The two-class mix `tests/queue_oracle.rs` pins: one job in seven
+    // needs 8 cores, the rest 4.
+    let (catalog, arena) =
+        htcsim::arena::synthetic_workload(50_000, |i| if i.is_multiple_of(7) { 8 } else { 4 });
     [0.02, 0.001]
         .into_iter()
         .map(|slot_fraction| {
@@ -840,7 +831,9 @@ fn main() {
         epoch_timing("tvae_paper_epoch", quick, tvae(TvaeConfig::default())),
     ];
     let reps = if quick { 3 } else { 5 };
-    eprintln!("perf_report: timing paper MLEF and SMOTE fit (12,000 gross records)...");
+    eprintln!(
+        "perf_report: timing paper MLEF, SMOTE fit and a 64-row table digest (12,000 gross records)..."
+    );
     timings.extend(metric_timings(reps));
     eprintln!("perf_report: timing 50,000-job simulator runs...");
     timings.extend(sim_run_timings(reps));

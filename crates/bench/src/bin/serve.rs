@@ -52,10 +52,13 @@
 //!   {"id":2,"op":"list"}
 //!   {"id":3,"op":"sample","model":"tabddpm","preset":"small","seed":2024,
 //!    "budget":"smoke","rows":64,"sample_seed":7}
-//! Sample responses carry the row count and an FNV-1a digest of the
-//! canonical table rendering, so two loads of one checkpoint — or a
-//! batched and an unbatched serve — can be checked for byte-identical
-//! sampling without shipping the table.
+//! Sample responses carry the row count and `surrogate::table_digest` of
+//! the sampled table, an FNV-1a digest of its column bytes (names, kinds,
+//! value bit patterns, vocabularies and codes), tagged `"digest_v":2`. Two
+//! loads of one checkpoint, or a batched and an unbatched serve, can then
+//! be checked for byte-identical sampling without shipping the table.
+//! Version 1 hashed the table's JSON rendering instead; the two versions'
+//! digests are not comparable.
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -68,12 +71,11 @@ use std::time::{Duration, Instant};
 
 use bench::cli::{Args, Command};
 use serde::{Deserialize, Serialize};
-use surrogate::artifact_io::fnv1a_hex;
 use surrogate::checkpoint::{
     Checkpoint, CheckpointError, CheckpointRegistry, QuarantinedCheckpoint,
 };
 use surrogate::fault::panic_message;
-use surrogate::{FaultClock, ModelKind, SampleSpec, ServeFaultPlan, TrainingBudget};
+use surrogate::{table_digest, FaultClock, ModelKind, SampleSpec, ServeFaultPlan, TrainingBudget};
 use tabular::Table;
 
 const CLI: Command = Command {
@@ -201,8 +203,10 @@ struct Response {
     key: Option<String>,
     /// Rows sampled.
     rows: Option<usize>,
-    /// FNV-1a digest of the canonical rendering of the sampled table.
+    /// `surrogate::table_digest` of the sampled table.
     digest: Option<String>,
+    /// The digest's layout version, [`DIGEST_VERSION`] on every digest.
+    digest_v: Option<u32>,
     /// `list`/`health`: the loadable registry keys / their count.
     models: Option<Vec<String>>,
     /// `health`: quarantined artifact count.
@@ -219,6 +223,7 @@ impl Response {
             key: None,
             rows: None,
             digest: None,
+            digest_v: None,
             models: None,
             quarantined: None,
         }
@@ -235,9 +240,13 @@ impl Response {
     }
 }
 
+/// The layout version of a response's `digest`: 2 is
+/// `surrogate::table_digest`'s column bytes. Version 1, the FNV-1a of the
+/// table's JSON rendering, is no longer served.
+const DIGEST_VERSION: u32 = 2;
+
 /// The successful `sample` response for one served table.
 fn sample_success(id: Option<u64>, key: String, table: &Table) -> Response {
-    let rendered = serde_json::to_string(table).expect("table serializes");
     Response {
         id,
         ok: true,
@@ -245,7 +254,8 @@ fn sample_success(id: Option<u64>, key: String, table: &Table) -> Response {
         detail: None,
         key: Some(key),
         rows: Some(table.n_rows()),
-        digest: Some(fnv1a_hex(rendered.as_bytes())),
+        digest: Some(table_digest(table)),
+        digest_v: Some(DIGEST_VERSION),
         models: None,
         quarantined: None,
     }
@@ -316,6 +326,7 @@ fn handle(registry: &CheckpointRegistry, request: &Request) -> Response {
             key: None,
             rows: None,
             digest: None,
+            digest_v: None,
             models: Some(registry.entries.iter().map(Checkpoint::key).collect()),
             quarantined: Some(registry.quarantined.len()),
         },
@@ -327,6 +338,7 @@ fn handle(registry: &CheckpointRegistry, request: &Request) -> Response {
             key: None,
             rows: None,
             digest: None,
+            digest_v: None,
             models: Some(registry.entries.iter().map(Checkpoint::key).collect()),
             quarantined: None,
         },
@@ -1016,6 +1028,8 @@ mod tests {
         assert_eq!(responses[2].status, "ok");
         assert_eq!(responses[1].rows, Some(6));
         assert!(responses[1].digest.is_some());
+        assert_eq!(responses[1].digest_v, Some(DIGEST_VERSION));
+        assert_eq!(responses[0].digest_v, None);
         // Identical (rows, sample_seed) requests are byte-identical, and
         // both match the direct single-request path.
         assert_eq!(responses[1].digest, responses[2].digest);

@@ -6,15 +6,18 @@
 //! The batching tests pin the serving loop's core guarantee: a micro-batched
 //! serve (requests coalesced into one generator pass via `batch:hold`)
 //! answers byte-identical digests to an unbatched serve (`batch:split`).
+//! Every digest read here must carry `"digest_v":2`, and a wire digest must
+//! equal `table_digest` of the table the same checkpoint samples in process.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use serde_json::{Value, ValueExt};
-use surrogate::checkpoint::CheckpointPayload;
+use surrogate::checkpoint::{CheckpointPayload, CheckpointRegistry};
 use surrogate::{
-    Checkpoint, SmoteConfig, SmoteSampler, TabularGenerator, TrainingBudget, Tvae, TvaeConfig,
+    table_digest, Checkpoint, ModelKind, SampleSpec, SmoteConfig, SmoteSampler, TabularGenerator,
+    TrainingBudget, Tvae, TvaeConfig,
 };
 use tabular::{Column, Table};
 
@@ -121,7 +124,15 @@ fn detail(response: &Value) -> &str {
         .unwrap_or_else(|| panic!("response has no detail: {response:?}"))
 }
 
+/// The digest of an `ok` sample response, which must be tagged with digest
+/// layout version 2 (`table_digest`).
 fn digest(response: &Value) -> &str {
+    assert_eq!(status(response), "ok", "{response:?}");
+    assert_eq!(
+        response.get("digest_v").and_then(|v| v.as_f64()),
+        Some(2.0),
+        "an ok sample response carries digest_v 2: {response:?}"
+    );
     response
         .get("digest")
         .and_then(|v| v.as_str())
@@ -182,7 +193,39 @@ fn health_list_and_sample_over_the_wire() {
         Some("s2024-smoke-small-smote")
     );
     assert_eq!(rows(&responses[3]), Some(6));
+    assert_eq!(digest(&responses[3]).len(), 16);
     assert_eq!(status(&responses[4]), "bad_request");
+    // Only sample responses carry a digest and its version.
+    for answer in [&responses[0], &responses[1], &responses[2], &responses[4]] {
+        assert_eq!(answer.get("digest"), Some(&Value::Null), "{answer:?}");
+        assert_eq!(answer.get("digest_v"), Some(&Value::Null), "{answer:?}");
+    }
+}
+
+#[test]
+fn wire_digests_are_table_digests_of_the_in_process_samples() {
+    let dir = checkpoint_dir("digest");
+    let responses = by_id(run_serve(
+        &dir,
+        &[],
+        &[
+            r#"{"id":1,"op":"sample","model":"tvae","rows":8,"sample_seed":7}"#,
+            r#"{"id":2,"op":"sample","model":"smote","rows":5,"sample_seed":3}"#,
+        ],
+    ));
+    let registry = CheckpointRegistry::load_dir(&dir).unwrap();
+    for (response, model, spec) in [
+        (&responses[0], ModelKind::Tvae, SampleSpec::new(8, 7)),
+        (&responses[1], ModelKind::Smote, SampleSpec::new(5, 3)),
+    ] {
+        let checkpoint = registry.entries.iter().find(|c| c.model == model).unwrap();
+        let tables = checkpoint.sample_batch(&[spec]).unwrap();
+        assert_eq!(
+            digest(response),
+            table_digest(&tables[0]),
+            "{model:?}: the wire digest is not the in-process table's"
+        );
+    }
 }
 
 #[test]

@@ -10,6 +10,8 @@
 //!   in the workspace (`sweep::grid_fingerprint`, checkpoint payload
 //!   fingerprints), with the length-prefixed token feed that makes
 //!   concatenations collision-free.
+//! * [`table_digest`] — the FNV-1a digest of a table's column bytes, which
+//!   `serve` answers every `sample` request with.
 //! * [`atomic_write`] — temp file + fsync + rename + directory fsync, so a
 //!   reader never observes a half-written artifact: either the old file,
 //!   the new file, or a stray `*.tmp` sibling that loaders ignore.
@@ -21,6 +23,8 @@
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+use tabular::{Column, Table};
 
 /// Suffix of the sibling temp file [`atomic_write`] stages into. Directory
 /// scanners (checkpoint registry loading) skip files with this suffix: a
@@ -68,6 +72,54 @@ impl Fnv1a {
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
     let mut hash = Fnv1a::new();
     hash.update(bytes);
+    hash.finish_hex()
+}
+
+/// FNV-1a digest of a table's canonical bytes, as 16 lowercase hex digits.
+///
+/// The bytes are streamed into the hash with no intermediate buffer, in
+/// this order: the row count; then, for each column in table order, its
+/// name (length-prefixed), a kind byte (0 numerical, 1 categorical) and its
+/// contents. A numerical column gives each value's [`f64::to_bits`]; a
+/// categorical column gives its vocabulary (the label count, then each
+/// label length-prefixed) and then each code. Counts, lengths and bit
+/// patterns are little-endian `u64`s and codes little-endian `u32`s, so the
+/// digest does not depend on the platform. Bit patterns keep NaN, ±inf and
+/// `-0.0` apart.
+///
+/// `serve` answers every `sample` request with this digest as protocol
+/// `digest_v` 2; any change to the layout must bump that version.
+pub fn table_digest(table: &Table) -> String {
+    fn feed_u64(hash: &mut Fnv1a, value: u64) {
+        hash.update(&value.to_le_bytes());
+    }
+    fn feed_str(hash: &mut Fnv1a, text: &str) {
+        feed_u64(hash, text.len() as u64);
+        hash.update(text.as_bytes());
+    }
+    let mut hash = Fnv1a::new();
+    feed_u64(&mut hash, table.n_rows() as u64);
+    for (name, column) in table.names().iter().zip(table.columns()) {
+        feed_str(&mut hash, name);
+        match column {
+            Column::Numerical(values) => {
+                hash.update(&[0]);
+                for value in values {
+                    feed_u64(&mut hash, value.to_bits());
+                }
+            }
+            Column::Categorical { codes, vocab } => {
+                hash.update(&[1]);
+                feed_u64(&mut hash, vocab.len() as u64);
+                for label in vocab {
+                    feed_str(&mut hash, label);
+                }
+                for code in codes {
+                    hash.update(&code.to_le_bytes());
+                }
+            }
+        }
+    }
     hash.finish_hex()
 }
 
@@ -212,6 +264,109 @@ mod tests {
         a_bc.feed_token("a");
         a_bc.feed_token("bc");
         assert_ne!(ab_c.finish_hex(), a_bc.finish_hex());
+    }
+
+    /// Three rows: a numerical column and a categorical one.
+    fn digest_table() -> Table {
+        let mut table = Table::new();
+        table
+            .push_column("workload", Column::Numerical(vec![1.5, -2.25, 0.0]))
+            .unwrap();
+        table
+            .push_column("site", Column::from_labels(&["BNL", "CERN", "BNL"]))
+            .unwrap();
+        table
+    }
+
+    fn edited(edit: impl FnOnce(&mut Table)) -> String {
+        let mut table = digest_table();
+        edit(&mut table);
+        table_digest(&table)
+    }
+
+    fn numerical(table: &mut Table) -> &mut Vec<f64> {
+        match table.column_mut("workload").unwrap() {
+            Column::Numerical(values) => values,
+            Column::Categorical { .. } => unreachable!("workload is numerical"),
+        }
+    }
+
+    fn categorical(table: &mut Table) -> (&mut Vec<u32>, &mut Vec<String>) {
+        match table.column_mut("site").unwrap() {
+            Column::Categorical { codes, vocab } => (codes, vocab),
+            Column::Numerical(_) => unreachable!("site is categorical"),
+        }
+    }
+
+    #[test]
+    fn table_digest_hashes_the_documented_byte_layout() {
+        let mut bytes = Vec::new();
+        bytes.extend(3u64.to_le_bytes());
+        bytes.extend(8u64.to_le_bytes());
+        bytes.extend(b"workload");
+        bytes.push(0);
+        for value in [1.5f64, -2.25, 0.0] {
+            bytes.extend(value.to_bits().to_le_bytes());
+        }
+        bytes.extend(4u64.to_le_bytes());
+        bytes.extend(b"site");
+        bytes.push(1);
+        bytes.extend(2u64.to_le_bytes());
+        for label in ["BNL", "CERN"] {
+            bytes.extend((label.len() as u64).to_le_bytes());
+            bytes.extend(label.as_bytes());
+        }
+        for code in [0u32, 1, 0] {
+            bytes.extend(code.to_le_bytes());
+        }
+        let digest = table_digest(&digest_table());
+        assert_eq!(digest, fnv1a_hex(&bytes));
+        // The golden value: a layout change must fail here and bump serve's
+        // `digest_v`.
+        assert_eq!(digest, "e59828de87b2329e");
+    }
+
+    #[test]
+    fn equal_tables_digest_equally() {
+        assert_eq!(table_digest(&digest_table()), table_digest(&digest_table()));
+        assert_eq!(table_digest(&Table::new()), table_digest(&Table::new()));
+    }
+
+    #[test]
+    fn every_edit_moves_the_table_digest() {
+        let base = table_digest(&digest_table());
+        let edits: [(&str, String); 10] = [
+            (
+                "one ulp in one value",
+                edited(|t| numerical(t)[0] = f64::from_bits(1.5f64.to_bits() + 1)),
+            ),
+            ("-0.0 for 0.0", edited(|t| numerical(t)[2] = -0.0)),
+            ("two codes swapped", edited(|t| categorical(t).0.swap(0, 1))),
+            (
+                "one vocabulary label edited",
+                edited(|t| categorical(t).1[1] = "CERN-P1".to_string()),
+            ),
+            (
+                "one column renamed",
+                edited(|t| {
+                    let site = t.column("site").unwrap().clone();
+                    *t = t.select(&["workload"]).unwrap();
+                    t.push_column("computingsite", site).unwrap();
+                }),
+            ),
+            (
+                "two columns swapped",
+                edited(|t| *t = t.select(&["site", "workload"]).unwrap()),
+            ),
+            ("one row dropped", edited(|t| *t = t.take(&[0, 1]))),
+            ("NaN", edited(|t| numerical(t)[1] = f64::NAN)),
+            ("+inf", edited(|t| numerical(t)[1] = f64::INFINITY)),
+            ("-inf", edited(|t| numerical(t)[1] = f64::NEG_INFINITY)),
+        ];
+        let mut seen = std::collections::HashSet::from([base]);
+        for (what, digest) in edits {
+            assert!(seen.insert(digest), "{what} left the digest unchanged");
+        }
     }
 
     #[test]

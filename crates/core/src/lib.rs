@@ -48,7 +48,7 @@ pub mod tabddpm;
 pub mod traits;
 pub mod tvae;
 
-pub use artifact_io::{atomic_write, fnv1a_hex, parse_log_rows, Fnv1a, TailPolicy};
+pub use artifact_io::{atomic_write, fnv1a_hex, parse_log_rows, table_digest, Fnv1a, TailPolicy};
 pub use checkpoint::{
     Checkpoint, CheckpointError, CheckpointHeader, CheckpointPayload, CheckpointRegistry,
     QuarantinedCheckpoint, CHECKPOINT_VERSION,

@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use pandasim::SiteCatalog;
 use serde::{Deserialize, Serialize};
 
 use crate::storage::{DatasetId, SymbolTable};
@@ -221,6 +222,34 @@ impl JobArena {
         }
         Ok(arena)
     }
+}
+
+/// `n_jobs` synthetic jobs from a fixed LCG over the sites of
+/// `SiteCatalog::atlas_like(40)`, arriving at a constant ~150 jobs an hour;
+/// job `i` needs `cores(i)` cores. The simulator's output pins
+/// (`tests/queue_oracle.rs`) and `perf_report`'s `htcsim_sim_run_*`
+/// timings both run this one workload.
+#[doc(hidden)]
+pub fn synthetic_workload(n_jobs: usize, cores: fn(usize) -> u32) -> (SiteCatalog, JobArena) {
+    let catalog = SiteCatalog::atlas_like(40);
+    let site_names: Vec<&str> = catalog.sites().iter().map(|s| s.name.as_str()).collect();
+    let mut arena = JobArena::with_capacity(n_jobs);
+    let mut state = 0x2545f4914f6cdd1du64;
+    for i in 0..n_jobs {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+        arena.push(
+            unit * (n_jobs as f64 / 150.0),
+            cores(i),
+            0.5 + unit * 6.0,
+            &format!("ds{}", state % 512),
+            (state % 1_000) as f64 * 1e9,
+            Some(site_names[(state % site_names.len() as u64) as usize]),
+        );
+    }
+    (catalog, arena)
 }
 
 #[cfg(test)]

@@ -269,6 +269,13 @@ impl GridSimulator {
     ) -> SimReport {
         let config = &self.config;
         let sites = &mut self.sites;
+        // Every run starts from idle sites with zeroed counters, so a second
+        // run on one simulator reports what a fresh simulator would.
+        for site in sites.iter_mut() {
+            site.busy = 0;
+            site.core_hours_delivered = 0.0;
+            site.jobs_completed = 0;
+        }
 
         // Map each interned origin symbol to a simulated site once, then
         // seed replicas with pure integer traffic.
@@ -497,6 +504,16 @@ mod tests {
         assert!(trace.queue_depth.iter().all(|&d| d >= 0.0 && d.is_finite()));
         let total_completed: u64 = trace.site_jobs_completed.iter().sum();
         assert_eq!(total_completed as usize, report.completed);
+    }
+
+    #[test]
+    fn a_second_run_on_one_simulator_repeats_the_first() {
+        let (catalog, arena) = small_jobs();
+        let mut sim = GridSimulator::new(&catalog, SimConfig::default());
+        let first = sim.run_arena_traced(&arena, 24);
+        let second = sim.run_arena_traced(&arena, 24);
+        assert_eq!(first, second);
+        assert_eq!(sim.run_arena(&arena), first.0);
     }
 
     #[test]

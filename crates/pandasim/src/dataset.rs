@@ -32,14 +32,34 @@ pub struct DatasetRef {
     pub total_bytes: f64,
 }
 
+/// Labels drawn by weight, with the sampler built once, not per draw.
+#[derive(Debug, Clone)]
+struct WeightedLabels {
+    labels: Vec<String>,
+    sampler: WeightedIndex,
+}
+
+impl WeightedLabels {
+    fn new(items: &[(&str, f64)]) -> Self {
+        Self {
+            labels: items.iter().map(|&(label, _)| label.to_string()).collect(),
+            sampler: WeightedIndex::new(items.iter().map(|&(_, w)| w)).expect("positive weights"),
+        }
+    }
+
+    fn pick<R: Rng>(&self, rng: &mut R) -> &str {
+        &self.labels[self.sampler.sample(rng)]
+    }
+}
+
 /// Weighted vocabularies for the three name sections plus file-count /
 /// size models, from which concrete datasets are drawn.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DaodCatalog {
-    projects: Vec<(String, f64)>,
-    prodsteps: Vec<(String, f64)>,
-    daod_types: Vec<(String, f64)>,
-    non_daod_types: Vec<(String, f64)>,
+    projects: WeightedLabels,
+    prodsteps: WeightedLabels,
+    daod_types: WeightedLabels,
+    non_daod_types: WeightedLabels,
     /// Fraction of generated datasets whose datatype is a DAOD flavour.
     pub daod_fraction: f64,
     next_dataset_number: u64,
@@ -57,43 +77,43 @@ impl DaodCatalog {
     /// documentation: PHYS/PHYSLITE dominate derivations, Monte Carlo
     /// projects outnumber data projects roughly 2:1 in user analysis.
     pub fn atlas_like() -> Self {
-        let projects = vec![
-            ("mc23_13p6TeV".to_string(), 34.0),
-            ("mc20_13TeV".to_string(), 22.0),
-            ("data22_13p6TeV".to_string(), 16.0),
-            ("data23_13p6TeV".to_string(), 12.0),
-            ("data18_13TeV".to_string(), 8.0),
-            ("mc16_13TeV".to_string(), 5.0),
-            ("valid1".to_string(), 2.0),
-            ("user".to_string(), 1.0),
-        ];
-        let prodsteps = vec![
-            ("deriv".to_string(), 70.0),
-            ("merge".to_string(), 14.0),
-            ("recon".to_string(), 10.0),
-            ("simul".to_string(), 4.0),
-            ("evgen".to_string(), 2.0),
-        ];
-        let daod_types = vec![
-            ("DAOD_PHYS".to_string(), 40.0),
-            ("DAOD_PHYSLITE".to_string(), 30.0),
-            ("DAOD_TOPQ1".to_string(), 8.0),
-            ("DAOD_HIGG1D1".to_string(), 6.0),
-            ("DAOD_EXOT2".to_string(), 5.0),
-            ("DAOD_SUSY5".to_string(), 4.0),
-            ("DAOD_JETM3".to_string(), 3.0),
-            ("DAOD_EGAM1".to_string(), 2.0),
-            ("DAOD_MUON0".to_string(), 1.0),
-            ("DAOD_TAUP1".to_string(), 1.0),
-        ];
-        let non_daod_types = vec![
-            ("AOD".to_string(), 40.0),
-            ("ESD".to_string(), 10.0),
-            ("HITS".to_string(), 20.0),
-            ("EVNT".to_string(), 15.0),
-            ("RAW".to_string(), 10.0),
-            ("NTUP_PILEUP".to_string(), 5.0),
-        ];
+        let projects = WeightedLabels::new(&[
+            ("mc23_13p6TeV", 34.0),
+            ("mc20_13TeV", 22.0),
+            ("data22_13p6TeV", 16.0),
+            ("data23_13p6TeV", 12.0),
+            ("data18_13TeV", 8.0),
+            ("mc16_13TeV", 5.0),
+            ("valid1", 2.0),
+            ("user", 1.0),
+        ]);
+        let prodsteps = WeightedLabels::new(&[
+            ("deriv", 70.0),
+            ("merge", 14.0),
+            ("recon", 10.0),
+            ("simul", 4.0),
+            ("evgen", 2.0),
+        ]);
+        let daod_types = WeightedLabels::new(&[
+            ("DAOD_PHYS", 40.0),
+            ("DAOD_PHYSLITE", 30.0),
+            ("DAOD_TOPQ1", 8.0),
+            ("DAOD_HIGG1D1", 6.0),
+            ("DAOD_EXOT2", 5.0),
+            ("DAOD_SUSY5", 4.0),
+            ("DAOD_JETM3", 3.0),
+            ("DAOD_EGAM1", 2.0),
+            ("DAOD_MUON0", 1.0),
+            ("DAOD_TAUP1", 1.0),
+        ]);
+        let non_daod_types = WeightedLabels::new(&[
+            ("AOD", 40.0),
+            ("ESD", 10.0),
+            ("HITS", 20.0),
+            ("EVNT", 15.0),
+            ("RAW", 10.0),
+            ("NTUP_PILEUP", 5.0),
+        ]);
         Self {
             projects,
             prodsteps,
@@ -104,22 +124,17 @@ impl DaodCatalog {
         }
     }
 
-    fn pick<'a, R: Rng>(items: &'a [(String, f64)], rng: &mut R) -> &'a str {
-        let dist = WeightedIndex::new(items.iter().map(|(_, w)| *w)).expect("positive weights");
-        items[dist.sample(rng)].0.as_str()
-    }
-
     /// Draw a new concrete dataset. `force_daod` restricts the datatype to the
     /// DAOD family (used for user-analysis inputs); otherwise the datatype is
     /// DAOD with probability [`DaodCatalog::daod_fraction`].
     pub fn sample_dataset<R: Rng>(&mut self, rng: &mut R, force_daod: bool) -> DatasetRef {
-        let project = Self::pick(&self.projects, rng).to_string();
-        let prodstep = Self::pick(&self.prodsteps, rng).to_string();
+        let project = self.projects.pick(rng).to_string();
+        let prodstep = self.prodsteps.pick(rng).to_string();
         let is_daod = force_daod || rng.gen_bool(self.daod_fraction);
         let datatype = if is_daod {
-            Self::pick(&self.daod_types, rng).to_string()
+            self.daod_types.pick(rng).to_string()
         } else {
-            Self::pick(&self.non_daod_types, rng).to_string()
+            self.non_daod_types.pick(rng).to_string()
         };
 
         // File count: Poisson around a datatype-dependent mean; PHYSLITE

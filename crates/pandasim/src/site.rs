@@ -29,17 +29,22 @@ pub struct Site {
 }
 
 /// The catalogue of sites used by the generator and the downstream simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteCatalog {
     sites: Vec<Site>,
-    weights: Vec<f64>,
+    /// Draws a site index by capacity weight; built once, not per draw.
+    sampler: WeightedIndex,
 }
 
 impl SiteCatalog {
     /// Build a catalogue from an explicit list of sites.
+    ///
+    /// Panics if `sites` is empty, a capacity weight is negative or not
+    /// finite, or every weight is zero: the catalogue could not sample.
     pub fn new(sites: Vec<Site>) -> Self {
-        let weights = sites.iter().map(|s| s.capacity_weight).collect();
-        Self { sites, weights }
+        let sampler = WeightedIndex::new(sites.iter().map(|s| s.capacity_weight))
+            .expect("non-empty positive weights");
+        Self { sites, sampler }
     }
 
     /// The default ATLAS-like catalogue: a few dominant Tier-0/1 centres and a
@@ -110,8 +115,7 @@ impl SiteCatalog {
 
     /// Sample a site index according to the capacity weights.
     pub fn sample_index<R: Rng>(&self, rng: &mut R) -> usize {
-        let dist = WeightedIndex::new(&self.weights).expect("non-empty positive weights");
-        dist.sample(rng)
+        self.sampler.sample(rng)
     }
 }
 

@@ -30,10 +30,11 @@ pub struct UserProfile {
 }
 
 /// The user population with a weighted sampler.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UserPopulation {
     users: Vec<UserProfile>,
-    weights: Vec<f64>,
+    /// Draws a user index by activity weight; built once, not per draw.
+    sampler: WeightedIndex,
 }
 
 impl UserPopulation {
@@ -58,8 +59,9 @@ impl UserPopulation {
                 }
             })
             .collect();
-        let weights = users.iter().map(|u| u.activity_weight).collect();
-        Self { users, weights }
+        let sampler =
+            WeightedIndex::new(users.iter().map(|u| u.activity_weight)).expect("positive weights");
+        Self { users, sampler }
     }
 
     /// Number of users.
@@ -79,8 +81,7 @@ impl UserPopulation {
 
     /// Sample a user according to activity weights.
     pub fn sample<'a, R: Rng>(&'a self, rng: &mut R) -> &'a UserProfile {
-        let dist = WeightedIndex::new(&self.weights).expect("positive weights");
-        &self.users[dist.sample(rng)]
+        &self.users[self.sampler.sample(rng)]
     }
 }
 

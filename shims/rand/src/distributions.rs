@@ -51,7 +51,7 @@ macro_rules! into_weight {
 into_weight!(f64, f32, usize, u64, u32, i64, i32);
 
 /// Samples indices `0..n` proportionally to a list of non-negative weights.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedIndex {
     cumulative: Vec<f64>,
     total: f64,

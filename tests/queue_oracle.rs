@@ -5,9 +5,10 @@
 //! accounting, which parked job a freed slot goes to) or to the order its
 //! event queue pops cannot pass unnoticed.
 
+use panda_surrogate::htcsim::arena::synthetic_workload;
 use panda_surrogate::htcsim::{BrokerPolicy, GridSimulator, JobArena, SimConfig};
 use panda_surrogate::pandasim::{
-    records_to_table, FilterFunnel, GeneratorConfig, SiteCatalog, WorkloadGenerator,
+    records_to_table, FilterFunnel, GeneratorConfig, WorkloadGenerator,
 };
 use panda_surrogate::surrogate::fnv1a_hex;
 
@@ -23,30 +24,6 @@ fn two_classes(i: usize) -> u32 {
 /// Five core classes in rotation, so parked jobs of every size interleave.
 fn five_classes(i: usize) -> u32 {
     [1, 2, 4, 8, 16][i % 5]
-}
-
-/// `n_jobs` synthetic jobs from a fixed LCG over 40 atlas-like sites,
-/// arriving at a constant ~150 jobs/hour; job `i` needs `cores(i)` cores.
-fn synthetic_workload(n_jobs: usize, cores: fn(usize) -> u32) -> (SiteCatalog, JobArena) {
-    let catalog = SiteCatalog::atlas_like(40);
-    let site_names: Vec<String> = catalog.sites().iter().map(|s| s.name.clone()).collect();
-    let mut arena = JobArena::with_capacity(n_jobs);
-    let mut state = 0x2545f4914f6cdd1du64;
-    for i in 0..n_jobs {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-        arena.push(
-            unit * (n_jobs as f64 / 150.0),
-            cores(i),
-            0.5 + unit * 6.0,
-            &format!("ds{}", state % 512),
-            (state % 1_000) as f64 * 1e9,
-            Some(&site_names[(state % site_names.len() as u64) as usize]),
-        );
-    }
-    (catalog, arena)
 }
 
 /// FNV-1a digests of the serialized `SimReport` per (jobs, slot fraction,
