@@ -35,20 +35,20 @@ pub struct DatasetRef {
 /// Labels drawn by weight, with the sampler built once, not per draw.
 #[derive(Debug, Clone)]
 struct WeightedLabels {
-    labels: Vec<String>,
+    labels: Vec<&'static str>,
     sampler: WeightedIndex,
 }
 
 impl WeightedLabels {
-    fn new(items: &[(&str, f64)]) -> Self {
+    fn new(items: &[(&'static str, f64)]) -> Self {
         Self {
-            labels: items.iter().map(|&(label, _)| label.to_string()).collect(),
+            labels: items.iter().map(|&(label, _)| label).collect(),
             sampler: WeightedIndex::new(items.iter().map(|&(_, w)| w)).expect("positive weights"),
         }
     }
 
-    fn pick<R: Rng>(&self, rng: &mut R) -> &str {
-        &self.labels[self.sampler.sample(rng)]
+    fn pick<R: Rng>(&self, rng: &mut R) -> &'static str {
+        self.labels[self.sampler.sample(rng)]
     }
 }
 
